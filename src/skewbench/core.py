@@ -4,14 +4,15 @@ Elements are dense integer indices; display names ride along as a sidecar
 tuple.  Operation tables are the single source of truth: orders, Green's
 relations and everything derived from them are always recomputed from the
 tables, never stored authoritatively.  Algebra values are immutable after
-construction and every function here is pure, so values may be shared
+construction (the private memo of derived facts each one carries only saves
+recomputation) and every function here is pure, so values may be shared
 freely between threads.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,6 +55,11 @@ class Algebra:
     Construct through :func:`make_algebra`, which validates shape, closure
     and the constant laws (algebraic laws such as associativity are opt-in
     classifications, so that non-examples can be held and dissected).
+
+    ``_facts`` caches facts derived from ``meet``, ``join`` and ``top``
+    (the derived arrow); it takes no part in equality or the repr, and
+    :meth:`with_arrow` and :meth:`drop_arrow` share it, since they keep
+    those three.
     """
 
     names: tuple[str, ...]
@@ -62,6 +68,7 @@ class Algebra:
     arrow: np.ndarray | None = None
     top: int | None = None
     bottom: int | None = None
+    _facts: dict = field(default_factory=dict, repr=False, compare=False, kw_only=True)
 
     @property
     def n(self) -> int:
@@ -81,12 +88,26 @@ class Algebra:
 
     def with_arrow(self, arrow) -> "Algebra":
         table = _coerce_table(arrow, self.names, "arrow")
-        return Algebra(self.names, self.meet, self.join, table, self.top, self.bottom)
+        return Algebra(
+            self.names, self.meet, self.join, table, self.top, self.bottom, _facts=self._facts
+        )
+
+    def cached(self, key: str, compute):
+        """The derived fact ``key``, computed by ``compute()`` on first use.
+
+        Nothing is stored when ``compute`` raises.  Threads that race on a
+        first use may each compute; all of them get the value stored first.
+        """
+        if key not in self._facts:
+            self._facts.setdefault(key, compute())
+        return self._facts[key]
 
     def drop_arrow(self) -> "Algebra":
         if self.arrow is None:
             return self
-        return Algebra(self.names, self.meet, self.join, None, self.top, self.bottom)
+        return Algebra(
+            self.names, self.meet, self.join, None, self.top, self.bottom, _facts=self._facts
+        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Algebra):

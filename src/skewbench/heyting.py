@@ -1,9 +1,11 @@
 """Heyting and generalized Heyting structure on finite commutative lattices.
 
-The candidate-set construction in :func:`heyting_arrow` is THE oracle: every
-other arrow computation in the workbench must agree with it wherever both
-are defined.  Maximum detection computes all maximal elements of the
-candidate set so that a failed pair yields counterexample data for free.
+:func:`heyting_arrow` takes y→z as the maximum of the candidate set
+{x : x∧y ≤ z}.  Its kernel computes the maximal candidates of all z at once
+with one integer matrix count per y, so that a failed pair yields
+counterexample data (the pair and all its maximal candidates) for free.  The
+scalar candidate loop it replaced stays in the tests as the reference
+oracle, and the kernel must agree with it on tables and failure data.
 """
 
 from __future__ import annotations
@@ -55,19 +57,26 @@ class DiffResult:
 
 
 def _arrow_by_candidates(L: Algebra) -> ArrowResult:
+    """The arrow kernel, one matrix count per y.
+
+    For fixed y, ``cand[z, x]`` says x∧y ≤ z, and ``(cand @ above)[z, c]``
+    counts the candidates strictly above c, so the maximal candidates of
+    each z are the candidates with count zero.  Integer counts over n×n
+    matrices keep the working memory at O(n²) and stay off the float BLAS
+    path.
+    """
     n = L.n
-    M = L.meet
     leq = leq_matrix(L)
-    lt = leq & ~np.eye(n, dtype=bool)
+    above = (leq & ~np.eye(n, dtype=bool)).T.astype(np.int32)  # [d, c] iff c < d
     table = np.zeros((n, n), dtype=np.int16)
     for y in range(n):
-        cand_by_z = leq[M[:, y], :]  # [x, z] iff x∧y ≤ z
-        for z in range(n):
-            cand = np.flatnonzero(cand_by_z[:, z])
-            maximal = [int(c) for c in cand if not lt[c, cand].any()]
-            if len(maximal) != 1:
-                return ArrowResult(None, (y, z), tuple(maximal))
-            table[y, z] = maximal[0]
+        cand = leq[L.meet[:, y], :].T  # [z, x] iff x∧y ≤ z
+        maximal = cand & ((cand.astype(np.int32) @ above) == 0)
+        counts = maximal.sum(axis=1)
+        if (counts != 1).any():
+            z = int(np.argmax(counts != 1))
+            return ArrowResult(None, (y, z), tuple(int(c) for c in np.flatnonzero(maximal[z])))
+        table[y] = maximal.argmax(axis=1)
     table.setflags(write=False)
     return ArrowResult(table)
 

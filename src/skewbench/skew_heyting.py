@@ -8,6 +8,10 @@ base element since each one is reused across many pairs.  The existence
 check is structural (every upset must be a Heyting algebra) rather than an
 appeal to finiteness, so failures on artificial inputs come with a concrete
 offending upset.
+
+The derivation reads only the meet, join and top of its algebra, and its
+result is cached on the algebra: ``verify`` asks for the arrow of one
+algebra from several suites, and only the first request builds the upsets.
 """
 
 from __future__ import annotations
@@ -140,7 +144,18 @@ def derive_arrow(A: Algebra) -> DeriveResult:
     x, y in u↑ the global arrow agrees with the arrow of the Heyting algebra
     u↑.  A disagreement would contradict the well-definedness lemma and is
     raised as CoherenceFailure.
+
+    The result is cached on ``A`` and on its copies that differ only in the
+    declared arrow; an exception is raised afresh on every call.
     """
+    return A.cached("derive_arrow", lambda: _derive_arrow(A))
+
+
+def _derive_arrow(A: Algebra) -> DeriveResult:
+    # The upsets keep the algebra they were cut from.  A copy without the
+    # declared arrow and with a cache of its own keeps the result free of
+    # the declared arrow and out of a reference cycle with A's cache.
+    A = Algebra(A.names, A.meet, A.join, None, A.top, A.bottom)
     _require_costrong_with_top(A)
     n = A.n
     leq = leq_matrix(A)

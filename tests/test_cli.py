@@ -113,6 +113,17 @@ class TestExitStatuses:
         assert code == 0
         assert out.decode().rstrip().endswith("VERDICT: PASS")
 
+    def test_wrong_declared_arrow_is_one(self, tmp_path, pf22):
+        # the arrow is derived from meet, join and top alone, so a declared
+        # arrow that leaves the upsets is reported, not taken for bad input
+        low = pf22.index("{p:0,q:0}")
+        path = tmp_path / "wrong-arrow.alg"
+        path.write_text(emit_algebra_file(pf22.with_arrow(np.full((pf22.n, pf22.n), low))))
+        code, out = run_command(["--format", "machine", "verify", str(path)])
+        assert code == 1
+        assert "CHECK: name=declared-arrow-matches verdict=fails" in out.decode()
+        assert "CHECK: name=arrow-congruences verdict=holds" in out.decode()
+
     def test_check_failure_is_one(self, tmp_path):
         path = tmp_path / "bad.alg"
         path.write_text(NON_SKEW_DOC)

@@ -1,7 +1,11 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from skewbench import (
+    Algebra,
     check_arrow_congruences,
     check_imp_or,
     check_lifting,
@@ -11,13 +15,21 @@ from skewbench import (
     greens,
     heyting_arrow,
     leq_matrix,
+    make_algebra,
     preceq_matrix,
     quotient,
     special_case_arrows,
     upset_at,
 )
-from skewbench.errors import NoTop, NotCoStronglyDistributive
-from skewbench.models import Poset, SurjectionModel, poset_sections_algebra
+from skewbench import skew_heyting
+from skewbench.cli import emit_algebra_file, run_command
+from skewbench.errors import BadConstant, NoTop, NotCoStronglyDistributive
+from skewbench.models import (
+    Poset,
+    SurjectionModel,
+    partial_function_algebra,
+    poset_sections_algebra,
+)
 
 
 class TestDeriveArrow:
@@ -204,3 +216,65 @@ def test_d_congruence_at_partition_level(pf22):
                 for d in range(pf22.n):
                     if D.same(a, c) and D.same(b, d):
                         assert D.same(int(R[a, b]), int(R[c, d]))
+
+
+class TestDeriveCache:
+    """derive_arrow builds the upsets of an algebra once; copies that keep
+    meet, join and top reuse the result, and nothing else does."""
+
+    @pytest.fixture
+    def upset_calls(self, monkeypatch):
+        calls = []
+        real = skew_heyting.upset_at
+
+        def counting(A, u, leq=None):
+            calls.append(A.n)
+            return real(A, u, leq)
+
+        monkeypatch.setattr(skew_heyting, "upset_at", counting)
+        return calls
+
+    def test_verify_derives_each_algebra_once(self, tmp_path, pf22, upset_calls):
+        path = tmp_path / "pf22.alg"
+        path.write_text(emit_algebra_file(pf22))
+        code, _ = run_command(["verify", str(path)])
+        assert code == 0
+        _, L, R = greens(pf22)
+        sizes = [pf22.n] + [quotient(pf22.drop_arrow(), part)[0].n for part in (L, R)]
+        assert len(upset_calls) == sum(sizes)
+
+    def test_only_copies_with_the_same_tables_share_the_result(self, upset_calls):
+        A = partial_function_algebra(2, 2)
+        first = derive_arrow(A.drop_arrow())
+        assert derive_arrow(A) is first
+        assert derive_arrow(A.with_arrow(first.table)) is first
+        assert len(upset_calls) == A.n
+
+        equal = make_algebra(A.names, A.meet, A.join, top=A.top)
+        assert equal == A.drop_arrow() and repr(equal) == repr(A.drop_arrow())
+        again = derive_arrow(equal)
+        assert again is not first and np.array_equal(again.table, first.table)
+        assert len(upset_calls) == 2 * A.n
+
+        # a different (bogus) top re-derives, and an upset holding it rejects it
+        with pytest.raises(BadConstant):
+            derive_arrow(Algebra(A.names, A.meet, A.join, None, (A.top + 1) % A.n))
+        assert len(upset_calls) > 2 * A.n
+
+    def test_cache_dies_with_its_algebra(self):
+        A = partial_function_algebra(1, 2)
+        derived = derive_arrow(A)
+        ref = weakref.ref(A)
+        gc.disable()
+        try:
+            del A
+            assert ref() is None  # freed by reference counting, no cycle
+        finally:
+            gc.enable()
+        assert derived
+
+    def test_failures_are_not_cached(self, pf22):
+        no_top = make_algebra(pf22.names, pf22.meet, pf22.join)
+        for _ in range(2):
+            with pytest.raises(NoTop):
+                derive_arrow(no_top)
