@@ -34,7 +34,13 @@ from .errors import (
 )
 from .identities import CheckResult
 from .models import Poset, SurjectionModel, build_instance, search_family
-from .properties import PropertyReport, check_costrong_equivalence, classify
+from .properties import (
+    PROPERTY_NAMES,
+    PropertyReport,
+    check_costrong_equivalence,
+    classify,
+    property_result,
+)
 from .skew_heyting import (
     check_arrow_congruences,
     check_imp_or,
@@ -323,14 +329,21 @@ def _add_outcome(report: Report, name: str, outcome, names) -> None:
 # Commands
 
 
+def _add_classification(report: Report, A: Algebra, entries) -> bool:
+    """Add the property entries and, on a skew lattice, the co-strong
+    equivalence; returns whether ``A`` is a skew lattice."""
+    for res in entries:
+        report.add(_entry_from_check(res, A.names))
+    if not property_result(A, "skew-lattice").holds:
+        return False
+    check_costrong_equivalence(A)
+    report.add(ReportEntry("costrong-equivalence", "holds"))
+    return True
+
+
 def _cmd_check(args, report: Report) -> None:
     A = parse_algebra_file(_read(args.file, report))
-    prop = classify(A)
-    _add_property_report(report, prop)
-    if prop.holds("skew-lattice"):
-        check_costrong_equivalence(A)
-        report.add(ReportEntry("costrong-equivalence", "holds"))
-    else:
+    if not _add_classification(report, A, classify(A).entries):
         report.add(ReportEntry("costrong-equivalence", "skipped", detail="not a skew lattice"))
     report.settle(gating={"skew-lattice", "costrong-equivalence"})
 
@@ -342,35 +355,37 @@ def _arrow_payload(A: Algebra, table: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_derive(args, report: Report) -> None:
-    A = parse_algebra_file(_read(args.file, report))
+def _add_derived_arrow(report: Report, A: Algebra) -> np.ndarray | None:
+    """Derive the arrow of ``A`` and add the ``arrow-derivable`` entry;
+    returns the arrow table, or None when the entry fails."""
     try:
         derived = derive_arrow(A.drop_arrow())
     except (NoTop, NotCoStronglyDistributive, PreconditionFailed) as exc:
-        report.add(
-            ReportEntry(
-                "arrow-derivable", "fails", witness=_witness_names(A.names, exc.witness), detail=str(exc)
-            )
-        )
-        report.settle()
-        return
-    if not derived:
-        report.add(
-            ReportEntry(
-                "arrow-derivable",
-                "fails",
-                witness=_witness_names(A.names, (derived.offending_upset,)),
-                detail="upset is not a Heyting algebra",
-            )
-        )
-        report.settle()
-        return
-    report.add(ReportEntry("arrow-derivable", "holds"))
-    _add_property_report(report, check_sh_axioms(A, derived.table))
+        witness, detail = exc.witness, str(exc)
+    else:
+        if derived:
+            report.add(ReportEntry("arrow-derivable", "holds"))
+            return derived.table
+        witness, detail = (derived.offending_upset,), "upset is not a Heyting algebra"
+    report.add(
+        ReportEntry("arrow-derivable", "fails", witness=_witness_names(A.names, witness), detail=detail)
+    )
+    return None
+
+
+def _add_declared_match(report: Report, A: Algebra, arrow: np.ndarray) -> None:
     if A.arrow is not None:
-        same = bool(np.array_equal(A.arrow, derived.table))
+        same = bool(np.array_equal(A.arrow, arrow))
         report.add(ReportEntry("declared-arrow-matches", "holds" if same else "fails"))
-    report.payload = _arrow_payload(A, derived.table)
+
+
+def _cmd_derive(args, report: Report) -> None:
+    A = parse_algebra_file(_read(args.file, report))
+    arrow = _add_derived_arrow(report, A)
+    if arrow is not None:
+        _add_property_report(report, check_sh_axioms(A, arrow))
+        _add_declared_match(report, A, arrow)
+        report.payload = _arrow_payload(A, arrow)
     report.settle()
 
 
@@ -388,14 +403,12 @@ def _cmd_model(args, report: Report) -> None:
     if args.kind == "pfn":
         A = models.partial_function_algebra(args.x, args.y, bound=bound)
     elif args.kind == "sections":
-        fibers = [int(v) for v in args.fibers.split(",")]
         base = models.default_point_names(args.base)
-        model = SurjectionModel.from_fiber_sizes(base, fibers)
+        model = SurjectionModel.from_fiber_sizes(base, args.fibers)
         A = models.sections_algebra(model, bound=bound)
     elif args.kind == "poset-sections":
         P = parse_poset_file(_read(args.posetfile, report))
-        fibers = [int(v) for v in args.fibers.split(",")]
-        model = SurjectionModel.from_fiber_sizes(P, fibers)
+        model = SurjectionModel.from_fiber_sizes(P, args.fibers)
         A = models.poset_sections_algebra(model, bound=bound)
     else:  # upsets
         P = parse_poset_file(_read(args.posetfile, report))
@@ -406,42 +419,20 @@ def _cmd_model(args, report: Report) -> None:
 
 def _cmd_verify(args, report: Report) -> None:
     A = parse_algebra_file(_read(args.file, report))
-    prop = classify(A)
-    for name in ("skew-lattice", "co-strongly-distributive", "symmetric", "conormal", "quasi-distributive"):
-        report.add(_entry_from_check(prop[name], prop.names))
-    if not prop.holds("skew-lattice"):
+    names = ("skew-lattice", "co-strongly-distributive", "symmetric", "conormal", "quasi-distributive")
+    if not _add_classification(report, A, [property_result(A, name) for name in names]):
         report.settle()
         return
-    check_costrong_equivalence(A)
-    report.add(ReportEntry("costrong-equivalence", "holds"))
-    if A.top is None or not prop.holds("co-strongly-distributive"):
-        report.add(
-            ReportEntry(
-                "arrow-derivable",
-                "fails",
-                detail="needs a co-strongly distributive skew lattice with top",
-            )
-        )
+    if A.top is None or not property_result(A, "co-strongly-distributive").holds:
+        detail = "needs a co-strongly distributive skew lattice with top"
+        report.add(ReportEntry("arrow-derivable", "fails", detail=detail))
+        arrow = None
+    else:
+        arrow = _add_derived_arrow(report, A)
+    if arrow is None:
         report.settle()
         return
-
-    derived = derive_arrow(A.drop_arrow())
-    if not derived:
-        report.add(
-            ReportEntry(
-                "arrow-derivable",
-                "fails",
-                witness=_witness_names(A.names, (derived.offending_upset,)),
-                detail="upset is not a Heyting algebra",
-            )
-        )
-        report.settle()
-        return
-    report.add(ReportEntry("arrow-derivable", "holds"))
-    arrow = derived.table
-    if A.arrow is not None:
-        same = bool(np.array_equal(A.arrow, arrow))
-        report.add(ReportEntry("declared-arrow-matches", "holds" if same else "fails"))
+    _add_declared_match(report, A, arrow)
     _add_property_report(report, check_sh_axioms(A, arrow))
     _add_outcome(report, "SHA", check_sha(A, arrow), A.names)
     _add_outcome(report, "imp-or", check_imp_or(A, arrow), A.names)
@@ -452,22 +443,15 @@ def _cmd_verify(args, report: Report) -> None:
     report.settle()
 
 
-def _property_result(A: Algebra, prop_name: str) -> CheckResult:
-    rep = classify(A)
-    return rep[prop_name]
-
-
 def _search_eval(task):
     index, desc, prop_name, negate = task
     alg = build_instance(desc).drop_arrow()
-    res = _property_result(alg, prop_name)
+    res = property_result(alg, prop_name)
     hit = (not res.holds) if negate else res.holds
     return index, hit, res.witness, res.detail, alg.names
 
 
 def _cmd_search(args, report: Report) -> None:
-    from .properties import PROPERTY_NAMES
-
     if args.property not in PROPERTY_NAMES:
         raise argparse.ArgumentTypeError(
             f"unknown property {args.property!r}; choose from {', '.join(PROPERTY_NAMES)}"
@@ -527,18 +511,37 @@ def _read(path: str, report: Report) -> str:
     except OSError as exc:
         raise ParseError(0, 0, f"cannot read {path}: {exc.strerror}")
     report.input_digest = _digest(data)
-    return data.decode()
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        line_start = data.rfind(b"\n", 0, exc.start) + 1
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(line, exc.start - line_start + 1, f"byte 0x{data[exc.start]:02x} is not UTF-8")
 
 
 # ---------------------------------------------------------------------------
 # Driver
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not positive")
+    return value
+
+
+def _positive_ints(text: str) -> list[int]:
+    return [_positive_int(v) for v in text.split(",")]
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="skewbench", add_help=True)
     parser.add_argument("--format", choices=("text", "machine"), default="text")
     parser.add_argument("--bound", type=int, default=10000, help="global size bound for models")
-    parser.add_argument("--jobs", type=int, default=1, help="parallelism degree for search")
+    parser.add_argument("--jobs", type=_positive_int, default=1, help="parallelism degree for search")
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("check", help="classify an algebra file")
@@ -554,14 +557,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("model", help="emit a generated model as an algebra file")
     msub = p.add_subparsers(dest="kind", required=True)
     m = msub.add_parser("pfn")
-    m.add_argument("--x", type=int, required=True)
-    m.add_argument("--y", type=int, required=True)
+    m.add_argument("--x", type=_positive_int, required=True)
+    m.add_argument("--y", type=_positive_int, required=True)
     m = msub.add_parser("sections")
-    m.add_argument("--base", type=int, required=True)
-    m.add_argument("--fibers", required=True, help="comma separated fiber sizes")
+    m.add_argument("--base", type=_positive_int, required=True)
+    m.add_argument("--fibers", type=_positive_ints, required=True, help="comma separated fiber sizes")
     m = msub.add_parser("poset-sections")
     m.add_argument("posetfile")
-    m.add_argument("--fibers", required=True)
+    m.add_argument("--fibers", type=_positive_ints, required=True)
     m = msub.add_parser("upsets")
     m.add_argument("posetfile")
 
@@ -570,7 +573,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="scan a family for instances matching a property")
     p.add_argument("--family", choices=("pfn", "sections", "enum"), required=True)
-    p.add_argument("--max-size", type=int, required=True)
+    p.add_argument("--max-size", type=_positive_int, required=True)
     p.add_argument("--property", required=True)
     p.add_argument("--negate", action="store_true", help="hunt instances where the property fails")
     return parser

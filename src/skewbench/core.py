@@ -57,9 +57,9 @@ class Algebra:
     classifications, so that non-examples can be held and dissected).
 
     ``_facts`` caches facts derived from ``meet``, ``join`` and ``top``
-    (the derived arrow); it takes no part in equality or the repr, and
-    :meth:`with_arrow` and :meth:`drop_arrow` share it, since they keep
-    those three.
+    (the derived arrow, the named properties); it takes no part in
+    equality or the repr, and :meth:`with_arrow` and :meth:`drop_arrow`
+    share it, since they keep those three.
     """
 
     names: tuple[str, ...]

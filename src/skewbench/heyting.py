@@ -16,20 +16,8 @@ import numpy as np
 
 from .core import Algebra, leq_matrix, subalgebra
 from .errors import AmbiguousDiff, InconsistencyDetected
-from .identities import Check, run_check, skipped_result
+from .identities import bind, run_identity, skipped_result
 from .properties import PropertyReport
-
-
-def _m(a, b):
-    return ("m", a, b)
-
-
-def _j(a, b):
-    return ("j", a, b)
-
-
-def _r(a, b):
-    return ("r", a, b)
 
 
 @dataclass(frozen=True)
@@ -115,20 +103,11 @@ def generalized_heyting_arrow(L: Algebra) -> ArrowResult:
 def check_heyting_axioms(L: Algebra, arrow) -> PropertyReport:
     """Verdicts for the Heyting axioms, the adjunction and the reduction
     x→y = (x∨y)→y, each quantified exhaustively."""
-    R = np.asarray(arrow)
-    tables = {"m": L.meet, "j": L.join, "r": R}
+    tables = bind(L, r=arrow)
     rels = {"leq": leq_matrix(L)}
-    entries = []
-    if L.top is not None:
-        entries.append(run_check(Check("H1", 1, _r(0, 0), ("c", L.top)), tables))
-    else:
-        entries.append(skipped_result("H1", "no top declared"))
-    entries.append(run_check(Check("H2", 2, _m(0, _r(0, 1)), _m(0, 1)), tables))
-    entries.append(run_check(Check("H3", 2, _m(1, _r(0, 1)), 1), tables))
-    entries.append(run_check(Check("H4", 3, _r(0, _m(1, 2)), _m(_r(0, 1), _r(0, 2))), tables))
-    entries.append(run_check(Check("HA", 3, ("leq", _m(0, 1), 2), ("leq", 0, _r(1, 2))), tables, rels))
-    entries.append(run_check(Check("arrow-join-reduction", 2, _r(0, 1), _r(_j(0, 1), 1)), tables))
-    return PropertyReport(tuple(entries), L.names)
+    h1 = run_identity("H1", tables) if L.top is not None else skipped_result("H1", "no top declared")
+    rest = ("H2", "H3", "H4", "HA", "arrow-join-reduction")
+    return PropertyReport((h1, *(run_identity(name, tables, rels) for name in rest)), L.names)
 
 
 def dual_gb_diff(L: Algebra) -> DiffResult:

@@ -1,21 +1,103 @@
-"""Vectorized evaluation of quantified identities over operation tables.
+"""The identities of skew lattice theory, each written once as its formula,
+and their vectorized evaluation over operation tables.
 
-Terms are nested tuples over variable indices: an ``int`` is a variable,
-``("c", e)`` a constant element, ``(op, s, t)`` applies a binary table
-(``"m"``, ``"j"``, ``"r"``) or a boolean relation (``"leq"``, ``"pre"``),
-and ``("eq", s, t)`` compares two value terms.  A check compares its two
-sides over the full tuple space; witnesses are the lexicographically first
-failing tuple, independent of any evaluation chunking.
+Formula grammar.  A formula is ``s=t``, or two relations joined by ``⇔``,
+where a relation is ``s=t``, ``s≤t`` (natural order) or ``s⪯t`` (natural
+preorder).  A term is a variable ``x y z w u v``, a constant ``0`` or ``1``,
+a parenthesized term, or terms joined by one operator: ``∧`` (meet), ``∨``
+(join), ``→`` (arrow), ``∖`` (difference) or ``∖∖`` (dual difference).  A
+chain of one operator associates to the left (``x∧y∧z`` is ``(x∧y)∧z``), and
+mixing operators needs parentheses.  Variables are numbered in the fixed
+order x y z w u v, skipping absent ones, so ``(y∨x∨y)→y`` binds x to
+position 0 and y to position 1, and a witness lists values in that order.
+``0`` and ``1`` are the algebra's bottom and top, bound when the check runs
+(:func:`bind`).
+
+The registry.  A property of :data:`GROUPS` holds when each of its formulas
+holds, and a failure names the first failing formula; a verdict reported
+under a short name (SH0, HA, imp-or, ...) maps to its formula in
+:data:`NAMED`; a check may also be asked for by its formula.  To add an
+identity, add its formula to the group it belongs to, or a new group or
+name, and ask for it with :func:`run_identity` by that name.
+
+Evaluation.  A term parses to nested tuples over variable positions: an
+``int`` is a variable, ``("c", k)`` the constant ``k``, ``(op, s, t)``
+applies a binary table (``"m"``, ``"j"``, ``"r"``, ``"d"``, ``"dd"``) or a
+boolean relation (``"leq"``, ``"pre"``), and ``("eq", s, t)`` compares two
+value terms.  A check compares its two sides over the full tuple space;
+witnesses are the lexicographically first failing tuple, independent of any
+evaluation chunking.
 """
 
 from __future__ import annotations
 
+import functools
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 _CHUNK_LIMIT = 2_000_000
 _BOOL_OPS = ("leq", "pre")
+
+GROUPS: dict[str, tuple[str, ...]] = {
+    # the skew lattice axioms
+    "meet-idempotent": ("x∧x=x",),
+    "join-idempotent": ("x∨x=x",),
+    "meet-associative": ("(x∧y)∧z=x∧(y∧z)",),
+    "join-associative": ("(x∨y)∨z=x∨(y∨z)",),
+    "absorption": ("x∧(x∨y)=x", "x∨(x∧y)=x", "(x∧y)∨y=y", "(x∨y)∧y=y"),
+    # the classified properties
+    "equivalence-pair": ("x∧y=x ⇔ x∨y=y", "x∧y=y ⇔ x∨y=x"),
+    "regular": ("x∧u∧x∧v∧x=x∧u∧v∧x", "x∨u∨x∨v∨x=x∨u∨v∨x"),
+    "rectangular": ("x∧y∧z=x∧z", "x∨y∨z=x∨z"),
+    "strongly-distributive": ("x∧(y∨z)=(x∧y)∨(x∧z)", "(x∨y)∧z=(x∧z)∨(y∧z)"),
+    "co-strongly-distributive": ("x∨(y∧z)=(x∨y)∧(x∨z)", "(x∧y)∨z=(x∨z)∧(y∨z)"),
+    "distributive": ("x∧(y∨z)∧x=(x∧y∧x)∨(x∧z∧x)", "x∨(y∧z)∨x=(x∨y∨x)∧(x∨z∨x)"),
+    "symmetric": ("x∧y=y∧x ⇔ x∨y=y∨x",),
+    "conormal": ("x∨y∨z∨w=x∨z∨y∨w",),
+    "normal": ("x∧y∧z∧w=x∧z∧y∧w",),
+    # the differences of skew Boolean and dual skew Boolean algebras
+    "skew-boolean-identities": (
+        "(x∧y∧x)∨(x∖y)=x",
+        "(x∖y)∨(x∧y∧x)=x",
+        "(x∧y∧x)∧(x∖y)=0",
+        "(x∖y)∧(x∧y∧x)=0",
+    ),
+    "dual-skew-boolean-identities": (
+        "(y∨x∨y)∨(y∖∖x)=1",
+        "(y∖∖x)∨(y∨x∨y)=1",
+        "(y∨x∨y)∧(y∖∖x)=y",
+        "(y∖∖x)∧(y∨x∨y)=y",
+    ),
+    # the skew Heyting axioms
+    "SH3": ("y∧(x→y)=y", "(x→y)∧y=y"),
+}
+# the two distributive laws of a lattice, such as S/D
+GROUPS["lattice-distributive"] = tuple(
+    GROUPS[name][0] for name in ("strongly-distributive", "co-strongly-distributive")
+)
+
+NAMED: dict[str, str] = {
+    "SH0": "x→y=(y∨x∨y)→y",
+    "SH1": "x→x=1",
+    "SH2": "x∧(x→y)∧x=x∧y∧x",
+    "SH4": "x→(y∨(z∧w)∨y)=(x→(y∨z∨y))∧(x→(y∨w∨y))",
+    "SH4-prime": "(y∨x∨y)→(y∨(z∧w)∨y)=((y∨x∨y)→(y∨z∨y))∧((y∨x∨y)→(y∨w∨y))",
+    "SHA": "x⪯y→z ⇔ x∧y⪯z",
+    "imp-or": "(x∨y∨x)→z=(x→z)∧(y→z)∧(x→z)",
+    "H2": "x∧(x→y)=x∧y",
+    "H4": "x→(y∧z)=(x→y)∧(x→z)",
+    "HA": "x∧y≤z ⇔ x≤y→z",
+    "arrow-join-reduction": "x→y=(x∨y)→y",
+}
+# the Heyting axioms H1 and H3 are SH1 and the first half of SH3
+NAMED.update(H1=NAMED["SH1"], H3=GROUPS["SH3"][0])
+
+_VARS = "xyzwuv"
+_OPS = {"∧": "m", "∨": "j", "→": "r", "∖": "d", "∖∖": "dd"}
+_RELS = {"=": "eq", "≤": "leq", "⪯": "pre"}
+_TOKEN = re.compile(r"∖∖|\S")
 
 
 @dataclass(frozen=True)
@@ -51,12 +133,81 @@ def skipped_result(name: str, detail: str = "") -> CheckResult:
     return CheckResult(name, True, None, 0, detail=detail, skipped=True)
 
 
+def parse(formula: str, name: str | None = None) -> Check:
+    """The check a formula states, reported as ``name`` (default: the formula)."""
+    tokens = _TOKEN.findall(formula)
+    variables = [v for v in _VARS if v in tokens]
+    pos = 0
+
+    def take(expected=None) -> str:
+        nonlocal pos
+        tok = tokens[pos] if pos < len(tokens) else None
+        if tok is None or expected not in (None, tok):
+            raise ValueError(f"{formula!r}: expected {expected or 'a term'} at token {pos}")
+        pos += 1
+        return tok
+
+    def atom():
+        tok = take()
+        if tok == "(":
+            inner = term()
+            take(")")
+            return inner
+        if tok in variables:
+            return variables.index(tok)
+        if tok in ("0", "1"):
+            return ("c", tok)
+        raise ValueError(f"{formula!r}: unexpected {tok!r} at token {pos - 1}")
+
+    def term():
+        out, op = atom(), None
+        while pos < len(tokens) and tokens[pos] in _OPS:
+            if op not in (None, tokens[pos]):
+                raise ValueError(f"{formula!r}: {op} and {tokens[pos]} mixed without parentheses")
+            op = take()
+            out = (_OPS[op], out, atom())
+        return out
+
+    def relation():
+        lhs = term()
+        rel = take()
+        if rel not in _RELS:
+            raise ValueError(f"{formula!r}: expected a relation, found {rel!r}")
+        return (_RELS[rel], lhs, term())
+
+    rel, lhs, rhs = relation()
+    if pos < len(tokens) and take("⇔"):
+        lhs, rhs = (rel, lhs, rhs), relation()
+    elif rel != "eq":
+        raise ValueError(f"{formula!r}: a single relation must be an equation")
+    if pos < len(tokens):
+        raise ValueError(f"{formula!r}: trailing {tokens[pos]!r}")
+    return Check(name or formula, len(variables), lhs, rhs)
+
+
+@functools.cache
+def named_check(name: str) -> Check:
+    """The check reported as ``name``: a name in :data:`NAMED`, or a formula."""
+    return parse(NAMED.get(name, name), name)
+
+
+def bind(A, **ops) -> dict:
+    """The tables a check reads on algebra ``A``: its meet and join, the
+    extra operation tables ``ops`` (``r=``, ``d=``, ``dd=``), and the
+    constants ``0`` and ``1`` where ``A`` declares a bottom and a top."""
+    tables = {"m": A.meet, "j": A.join, **{k: np.asarray(t) for k, t in ops.items()}}
+    for const, value in (("0", A.bottom), ("1", A.top)):
+        if value is not None:
+            tables[const] = value
+    return tables
+
+
 def _eval(term, tables, rels, varr):
     if isinstance(term, int):
         return varr[term]
     op = term[0]
     if op == "c":
-        return term[1]
+        return tables[term[1]]
     a = _eval(term[1], tables, rels, varr)
     b = _eval(term[2], tables, rels, varr)
     if op == "eq":
@@ -66,42 +217,45 @@ def _eval(term, tables, rels, varr):
     return tables[op][a, b]
 
 
-def _axes(n: int, start: int, count: int, total: int):
+def _axes(n: int, count: int):
     out = []
     for i in range(count):
-        shape = [1] * total
+        shape = [1] * count
         shape[i] = n
         out.append(np.arange(n, dtype=np.intp).reshape(shape))
     return out
 
 
-def _scalar_eval(check, tables, rels, point):
-    lhs = _eval(check.lhs, tables, rels, point)
-    rhs = _eval(check.rhs, tables, rels, point)
-    return lhs, rhs
+def values_at(check: Check, tables, point, rels=None) -> tuple:
+    """The values of both sides of ``check`` at one tuple of elements."""
+    rels = rels or {}
+    return (
+        _plain(_eval(check.lhs, tables, rels, point)),
+        _plain(_eval(check.rhs, tables, rels, point)),
+    )
 
 
 def run_check(check: Check, tables, rels=None) -> CheckResult:
     """Evaluate a check exhaustively; chunks over the first variable when the
     tuple space is large so memory stays bounded."""
     rels = rels or {}
-    n = next(iter(tables.values())).shape[0]
+    n = tables["m"].shape[0]
     k = check.arity
     total = n**k
 
     def finish(witness):
         if witness is None:
             return CheckResult(check.name, True, None, total)
-        lhs, rhs = _scalar_eval(check, tables, rels, witness)
-        return CheckResult(check.name, False, witness, total, _plain(lhs), _plain(rhs))
+        lhs, rhs = values_at(check, tables, witness, rels)
+        return CheckResult(check.name, False, witness, total, lhs, rhs)
 
     if k == 0:
-        lhs, rhs = _scalar_eval(check, tables, rels, ())
+        lhs, rhs = values_at(check, tables, (), rels)
         ok = bool(np.all(lhs == rhs))
-        return CheckResult(check.name, ok, None if ok else (), 1, _plain(lhs), _plain(rhs))
+        return CheckResult(check.name, ok, None if ok else (), 1, lhs, rhs)
 
     if total <= _CHUNK_LIMIT or k == 1:
-        varr = _axes(n, 0, k, k)
+        varr = _axes(n, k)
         lhs = _eval(check.lhs, tables, rels, varr)
         rhs = _eval(check.rhs, tables, rels, varr)
         mask = np.broadcast_to(lhs != rhs, (n,) * k)
@@ -110,7 +264,7 @@ def run_check(check: Check, tables, rels=None) -> CheckResult:
         flat = int(np.argmax(mask))
         return finish(tuple(int(v) for v in np.unravel_index(flat, (n,) * k)))
 
-    tail = _axes(n, 1, k - 1, k - 1)
+    tail = _axes(n, k - 1)
     for x0 in range(n):
         varr = [x0] + tail
         lhs = _eval(check.lhs, tables, rels, varr)
@@ -123,16 +277,18 @@ def run_check(check: Check, tables, rels=None) -> CheckResult:
     return finish(None)
 
 
-def run_group(name: str, checks, tables, rels=None) -> CheckResult:
-    """Run several checks as one named property; the first failure wins and
-    its sub-check name is recorded in the detail field."""
+def run_identity(name: str, tables, rels=None) -> CheckResult:
+    """Evaluate the group or the check reported as ``name``.  A group stops
+    at its first failing formula and names it in the detail field."""
+    if name not in GROUPS:
+        return run_check(named_check(name), tables, rels)
     checked = 0
-    for chk in checks:
-        res = run_check(chk, tables, rels)
+    for formula in GROUPS[name]:
+        res = run_check(named_check(formula), tables, rels)
         checked += res.checked
         if not res.holds:
             return CheckResult(
-                name, False, res.witness, checked, res.lhs_value, res.rhs_value, detail=chk.name
+                name, False, res.witness, checked, res.lhs_value, res.rhs_value, detail=formula
             )
     return CheckResult(name, True, None, checked)
 

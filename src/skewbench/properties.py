@@ -2,7 +2,10 @@
 structural conditions of skew lattice theory, with witnesses for failures.
 
 Every check is exhaustive over element tuples; nothing is randomized.  At
-desk scale (n up to about 100) arity-4 scans are exact and cheap.
+desk scale (n up to about 100) arity-4 scans are exact and cheap.  Each
+named property is scanned at most once per algebra (:func:`property_result`),
+so classification, the co-strong equivalence and the preconditions of the
+arrow derivation share their scans.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .errors import (
     PreconditionFailed,
     SkewbenchError,
 )
-from .identities import Check, CheckResult, run_check, run_group
+from .identities import GROUPS, CheckResult, bind, run_identity
 
 
 @dataclass(frozen=True)
@@ -69,113 +72,59 @@ class PropertyReport:
         return tuple(self.names[i] for i in entry.witness if isinstance(i, int))
 
 
-_M, _J = "m", "j"
-
-
-def _m(a, b):
-    return (_M, a, b)
-
-
-def _j(a, b):
-    return (_J, a, b)
-
-
-_AXIOM_GROUPS: tuple[tuple[str, tuple[Check, ...]], ...] = (
-    ("meet-idempotent", (Check("x∧x=x", 1, _m(0, 0), 0),)),
-    ("join-idempotent", (Check("x∨x=x", 1, _j(0, 0), 0),)),
-    ("meet-associative", (Check("(x∧y)∧z=x∧(y∧z)", 3, _m(_m(0, 1), 2), _m(0, _m(1, 2))),)),
-    ("join-associative", (Check("(x∨y)∨z=x∨(y∨z)", 3, _j(_j(0, 1), 2), _j(0, _j(1, 2))),)),
-    (
-        "absorption",
-        (
-            Check("x∧(x∨y)=x", 2, _m(0, _j(0, 1)), 0),
-            Check("x∨(x∧y)=x", 2, _j(0, _m(0, 1)), 0),
-            Check("(x∧y)∨y=y", 2, _j(_m(0, 1), 1), 1),
-            Check("(x∨y)∧y=y", 2, _m(_j(0, 1), 1), 1),
-        ),
-    ),
+_SKEW_AXIOMS = (
+    "meet-idempotent",
+    "join-idempotent",
+    "meet-associative",
+    "join-associative",
+    "absorption",
 )
 
-_SKEW_AXIOMS = tuple(name for name, _ in _AXIOM_GROUPS)
-
-_CLASSIFY_GROUPS: tuple[tuple[str, tuple[Check, ...]], ...] = (
-    (
-        "equivalence-pair",
-        (
-            Check("x∧y=x ⇔ x∨y=y", 2, ("eq", _m(0, 1), 0), ("eq", _j(0, 1), 1)),
-            Check("x∧y=y ⇔ x∨y=x", 2, ("eq", _m(0, 1), 1), ("eq", _j(0, 1), 0)),
-        ),
-    ),
-    (
-        "regular",
-        (
-            Check("x∧u∧x∧v∧x=x∧u∧v∧x", 3, _m(_m(_m(_m(0, 1), 0), 2), 0), _m(_m(_m(0, 1), 2), 0)),
-            Check("x∨u∨x∨v∨x=x∨u∨v∨x", 3, _j(_j(_j(_j(0, 1), 0), 2), 0), _j(_j(_j(0, 1), 2), 0)),
-        ),
-    ),
-    (
-        "rectangular",
-        (
-            Check("x∧y∧z=x∧z", 3, _m(_m(0, 1), 2), _m(0, 2)),
-            Check("x∨y∨z=x∨z", 3, _j(_j(0, 1), 2), _j(0, 2)),
-        ),
-    ),
-    (
-        "strongly-distributive",
-        (
-            Check("x∧(y∨z)=(x∧y)∨(x∧z)", 3, _m(0, _j(1, 2)), _j(_m(0, 1), _m(0, 2))),
-            Check("(x∨y)∧z=(x∧z)∨(y∧z)", 3, _m(_j(0, 1), 2), _j(_m(0, 2), _m(1, 2))),
-        ),
-    ),
-    (
-        "co-strongly-distributive",
-        (
-            Check("x∨(y∧z)=(x∨y)∧(x∨z)", 3, _j(0, _m(1, 2)), _m(_j(0, 1), _j(0, 2))),
-            Check("(x∧y)∨z=(x∨z)∧(y∨z)", 3, _j(_m(0, 1), 2), _m(_j(0, 2), _j(1, 2))),
-        ),
-    ),
-    (
-        "distributive",
-        (
-            Check(
-                "x∧(y∨z)∧x=(x∧y∧x)∨(x∧z∧x)",
-                3,
-                _m(_m(0, _j(1, 2)), 0),
-                _j(_m(_m(0, 1), 0), _m(_m(0, 2), 0)),
-            ),
-            Check(
-                "x∨(y∧z)∨x=(x∨y∨x)∧(x∨z∨x)",
-                3,
-                _j(_j(0, _m(1, 2)), 0),
-                _m(_j(_j(0, 1), 0), _j(_j(0, 2), 0)),
-            ),
-        ),
-    ),
-    (
-        "symmetric",
-        (Check("x∧y=y∧x ⇔ x∨y=y∨x", 2, ("eq", _m(0, 1), _m(1, 0)), ("eq", _j(0, 1), _j(1, 0))),),
-    ),
-    ("conormal", (Check("x∨y∨z∨w=x∨z∨y∨w", 4, _j(_j(_j(0, 1), 2), 3), _j(_j(_j(0, 2), 1), 3)),)),
-    ("normal", (Check("x∧y∧z∧w=x∧z∧y∧w", 4, _m(_m(_m(0, 1), 2), 3), _m(_m(_m(0, 2), 1), 3)),)),
-)
-
-PROPERTY_NAMES = (
-    _SKEW_AXIOMS
-    + ("skew-lattice",)
-    + tuple(name for name, _ in _CLASSIFY_GROUPS)
-    + ("quasi-distributive",)
+PROPERTY_NAMES = _SKEW_AXIOMS + (
+    "skew-lattice",
+    "equivalence-pair",
+    "regular",
+    "rectangular",
+    "strongly-distributive",
+    "co-strongly-distributive",
+    "distributive",
+    "symmetric",
+    "conormal",
+    "normal",
+    "quasi-distributive",
 )
 
 
-def _base_tables(A: Algebra) -> dict[str, np.ndarray]:
-    return {"m": A.meet, "j": A.join}
+def property_result(A: Algebra, name: str) -> CheckResult:
+    """The verdict of property ``name`` of :data:`PROPERTY_NAMES` on ``A``.
+
+    Properties read only meet and join, so each is scanned once per algebra
+    and shared by every caller and every copy that keeps the two tables.
+    """
+    if name not in PROPERTY_NAMES:
+        raise KeyError(name)
+    return A.cached(f"property:{name}", lambda: _property(A, name))
+
+
+def _property(A: Algebra, name: str) -> CheckResult:
+    if name == "quasi-distributive":
+        return _quasi_distributive(A)
+    if name != "skew-lattice":
+        return run_identity(name, bind(A))
+    axioms = [property_result(A, axiom) for axiom in _SKEW_AXIOMS]
+    checked = sum(e.checked for e in axioms)
+    fail = next((e for e in axioms if not e.holds), None)
+    if fail is None:
+        return CheckResult(name, True, None, checked)
+    return CheckResult(
+        name, False, fail.witness, checked, fail.lhs_value, fail.rhs_value, detail=fail.name
+    )
 
 
 def check_skew_lattice(A: Algebra) -> CheckOutcome:
     """Idempotency, associativity and absorption for both operations."""
-    tables = _base_tables(A)
-    for name, checks in _AXIOM_GROUPS:
-        res = run_group(name, checks, tables)
+    for name in _SKEW_AXIOMS:
+        res = property_result(A, name)
         if not res.holds:
             return CheckOutcome(False, witness=res.witness, detail=f"{name}: {res.detail}")
     return CheckOutcome(True)
@@ -196,16 +145,10 @@ def _quasi_distributive(A: Algebra) -> CheckResult:
         Q, _ = quotient(base, part)
     except SkewbenchError as exc:
         return CheckResult(name, False, getattr(exc, "witness", ()), 0, detail=str(exc))
-    res = run_group(
-        name,
-        (
-            Check("x∧(y∨z)=(x∧y)∨(x∧z) in S/D", 3, _m(0, _j(1, 2)), _j(_m(0, 1), _m(0, 2))),
-            Check("x∨(y∧z)=(x∨y)∧(x∨z) in S/D", 3, _j(0, _m(1, 2)), _m(_j(0, 1), _j(0, 2))),
-        ),
-        _base_tables(Q),
-    )
+    # S/D is a lattice: both of its distributive laws, in their lattice form
+    res = run_identity("lattice-distributive", bind(Q))
     if res.holds:
-        return res
+        return CheckResult(name, True, None, res.checked)
     reps = tuple(part.blocks[b][0] for b in res.witness)
     return CheckResult(name, False, reps, res.checked, detail="evaluated in S/D on class representatives")
 
@@ -216,29 +159,7 @@ def classify(A: Algebra) -> PropertyReport:
     Witnesses report the lexicographically first failing tuple.  Verdicts
     are stable under element relabeling.
     """
-    tables = _base_tables(A)
-    entries: list[CheckResult] = []
-    for name, checks in _AXIOM_GROUPS:
-        entries.append(run_group(name, checks, tables))
-    skew_fail = next((e for e in entries if not e.holds), None)
-    if skew_fail is None:
-        entries.append(CheckResult("skew-lattice", True, None, sum(e.checked for e in entries)))
-    else:
-        entries.append(
-            CheckResult(
-                "skew-lattice",
-                False,
-                skew_fail.witness,
-                sum(e.checked for e in entries),
-                skew_fail.lhs_value,
-                skew_fail.rhs_value,
-                detail=skew_fail.name,
-            )
-        )
-    for name, checks in _CLASSIFY_GROUPS:
-        entries.append(run_group(name, checks, tables))
-    entries.append(_quasi_distributive(A))
-    return PropertyReport(tuple(entries), A.names)
+    return PropertyReport(tuple(property_result(A, name) for name in PROPERTY_NAMES), A.names)
 
 
 def check_costrong_equivalence(A: Algebra) -> bool:
@@ -248,11 +169,10 @@ def check_costrong_equivalence(A: Algebra) -> bool:
     The caller guarantees a skew lattice.  A counterexample would contradict
     a theorem, so it is raised as a fatal inconsistency rather than returned.
     """
-    tables = _base_tables(A)
-    lhs = run_group("co-strongly-distributive", dict(_CLASSIFY_GROUPS)["co-strongly-distributive"], tables)
-    sym = run_group("symmetric", dict(_CLASSIFY_GROUPS)["symmetric"], tables)
-    con = run_group("conormal", dict(_CLASSIFY_GROUPS)["conormal"], tables)
-    quasi = _quasi_distributive(A)
+    lhs, sym, con, quasi = (
+        property_result(A, name)
+        for name in ("co-strongly-distributive", "symmetric", "conormal", "quasi-distributive")
+    )
     rhs_holds = sym.holds and con.holds and quasi.holds
     if lhs.holds != rhs_holds:
         failing = next(e for e in (sym, con, quasi) if not e.holds) if lhs.holds else lhs
@@ -296,10 +216,9 @@ def binormal_factorization(A: Algebra) -> tuple[Algebra, Algebra, HomMap] | None
     Cheap necessary conditions (equipotent D-classes, multiplicative size)
     are tested before any isomorphism search.
     """
-    tables = _base_tables(A)
-    groups = dict(_CLASSIFY_GROUPS)
-    strong = run_group("strongly-distributive", groups["strongly-distributive"], tables)
-    costrong = run_group("co-strongly-distributive", groups["co-strongly-distributive"], tables)
+    strong, costrong = (
+        property_result(A, name) for name in ("strongly-distributive", "co-strongly-distributive")
+    )
     if not (strong.holds and costrong.holds):
         return None
     D, _, _ = greens(A)
@@ -318,9 +237,7 @@ def _complemented_distributive(sub: Algebra) -> CheckOutcome:
     """Commutative, distributive and complemented, i.e. a Boolean algebra."""
     if not (np.array_equal(sub.meet, sub.meet.T) and np.array_equal(sub.join, sub.join.T)):
         return CheckOutcome(False, detail="not commutative")
-    res = run_check(
-        Check("x∧(y∨z)=(x∧y)∨(x∧z)", 3, _m(0, _j(1, 2)), _j(_m(0, 1), _m(0, 2))), _base_tables(sub)
-    )
+    res = run_identity(GROUPS["strongly-distributive"][0], bind(sub))
     if not res.holds:
         return CheckOutcome(False, witness=res.witness, detail="not distributive")
     if sub.top is None or sub.bottom is None:
@@ -343,23 +260,10 @@ def check_skew_boolean(A: Algebra, diff_table) -> CheckOutcome:
     skew = check_skew_lattice(A)
     if not skew:
         return skew
-    tables = _base_tables(A)
-    strong = run_group(
-        "strongly-distributive", dict(_CLASSIFY_GROUPS)["strongly-distributive"], tables
-    )
+    strong = property_result(A, "strongly-distributive")
     if not strong.holds:
         return CheckOutcome(False, witness=strong.witness, detail="not strongly distributive")
-    d = np.asarray(diff_table)
-    tables_d = dict(tables, d=d)
-    zero = ("c", A.bottom)
-    sandwich = _m(_m(0, 1), 0)
-    identities = (
-        Check("(x∧y∧x)∨(x∖y)=x", 2, _j(sandwich, ("d", 0, 1)), 0),
-        Check("(x∖y)∨(x∧y∧x)=x", 2, _j(("d", 0, 1), sandwich), 0),
-        Check("(x∧y∧x)∧(x∖y)=0", 2, _m(sandwich, ("d", 0, 1)), zero),
-        Check("(x∖y)∧(x∧y∧x)=0", 2, _m(("d", 0, 1), sandwich), zero),
-    )
-    res = run_group("skew-boolean-identities", identities, tables_d)
+    res = run_identity("skew-boolean-identities", bind(A, d=diff_table))
     if not res.holds:
         return CheckOutcome(False, witness=res.witness, detail=res.detail)
     leq = leq_matrix(A)
@@ -385,24 +289,10 @@ def check_dual_skew_boolean(A: Algebra, ddiff_table) -> CheckOutcome:
     skew = check_skew_lattice(A)
     if not skew:
         return skew
-    tables = _base_tables(A)
-    costrong = run_group(
-        "co-strongly-distributive", dict(_CLASSIFY_GROUPS)["co-strongly-distributive"], tables
-    )
+    costrong = property_result(A, "co-strongly-distributive")
     if not costrong.holds:
         return CheckOutcome(False, witness=costrong.witness, detail="not co-strongly distributive")
-    d = np.asarray(ddiff_table)
-    tables_d = dict(tables, d=d)
-    one = ("c", A.top)
-    sandwich = _j(_j(1, 0), 1)  # y∨x∨y with x = var 0, y = var 1
-    ddiff = ("d", 1, 0)  # y ∖∖ x
-    identities = (
-        Check("(y∨x∨y)∨(y∖∖x)=1", 2, _j(sandwich, ddiff), one),
-        Check("(y∖∖x)∨(y∨x∨y)=1", 2, _j(ddiff, sandwich), one),
-        Check("(y∨x∨y)∧(y∖∖x)=y", 2, _m(sandwich, ddiff), 1),
-        Check("(y∖∖x)∧(y∨x∨y)=y", 2, _m(ddiff, sandwich), 1),
-    )
-    res = run_group("dual-skew-boolean-identities", identities, tables_d)
+    res = run_identity("dual-skew-boolean-identities", bind(A, dd=ddiff_table))
     if not res.holds:
         return CheckOutcome(False, witness=res.witness, detail=res.detail)
     return CheckOutcome(True)

@@ -38,25 +38,8 @@ from .errors import (
     PreconditionFailed,
 )
 from .heyting import _arrow_by_candidates, dual_gb_diff, generalized_heyting_arrow
-from .identities import Check, CheckResult, run_check, run_group, skipped_result
-from .properties import PropertyReport, check_skew_lattice
-
-
-def _m(a, b):
-    return ("m", a, b)
-
-
-def _j(a, b):
-    return ("j", a, b)
-
-
-def _r(a, b):
-    return ("r", a, b)
-
-
-def _sandwich(mid, outer):
-    # outer ∨ mid ∨ outer, left associated
-    return _j(_j(outer, mid), outer)
+from .identities import CheckResult, bind, run_identity, skipped_result
+from .properties import PropertyReport, check_skew_lattice, property_result
 
 
 @dataclass(frozen=True)
@@ -122,15 +105,7 @@ def _require_costrong_with_top(A: Algebra) -> None:
     skew = check_skew_lattice(A)
     if not skew:
         raise PreconditionFailed(f"not a skew lattice ({skew.detail})", witness=skew.witness)
-    tables = {"m": A.meet, "j": A.join}
-    res = run_group(
-        "co-strongly-distributive",
-        (
-            Check("x∨(y∧z)=(x∨y)∧(x∨z)", 3, _j(0, _m(1, 2)), _m(_j(0, 1), _j(0, 2))),
-            Check("(x∧y)∨z=(x∨z)∧(y∨z)", 3, _j(_m(0, 1), 2), _m(_j(0, 2), _j(1, 2))),
-        ),
-        tables,
-    )
+    res = property_result(A, "co-strongly-distributive")
     if not res.holds:
         raise NotCoStronglyDistributive(
             f"co-strong distributivity fails ({res.detail})", witness=res.witness or ()
@@ -145,9 +120,12 @@ def derive_arrow(A: Algebra) -> DeriveResult:
     u↑.  A disagreement would contradict the well-definedness lemma and is
     raised as CoherenceFailure.
 
-    The result is cached on ``A`` and on its copies that differ only in the
-    declared arrow; an exception is raised afresh on every call.
+    The preconditions (a co-strongly distributive skew lattice with top)
+    are read from the cached properties of ``A``.  The result is cached on
+    ``A`` and on its copies that differ only in the declared arrow; an
+    exception is raised afresh on every call.
     """
+    _require_costrong_with_top(A)
     return A.cached("derive_arrow", lambda: _derive_arrow(A))
 
 
@@ -156,7 +134,6 @@ def _derive_arrow(A: Algebra) -> DeriveResult:
     # declared arrow and with a cache of its own keeps the result free of
     # the declared arrow and out of a reference cycle with A's cache.
     A = Algebra(A.names, A.meet, A.join, None, A.top, A.bottom)
-    _require_costrong_with_top(A)
     n = A.n
     leq = leq_matrix(A)
     upsets = tuple(upset_at(A, u, leq) for u in range(n))
@@ -195,40 +172,9 @@ def check_sh_axioms(A: Algebra, arrow) -> PropertyReport:
     """
     if A.top is None:
         raise NoTop("skew Heyting axioms need a top")
-    R = np.asarray(arrow)
-    tables = {"m": A.meet, "j": A.join, "r": R}
-    one = ("c", A.top)
-    entries = [
-        run_check(Check("SH0", 2, _r(0, 1), _r(_sandwich(0, 1), 1)), tables),
-        run_check(Check("SH1", 1, _r(0, 0), one), tables),
-        run_check(Check("SH2", 2, _m(_m(0, _r(0, 1)), 0), _m(_m(0, 1), 0)), tables),
-        run_group(
-            "SH3",
-            (
-                Check("y∧(x→y)=y", 2, _m(1, _r(0, 1)), 1),
-                Check("(x→y)∧y=y", 2, _m(_r(0, 1), 1), 1),
-            ),
-            tables,
-        ),
-        run_check(
-            Check(
-                "SH4",
-                4,
-                _r(0, _sandwich(_m(2, 3), 1)),
-                _m(_r(0, _sandwich(2, 1)), _r(0, _sandwich(3, 1))),
-            ),
-            tables,
-        ),
-        run_check(
-            Check(
-                "SH4-prime",
-                4,
-                _r(_sandwich(0, 1), _sandwich(_m(2, 3), 1)),
-                _m(_r(_sandwich(0, 1), _sandwich(2, 1)), _r(_sandwich(0, 1), _sandwich(3, 1))),
-            ),
-            tables,
-        ),
-    ]
+    tables = bind(A, r=arrow)
+    names = ("SH0", "SH1", "SH2", "SH3", "SH4", "SH4-prime")
+    entries = [run_identity(name, tables) for name in names]
     return PropertyReport(tuple(entries), A.names)
 
 
@@ -240,16 +186,14 @@ def check_sha(A: Algebra, arrow) -> CheckOutcome:
     in that case agreement with the derived arrow is verified as well.
     """
     R = np.asarray(arrow)
-    tables = {"m": A.meet, "j": A.join, "r": R}
+    tables = bind(A, r=R)
     rels = {"pre": preceq_matrix(A)}
-    adj = run_check(Check("SHA", 3, ("pre", 0, _r(1, 2)), ("pre", _m(0, 1), 2)), tables, rels)
+    adj = run_identity("SHA", tables, rels)
     if not adj.holds:
         return CheckOutcome(False, witness=adj.witness, detail="adjunction fails")
     if A.top is None:
         return CheckOutcome(False, detail="no top: x→y=1 clause unverifiable")
-    unit = run_check(
-        Check("x→y=1 iff x⪯y", 2, ("eq", _r(0, 1), ("c", A.top)), ("pre", 0, 1)), tables, rels
-    )
+    unit = run_identity("x→y=1 ⇔ x⪯y", tables, rels)
     if not unit.holds:
         return CheckOutcome(False, witness=unit.witness, detail="x→y=1 iff x⪯y fails")
 
@@ -273,17 +217,7 @@ def check_sha(A: Algebra, arrow) -> CheckOutcome:
 
 def check_imp_or(A: Algebra, arrow) -> CheckOutcome:
     """(x∨y∨x)→z = (x→z)∧(y→z)∧(x→z), quantified over all triples."""
-    R = np.asarray(arrow)
-    tables = {"m": A.meet, "j": A.join, "r": R}
-    res = run_check(
-        Check(
-            "imp-or",
-            3,
-            _r(_j(_j(0, 1), 0), 2),
-            _m(_m(_r(0, 2), _r(1, 2)), _r(0, 2)),
-        ),
-        tables,
-    )
+    res = run_identity("imp-or", bind(A, r=arrow))
     if res.holds:
         return CheckOutcome(True)
     return CheckOutcome(False, witness=res.witness)
@@ -353,7 +287,8 @@ def check_arrow_congruences(A: Algebra, arrow) -> CheckOutcome:
             return CheckOutcome(False, witness=cong.witness, detail=f"{label} fails")
     exists = [bool(derive_arrow(A))]
     for part in (L, R):
-        Qd, _ = quotient(A.drop_arrow(), part)
+        # A/Δ has the tables of A itself, whose arrow is derived already
+        Qd = A if part.num_blocks == A.n else quotient(A.drop_arrow(), part)[0]
         exists.append(bool(derive_arrow(Qd)))
     if len(set(exists)) != 1:
         raise InconsistencyDetected(

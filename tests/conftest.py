@@ -46,6 +46,12 @@ def rect2_bottom():
 
 
 @pytest.fixture(scope="session")
+def semilattice2():
+    # meet and join are the same semilattice: idempotent, not a skew lattice
+    return make_algebra(["a", "b"], [[0, 0], [0, 1]], [[0, 0], [0, 1]])
+
+
+@pytest.fixture(scope="session")
 def n5():
     # the nonmodular five-element lattice: 0 < a < c < 1, 0 < b < 1
     meet = [

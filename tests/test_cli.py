@@ -141,6 +141,30 @@ class TestExitStatuses:
         code, _ = run_command(["quotient"])
         assert code == 2
 
+    def test_non_utf8_input_is_parse_error(self, tmp_path):
+        path = tmp_path / "latin1.alg"
+        path.write_bytes(CHAIN2_DOC.replace("# two-element chain", "# caf\xe9").encode("latin-1"))
+        code, out = run_command(["--format", "machine", "check", str(path)])
+        assert code == 2
+        assert "line_1,_col_6:_byte_0xe9_is_not_UTF-8" in out.decode()
+        assert out.decode().rstrip().endswith("VERDICT: USAGE")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--jobs", "0", "search", "--family", "pfn", "--max-size", "10", "--property", "symmetric"],
+            ["search", "--family", "pfn", "--max-size", "-3", "--property", "symmetric"],
+            ["model", "pfn", "--x", "0", "--y", "2"],
+            ["model", "sections", "--base", "2", "--fibers", "a,b"],
+            ["model", "sections", "--base", "2", "--fibers", "2,0"],
+        ],
+    )
+    def test_non_positive_integer_argument_is_two(self, argv, capsys):
+        code, out = run_command(argv)
+        assert (code, out) == (2, b"VERDICT: USAGE\n")
+        err = capsys.readouterr().err
+        assert "error: argument" in err and "Traceback" not in err
+
     def test_unknown_property_is_two(self):
         code, _ = run_command(
             ["search", "--family", "pfn", "--max-size", "5", "--property", "nope"]

@@ -1,4 +1,5 @@
-"""Byte-for-byte golden reports for ``verify`` and ``derive``.
+"""Byte-for-byte golden reports for ``check``, ``verify``, ``derive`` and
+``search``.
 
 The inputs and the expected exit statuses and report bytes live under
 ``tests/golden/``.  A change that alters any report byte fails here; an
@@ -9,49 +10,93 @@ from pathlib import Path
 
 import pytest
 
+from skewbench import classify, greens, quotient
 from skewbench.cli import emit_algebra_file, run_command
+from skewbench.identities import GROUPS, bind, named_check, values_at
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# (command, input stem, expected exit status)
+# conftest fixtures written to tests/golden/<stem>.alg
+INPUTS = ("pf22", "pf12", "n5", "rect2_bottom", "semilattice2")
+
+# (golden stem, command line after --format, expected exit status); an
+# argument ending in ``.alg`` names a file under tests/golden/
 CASES = (
-    ("verify", "pf22", 0),
-    ("verify", "pf12", 0),
-    ("derive", "pf22", 0),
-    ("derive", "pf12", 0),
-    ("derive", "n5", 1),
+    ("verify-pf22", ("verify", "pf22.alg"), 0),
+    ("verify-pf12", ("verify", "pf12.alg"), 0),
+    ("derive-pf22", ("derive", "pf22.alg"), 0),
+    ("derive-pf12", ("derive", "pf12.alg"), 0),
+    ("derive-n5", ("derive", "n5.alg"), 1),
+    ("check-pf22", ("check", "pf22.alg"), 0),
+    ("check-n5", ("check", "n5.alg"), 0),
+    ("check-rect2_bottom", ("check", "rect2_bottom.alg"), 0),
+    ("check-semilattice2", ("check", "semilattice2.alg"), 1),
+    (
+        "search-enum-not-costrong",
+        ("search", "--family", "enum", "--max-size", "3", "--property", "co-strongly-distributive", "--negate"),
+        1,
+    ),
+    (
+        "search-enum-not-skew-lattice",
+        ("search", "--family", "enum", "--max-size", "3", "--property", "skew-lattice", "--negate"),
+        0,
+    ),
 )
 FORMATS = ("machine", "text")
 
 
-def _run(command: str, stem: str, fmt: str) -> tuple[int, bytes]:
-    return run_command(["--format", fmt, command, str(GOLDEN / f"{stem}.alg")])
+def _run(argv, fmt: str) -> tuple[int, bytes]:
+    args = [str(GOLDEN / a) if a.endswith(".alg") else a for a in argv]
+    return run_command(["--format", fmt, *args])
 
 
-@pytest.mark.parametrize("stem", ["pf22", "pf12", "n5"])
+@pytest.mark.parametrize("stem", INPUTS)
 def test_golden_inputs_match_fixtures(stem, request):
     A = request.getfixturevalue(stem)
     assert (GOLDEN / f"{stem}.alg").read_text() == emit_algebra_file(A)
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
-@pytest.mark.parametrize("command,stem,status", CASES)
-def test_report_bytes(command, stem, status, fmt):
-    code, out = _run(command, stem, fmt)
+@pytest.mark.parametrize("golden,argv,status", CASES, ids=[f"{g}-{st}" for g, _, st in CASES])
+def test_report_bytes(golden, argv, status, fmt):
+    code, out = _run(argv, fmt)
     assert code == status
-    assert out == (GOLDEN / f"{command}-{stem}.{fmt}").read_bytes()
+    assert out == (GOLDEN / f"{golden}.{fmt}").read_bytes()
+
+
+@pytest.mark.parametrize("stem", [argv[1][:-4] for _, argv, _ in CASES if argv[0] == "check"])
+def test_failing_classify_entries_reevaluate(stem, request):
+    # every failing entry of a golden ``check`` names a registry formula
+    # (skew-lattice through its failing axiom) that fails at the witness
+    A = request.getfixturevalue(stem)
+    rep = classify(A)
+    failing = [e for e in rep.entries if not e.holds]
+    assert failing
+    for entry in failing:
+        if entry.name == "quasi-distributive":
+            # evaluated in S/D, on the classes of the witness
+            Q, hom = quotient(A.drop_arrow(), greens(A)[0])
+            point = tuple(hom(w) for w in entry.witness)
+            sides = [values_at(named_check(f), bind(Q), point) for f in GROUPS["lattice-distributive"]]
+            assert any(lhs != rhs for lhs, rhs in sides)
+            continue
+        formula = rep[entry.detail].detail if entry.name == "skew-lattice" else entry.detail
+        lhs, rhs = values_at(named_check(formula), bind(A), entry.witness)
+        assert lhs != rhs
+        assert (lhs, rhs) == (entry.lhs_value, entry.rhs_value)
 
 
 if __name__ == "__main__":
     import sys
 
     sys.path.insert(0, str(Path(__file__).parent))
-    from conftest import n5, pf12, pf22
+    import conftest
 
-    for stem, fixture in (("pf22", pf22), ("pf12", pf12), ("n5", n5)):
-        (GOLDEN / f"{stem}.alg").write_text(emit_algebra_file(fixture.__wrapped__()))
-    for command, stem, status in CASES:
+    for stem in INPUTS:
+        fixture = getattr(conftest, stem).__wrapped__
+        (GOLDEN / f"{stem}.alg").write_text(emit_algebra_file(fixture()))
+    for golden, argv, status in CASES:
         for fmt in FORMATS:
-            code, out = _run(command, stem, fmt)
-            assert code == status, (command, stem, fmt, code)
-            (GOLDEN / f"{command}-{stem}.{fmt}").write_bytes(out)
+            code, out = _run(argv, fmt)
+            assert code == status, (golden, fmt, code)
+            (GOLDEN / f"{golden}.{fmt}").write_bytes(out)

@@ -239,9 +239,19 @@ class TestDeriveCache:
         path.write_text(emit_algebra_file(pf22))
         code, _ = run_command(["verify", str(path)])
         assert code == 0
+        # R is the identity relation on pf22, and A/R is A itself
         _, L, R = greens(pf22)
-        sizes = [pf22.n] + [quotient(pf22.drop_arrow(), part)[0].n for part in (L, R)]
-        assert len(upset_calls) == sum(sizes)
+        assert R.num_blocks == pf22.n and L.num_blocks < pf22.n
+        assert len(upset_calls) == pf22.n + quotient(pf22.drop_arrow(), L)[0].n
+
+    def test_verify_on_a_commutative_input_derives_once(self, tmp_path, upset_calls):
+        # L and R are both the identity relation: no quotient is derived
+        A = partial_function_algebra(2, 1)
+        path = tmp_path / "pf21.alg"
+        path.write_text(emit_algebra_file(A))
+        code, _ = run_command(["verify", str(path)])
+        assert code == 0
+        assert len(upset_calls) == A.n
 
     def test_only_copies_with_the_same_tables_share_the_result(self, upset_calls):
         A = partial_function_algebra(2, 2)
