@@ -15,6 +15,7 @@ import hashlib
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .errors import (
     TooLarge,
 )
 from .identities import CheckResult
-from .models import Poset, SurjectionModel, build_instance, search_family
+from .models import Poset, SurjectionModel, search_family
 from .properties import (
     PROPERTY_NAMES,
     PropertyReport,
@@ -198,6 +199,7 @@ class ReportEntry:
     lhs: str | None = None
     rhs: str | None = None
     detail: str = ""
+    unit: str = "tuples"
 
 
 @dataclass
@@ -264,7 +266,7 @@ def emit_report(report: Report, fmt: str = "text") -> bytes:
             if e.detail:
                 extra.append(e.detail)
             if e.checked:
-                extra.append(f"{e.checked} tuples")
+                extra.append(f"{e.checked} {e.unit}")
             suffix = ("  [" + "; ".join(extra) + "]") if extra else ""
             lines.append(f"  [{mark.get(e.verdict, '??')}] {e.name}{suffix}")
         if report.payload:
@@ -398,18 +400,23 @@ def _cmd_quotient(args, report: Report) -> None:
     report.settle()
 
 
+def _fiber_model(base, fibers) -> SurjectionModel:
+    points = base.n if isinstance(base, Poset) else len(base)
+    if len(fibers) != points:
+        raise argparse.ArgumentTypeError(f"--fibers gives {len(fibers)} sizes for {points} base points")
+    return SurjectionModel.from_fiber_sizes(base, fibers)
+
+
 def _cmd_model(args, report: Report) -> None:
     bound = args.bound
     if args.kind == "pfn":
         A = models.partial_function_algebra(args.x, args.y, bound=bound)
     elif args.kind == "sections":
-        base = models.default_point_names(args.base)
-        model = SurjectionModel.from_fiber_sizes(base, args.fibers)
+        model = _fiber_model(models.default_point_names(args.base), args.fibers)
         A = models.sections_algebra(model, bound=bound)
     elif args.kind == "poset-sections":
         P = parse_poset_file(_read(args.posetfile, report))
-        model = SurjectionModel.from_fiber_sizes(P, args.fibers)
-        A = models.poset_sections_algebra(model, bound=bound)
+        A = models.poset_sections_algebra(_fiber_model(P, args.fibers), bound=bound)
     else:  # upsets
         P = parse_poset_file(_read(args.posetfile, report))
         A = models.upset_heyting(P)
@@ -443,12 +450,13 @@ def _cmd_verify(args, report: Report) -> None:
     report.settle()
 
 
-def _search_eval(task):
-    index, desc, prop_name, negate = task
-    alg = build_instance(desc).drop_arrow()
+def _search_eval(prop_name: str, negate: bool, alg: Algebra):
     res = property_result(alg, prop_name)
-    hit = (not res.holds) if negate else res.holds
-    return index, hit, res.witness, res.detail, alg.names
+    return res.holds != negate, res.witness, res.detail
+
+
+def _first_hit(results):
+    return next(((i, r) for i, r in enumerate(results) if r[0]), None)
 
 
 def _cmd_search(args, report: Report) -> None:
@@ -456,34 +464,33 @@ def _cmd_search(args, report: Report) -> None:
         raise argparse.ArgumentTypeError(
             f"unknown property {args.property!r}; choose from {', '.join(PROPERTY_NAMES)}"
         )
-    stream = search_family(args.family, args.max_size)
-    tasks = [(i, desc, args.property, args.negate) for i, (label, desc) in enumerate(stream)]
-    found = None
-    if args.jobs > 1 and len(tasks) > 1:
+    seen: list[tuple[str, tuple[str, ...]]] = []  # (label, element names) per instance
+
+    def instances():
+        for label, alg in search_family(args.family, args.max_size):
+            seen.append((label, alg.names))
+            yield alg
+
+    evaluate = partial(_search_eval, args.property, args.negate)
+    if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for result in pool.map(_search_eval, tasks, chunksize=4):
-                if result[1]:
-                    found = result
-                    break
+            found = _first_hit(pool.map(evaluate, instances(), chunksize=4))
     else:
-        for task in tasks:
-            result = _search_eval(task)
-            if result[1]:
-                found = result
-                break
+        found = _first_hit(map(evaluate, instances()))
     target = f"not:{args.property}" if args.negate else args.property
     if found is None:
         report.add(
             ReportEntry(
                 "search",
                 "holds",
-                checked=len(tasks),
+                checked=len(seen),
                 detail=f"family={args.family} target={target} exhausted",
+                unit="instances",
             )
         )
     else:
-        index, _, witness, detail, names = found
-        label = stream[index][0]
+        index, (_, witness, detail) = found
+        label, names = seen[index]
         report.add(
             ReportEntry(
                 "search",
@@ -491,6 +498,7 @@ def _cmd_search(args, report: Report) -> None:
                 witness=(label,),
                 checked=index + 1,
                 detail=f"family={args.family} target={target}",
+                unit="instances",
             )
         )
         report.add(

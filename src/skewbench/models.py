@@ -3,17 +3,34 @@ partial-function algebras, section algebras over plain sets and over finite
 posets, upset lattices with the complement-of-downset implication, algebras
 induced by skew Boolean structure, and brute-force enumeration of tiny skew
 lattices up to isomorphism.
+
+Partial functions and sections share one table builder.  A section is an
+int row over the base points: the index of its value in the fiber over each
+point, or -1 off its domain.  Rows run by domain mask ascending, then by
+values lexicographically, so the empty section comes first; it is the top.
+Meet overrides (f, then g off the domain of f), join restricts g to the
+common domain, and the residue restricts g to the part of its domain that f
+does not cover.  A row's code is linear in its entries, so the codes of all
+three results come from one integer product per block of rows, and each
+result is found by its code; working memory beyond the output tables stays
+small.  The partial-function and section constructors refuse, before they
+build a row, a carrier larger than their bound or than an int16 table can
+index.
+
+``search_family`` streams (label, algebra) pairs: each instance is built
+once, without its arrow, when the stream reaches it.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
-from .core import Algebra, make_algebra, vertical_dual
+from .core import Algebra, direct_product, find_isomorphism, make_algebra, vertical_dual
 from .errors import BadPoset, InconsistencyDetected, EsakiaFormulaMismatch, PreconditionFailed, TooLarge
 from .heyting import heyting_arrow
 from .identities import CheckResult
@@ -31,46 +48,6 @@ def default_point_names(k: int) -> tuple[str, ...]:
 
 # ---------------------------------------------------------------------------
 # Domain types
-
-
-@dataclass(frozen=True)
-class PartialMap:
-    """Partial function as a sorted tuple of (point, value) index pairs."""
-
-    entries: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def of(cls, mapping: dict[int, int]) -> "PartialMap":
-        return cls(tuple(sorted(mapping.items())))
-
-    @property
-    def domain(self) -> frozenset[int]:
-        return frozenset(p for p, _ in self.entries)
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.entries)
-
-    def name(self, xnames, ynames) -> str:
-        return "{" + ",".join(f"{xnames[p]}:{ynames[v]}" for p, v in self.entries) + "}"
-
-
-def pm_override(f: PartialMap, g: PartialMap) -> PartialMap:
-    """f together with g off the domain of f; f wins on the overlap."""
-    out = g.as_dict()
-    out.update(f.as_dict())
-    return PartialMap.of(out)
-
-
-def pm_common(f: PartialMap, g: PartialMap) -> PartialMap:
-    """g restricted to the common domain (g's values survive)."""
-    fd = f.domain
-    return PartialMap.of({p: v for p, v in g.entries if p in fd})
-
-
-def pm_residue(f: PartialMap, g: PartialMap) -> PartialMap:
-    """g restricted to the part of its domain that f does not cover."""
-    fd = f.domain
-    return PartialMap.of({p: v for p, v in g.entries if p not in fd})
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,13 +118,13 @@ class Poset:
 
     @classmethod
     def chain(cls, n: int, names=None) -> "Poset":
-        names = tuple(names) if names else tuple(_POINT_NAMES[i] for i in range(n))
+        names = tuple(names) if names else default_point_names(n)
         leq = np.fromfunction(lambda i, j: i <= j, (n, n))
         return cls(names, leq)
 
     @classmethod
     def antichain(cls, n: int, names=None) -> "Poset":
-        names = tuple(names) if names else tuple(_POINT_NAMES[i] for i in range(n))
+        names = tuple(names) if names else default_point_names(n)
         return cls(names, np.eye(n, dtype=bool))
 
     def canonical_key(self) -> tuple:
@@ -176,7 +153,7 @@ def all_posets(n: int) -> list[Poset]:
             for i in range(n - 1):
                 if ideal >> i & 1:
                     leq[i, n - 1] = True
-            Q = Poset(tuple(_POINT_NAMES[i] for i in range(n)), leq)
+            Q = Poset(default_point_names(n), leq)
             key = Q.canonical_key()
             if key not in seen:
                 seen[key] = Q
@@ -236,101 +213,103 @@ class SurjectionModel:
 # ---------------------------------------------------------------------------
 # Partial maps and sections
 
+# the largest carrier an int16 table can index
+_MAX_CARRIER = 1 << 15
 
-def _resolve_points(x, default_prefix="x") -> tuple[str, ...]:
-    if isinstance(x, int):
-        if x <= len(_POINT_NAMES):
-            return tuple(_POINT_NAMES[:x])
-        return tuple(f"{default_prefix}{i}" for i in range(x))
-    return tuple(str(v) for v in x)
+# table cells computed per block of rows
+_BLOCK_CELLS = 1 << 18
 
 
-def _resolve_values(y) -> tuple[str, ...]:
-    if isinstance(y, int):
-        return tuple(str(i) for i in range(y))
-    return tuple(str(v) for v in y)
+def _check_size(what: str, size: int, bound: int) -> None:
+    """Refuse a carrier of ``size`` elements beyond ``bound`` or _MAX_CARRIER."""
+    limit = min(bound, _MAX_CARRIER)
+    if size > limit:
+        raise TooLarge(f"{what} has {size} elements, bound is {limit}")
 
 
-def _maps_for_domains(domain_masks, k_points, fiber_sizes) -> list[PartialMap]:
-    """All choice functions over the listed domains, in (mask asc, values
-    lexicographic) order so that the empty map comes first."""
-    out = []
-    for mask in domain_masks:
-        points = [i for i in range(k_points) if mask >> i & 1]
-        for combo in itertools.product(*(range(fiber_sizes[p]) for p in points)):
-            out.append(PartialMap(tuple(zip(points, combo))))
-    return out
+class _Sections:
+    """The sections over ``domains`` (masks over the base points, the empty
+    one first), where point p takes the values named by ``labels[p]``.
 
+    A row's code is the sum over its domain of (value + 1) * radix[p]; its
+    ``weight`` holds those terms, so the code of its restriction to a set of
+    points is the sum of its weights over that set.
+    """
 
-def _algebra_from_maps(maps, name_of, with_arrow: bool = True) -> Algebra:
-    index = {f: i for i, f in enumerate(maps)}
-    n = len(maps)
-    meet = [[0] * n for _ in range(n)]
-    join = [[0] * n for _ in range(n)]
-    arrow = [[0] * n for _ in range(n)] if with_arrow else None
-    for i, f in enumerate(maps):
-        for k, g in enumerate(maps):
-            meet[i][k] = index[pm_override(f, g)]
-            join[i][k] = index[pm_common(f, g)]
-            if with_arrow:
-                # the residue g off dom f: the closed form of the implication
-                # over antichain bases; poset bases derive it instead
-                arrow[i][k] = index[pm_residue(f, g)]
-    names = tuple(name_of(f) for f in maps)
-    return make_algebra(names, meet, join, top=index[PartialMap(())], arrow=arrow)
+    def __init__(self, labels, domains):
+        k = len(labels)
+        rows, names = [], []
+        for mask in domains:
+            points = [p for p in range(k) if mask >> p & 1]
+            for values in itertools.product(*(range(len(labels[p])) for p in points)):
+                row = [-1] * k
+                for p, v in zip(points, values):
+                    row[p] = v
+                rows.append(row)
+                names.append("{" + ",".join(labels[p][v] for p, v in zip(points, values)) + "}")
+        rows = np.array(rows, dtype=np.int64).reshape(len(rows), k)
+        radix = np.cumprod([1] + [len(values) + 1 for values in labels], dtype=np.int64)[:k]
+        self.names = tuple(names)
+        self.inside = (rows >= 0).astype(np.int64)
+        self.weight = (rows + 1) * radix
+        self.code = self.weight.sum(axis=1)
+        self._order = np.argsort(self.code)
+        self._sorted = self.code[self._order]
+
+    def find(self, codes: np.ndarray) -> np.ndarray:
+        """The index of the section with each code, -1 where there is none."""
+        at = np.minimum(np.searchsorted(self._sorted, codes), len(self._sorted) - 1)
+        return np.where(self._sorted[at] == codes, self._order[at], -1)
+
+    def _lookup(self, codes: np.ndarray, op: str) -> np.ndarray:
+        found = self.find(codes)
+        if (found < 0).any():
+            raise InconsistencyDetected(f"the {op} of two sections is not a section")
+        return found
+
+    def algebra(self, residue: bool) -> Algebra:
+        """Override meet, common-restriction join, the empty section on top
+        and, with ``residue``, the residue as the arrow."""
+        n = len(self.names)
+        meet = np.empty((n, n), dtype=np.int16)
+        join = np.empty((n, n), dtype=np.int16)
+        arrow = np.empty((n, n), dtype=np.int16) if residue else None
+        step = max(1, _BLOCK_CELLS // n)
+        for lo in range(0, n, step):
+            f = slice(lo, lo + step)
+            common = self.inside[f] @ self.weight.T  # g restricted to the domain of f
+            rest = self.code - common  # g off the domain of f
+            join[f] = self._lookup(common, "join")
+            meet[f] = self._lookup(self.code[f, None] + rest, "meet")
+            if residue:
+                arrow[f] = self._lookup(rest, "residue")
+        return make_algebra(self.names, meet, join, top=0, arrow=arrow)
 
 
 def partial_function_algebra(x, y, bound: int = 10000) -> Algebra:
     """The algebra of all partial functions X → Y with override meet,
     common-restriction join, residue arrow and the empty map on top."""
-    xnames = _resolve_points(x)
-    ynames = _resolve_values(y)
+    xnames = default_point_names(x) if isinstance(x, int) else tuple(str(v) for v in x)
+    ynames = tuple(str(v) for v in (range(y) if isinstance(y, int) else y))
     if not xnames or not ynames:
         raise PreconditionFailed("X and Y must be nonempty")
-    size = (len(ynames) + 1) ** len(xnames)
-    if size > bound:
-        raise TooLarge(f"partial function algebra has {size} elements, bound is {bound}")
-    masks = range(1 << len(xnames))
-    maps = _maps_for_domains(masks, len(xnames), [len(ynames)] * len(xnames))
-    return _algebra_from_maps(maps, lambda f: f.name(xnames, ynames))
+    _check_size("partial function algebra", (len(ynames) + 1) ** len(xnames), bound)
+    labels = [[f"{p}:{v}" for v in ynames] for p in xnames]
+    # the residue is the closed form of the implication over antichain bases
+    return _Sections(labels, range(1 << len(xnames))).algebra(residue=True)
 
 
 def partial_function_boolean(x, y, bound: int = 10000) -> tuple[Algebra, np.ndarray]:
     """The vertical dual of the partial-function algebra (a skew Boolean
     algebra with the empty map at the bottom) together with its difference
-    table f∖g = f off the domain of g."""
+    table f∖g = f off the domain of g, the transposed residue."""
     pf = partial_function_algebra(x, y, bound)
-    xnames = _resolve_points(x)
-    ynames = _resolve_values(y)
-    maps = _maps_for_domains(range(1 << len(xnames)), len(xnames), [len(ynames)] * len(xnames))
-    index = {f: i for i, f in enumerate(maps)}
-    n = len(maps)
-    diff = np.zeros((n, n), dtype=np.int16)
-    for i, f in enumerate(maps):
-        for k, g in enumerate(maps):
-            diff[i, k] = index[pm_residue(g, f)]  # f restricted off dom g
-    diff.setflags(write=False)
-    return vertical_dual(pf), diff
+    return vertical_dual(pf), pf.arrow.T
 
 
-def _section_maps(model: SurjectionModel, domain_masks) -> list[PartialMap]:
-    k = model.base_size
-    fibers = [model.fiber(b) for b in range(k)]
-    out = []
-    for mask in domain_masks:
-        points = [i for i in range(k) if mask >> i & 1]
-        for combo in itertools.product(*(fibers[p] for p in points)):
-            out.append(PartialMap(tuple(zip(points, combo))))
-    return out
-
-
-def _section_name(model: SurjectionModel):
+def _fiber_labels(model: SurjectionModel) -> list[list[str]]:
     base, total = model.base_names, model.total
-
-    def name_of(f: PartialMap) -> str:
-        return "{" + ",".join(f"{base[p]}:{total[v]}" for p, v in f.entries) + "}"
-
-    return name_of
+    return [[f"{base[b]}:{total[e]}" for e in model.fiber(b)] for b in range(model.base_size)]
 
 
 def sections_algebra(model: SurjectionModel, bound: int = 10000) -> Algebra:
@@ -338,13 +317,25 @@ def sections_algebra(model: SurjectionModel, bound: int = 10000) -> Algebra:
     partial-function operations."""
     if isinstance(model.base, Poset):
         raise PreconditionFailed("use poset_sections_algebra for poset bases")
-    k = model.base_size
-    sizes = [len(model.fiber(b)) + 1 for b in range(k)]
-    size = int(np.prod(sizes))
-    if size > bound:
-        raise TooLarge(f"section algebra has {size} elements, bound is {bound}")
-    maps = _section_maps(model, range(1 << k))
-    return _algebra_from_maps(maps, _section_name(model))
+    labels = _fiber_labels(model)
+    _check_size("section algebra", math.prod(len(values) + 1 for values in labels), bound)
+    return _Sections(labels, range(1 << len(labels))).algebra(residue=True)
+
+
+def _section_model_size(base: Poset, fibers) -> int:
+    return sum(
+        math.prod(fibers[p] for p in range(base.n) if mask >> p & 1) for mask in base.upset_masks
+    )
+
+
+def _poset_sections_reduct(model: SurjectionModel, bound: int = 10000) -> Algebra:
+    """The arrowless algebra of sections over the upsets of a poset base."""
+    if not isinstance(model.base, Poset):
+        raise PreconditionFailed("poset_sections_algebra needs a poset base")
+    P = model.base
+    labels = _fiber_labels(model)
+    _check_size("section algebra", _section_model_size(P, [len(values) for values in labels]), bound)
+    return _Sections(labels, P.upset_masks).algebra(residue=False)
 
 
 def poset_sections_algebra(model: SurjectionModel, bound: int = 10000) -> Algebra:
@@ -352,13 +343,7 @@ def poset_sections_algebra(model: SurjectionModel, bound: int = 10000) -> Algebr
     common domain, meet overrides, the top is the empty section, and the
     arrow is derived from the upset structure (the printed closed forms are
     compared against it separately, see section_arrow_resolution)."""
-    if not isinstance(model.base, Poset):
-        raise PreconditionFailed("poset_sections_algebra needs a poset base")
-    P = model.base
-    maps = _section_maps(model, P.upset_masks)
-    if len(maps) > bound:
-        raise TooLarge(f"section algebra has {len(maps)} elements, bound is {bound}")
-    base = _algebra_from_maps(maps, _section_name(model), with_arrow=False)
+    base = _poset_sections_reduct(model, bound)
     derived = derive_arrow(base)
     if not derived:
         raise InconsistencyDetected(
@@ -366,10 +351,6 @@ def poset_sections_algebra(model: SurjectionModel, bound: int = 10000) -> Algebr
             witness=(derived.offending_upset,),
         )
     return base.with_arrow(derived.table)
-
-
-def _mask_of(f: PartialMap, k: int) -> int:
-    return sum(1 << p for p, _ in f.entries)
 
 
 def section_arrow_resolution(model: SurjectionModel, bound: int = 10000) -> PropertyReport:
@@ -384,38 +365,28 @@ def section_arrow_resolution(model: SurjectionModel, bound: int = 10000) -> Prop
     """
     A = poset_sections_algebra(model, bound)
     P = model.base
-    k = P.n
-    maps = _section_maps(model, P.upset_masks)
-    index = {f: i for i, f in enumerate(maps)}
-    oracle = A.arrow
-
-    def restrict(f: PartialMap, mask: int) -> PartialMap:
-        return PartialMap.of({p: v for p, v in f.entries if mask >> p & 1})
-
+    S = _Sections(_fiber_labels(model), P.upset_masks)
+    mask = S.inside @ (1 << np.arange(P.n))
+    gap = mask[None, :] & ~mask[:, None]  # dom s ∖ dom r at [r, s]
+    upclosed = np.array([P.up(m) for m in range(1 << P.n)])[gap]
+    first, second = S.weight[:, None, :], S.weight[None, :, :]
     candidates = {
-        "printed-first-arg-upclosed": lambda r, s: restrict(r, P.up(_mask_of(s, k) & ~_mask_of(r, k))),
-        "second-arg-upclosed": lambda r, s: restrict(s, P.up(_mask_of(s, k) & ~_mask_of(r, k))),
-        "first-arg-plain": lambda r, s: restrict(r, _mask_of(s, k) & ~_mask_of(r, k)),
-        "second-arg-plain": lambda r, s: restrict(s, _mask_of(s, k) & ~_mask_of(r, k)),
+        "printed-first-arg-upclosed": (first, upclosed),
+        "second-arg-upclosed": (second, upclosed),
+        "first-arg-plain": (first, gap),
+        "second-arg-plain": (second, gap),
     }
     entries = []
-    total = len(maps) ** 2
-    for name, fn in candidates.items():
-        witness = None
-        detail = ""
-        for (i, r), (kk, s) in itertools.product(enumerate(maps), enumerate(maps)):
-            value = fn(r, s)
-            got = index.get(value)
-            if got is None:
-                witness, detail = (i, kk), "formula leaves the section carrier"
-                break
-            if got != int(oracle[i, kk]):
-                witness, detail = (i, kk), "disagrees with derived arrow"
-                break
-        if witness is None:
+    total = A.n**2
+    for name, (arg, keep) in candidates.items():
+        value = S.find(sum((keep >> p & 1) * arg[..., p] for p in range(P.n)))
+        wrong = np.argwhere(value != A.arrow)
+        if not len(wrong):
             entries.append(CheckResult(name, True, None, total))
-        else:
-            entries.append(CheckResult(name, False, witness, total, detail=detail))
+            continue
+        i, k = (int(v) for v in wrong[0])
+        detail = "formula leaves the section carrier" if value[i, k] < 0 else "disagrees with derived arrow"
+        entries.append(CheckResult(name, False, (i, k), total, detail=detail))
     return PropertyReport(tuple(entries), A.names)
 
 
@@ -554,46 +525,10 @@ def enumerate_skew_lattices(n: int):
 
 
 # ---------------------------------------------------------------------------
-# Search substrate: deterministic streams of (label, descriptor) per family.
-# Descriptors are plain tuples so instances can be rebuilt inside worker
-# processes; build_instance is the single constructor for all of them.
+# Search substrate: a deterministic stream of (label, algebra) per family
 
 
-def build_instance(desc) -> Algebra:
-    from .core import direct_product
-
-    kind = desc[0]
-    if kind == "pfn":
-        return partial_function_algebra(desc[1], desc[2])
-    if kind == "enum":
-        return list(enumerate_skew_lattices(desc[1]))[desc[2]]
-    if kind == "sections":
-        _, pts, base_idx, fibers = desc
-        base = all_posets(pts)[base_idx]
-        return poset_sections_algebra(SurjectionModel.from_fiber_sizes(base, fibers))
-    if kind == "dual":
-        return vertical_dual(build_instance(desc[1]))
-    if kind == "product":
-        return direct_product(build_instance(desc[1]), build_instance(desc[2]))
-    raise ValueError(f"unknown instance descriptor {desc!r}")
-
-
-def instance_label(desc) -> str:
-    kind = desc[0]
-    if kind == "pfn":
-        return f"pfn({desc[1]},{desc[2]})"
-    if kind == "enum":
-        return f"enum{desc[1]}#{desc[2]}"
-    if kind == "sections":
-        return f"sections(P{desc[1]}#{desc[2]};{','.join(map(str, desc[3]))})"
-    if kind == "dual":
-        return f"dual({instance_label(desc[1])})"
-    if kind == "product":
-        return f"prod({instance_label(desc[1])},{instance_label(desc[2])})"
-    return repr(desc)
-
-
-def _pfn_descriptors(max_size: int, min_size: int = 2):
+def _pfn_pool(max_size: int, min_size: int = 2):
     out = []
     for nx in range(1, max_size.bit_length() + 1):
         for ny in itertools.count(1):
@@ -601,70 +536,59 @@ def _pfn_descriptors(max_size: int, min_size: int = 2):
             if size > max_size:
                 break
             if size >= min_size:
-                out.append((size, ("pfn", nx, ny)))
+                out.append((size, f"pfn({nx},{ny})", partial(partial_function_algebra, nx, ny)))
     return out
 
 
-def _section_model_size(base: Poset, fibers) -> int:
-    return sum(
-        int(np.prod([fibers[p] for p in range(base.n) if mask >> p & 1] or [1]))
-        for mask in base.upset_masks
-    )
-
-
-def _section_descriptors(max_size: int):
+def _section_pool(max_size: int):
     out = []
     for pts in range(1, 4):
-        for base_idx, base in enumerate(all_posets(pts)):
+        for i, base in enumerate(all_posets(pts)):
             for fibers in itertools.product((1, 2), repeat=pts):
                 size = _section_model_size(base, fibers)
                 if size <= max_size:
-                    out.append((size, ("sections", pts, base_idx, fibers)))
+                    # criterion 7 of the acceptance suite derives the arrow
+                    # of every one of these models; the search needs none
+                    model = SurjectionModel.from_fiber_sizes(base, fibers)
+                    label = f"sections(P{pts}#{i};{','.join(map(str, fibers))})"
+                    out.append((size, label, partial(_poset_sections_reduct, model)))
     return out
 
 
-def _enum_descriptors(max_size: int):
-    raw = []
-    for n in range(1, min(3, max_size) + 1):
-        for i, _ in enumerate(enumerate_skew_lattices(n)):
-            raw.append((n, ("enum", n, i)))
-    pool = list(raw)
-    for (sa, da), (sb, db) in itertools.product(raw, raw):
-        if 1 < sa * sb <= max_size and sa > 1 and sb > 1:
-            pool.append((sa * sb, ("product", da, db)))
-    pool.extend(_pfn_descriptors(max_size, min_size=4))
-    pool.extend((s, ("dual", d)) for s, d in list(pool))
+def _enum_pool(max_size: int):
+    raw = [
+        (n, f"enum{n}#{i}", A)
+        for n in range(1, min(3, max_size) + 1)
+        for i, A in enumerate(enumerate_skew_lattices(n))
+    ]
+    pool = [(n, label, lambda A=A: A) for n, label, A in raw]
+    for (sa, la, A), (sb, lb, B) in itertools.product(raw, raw):
+        if sa > 1 and sb > 1 and sa * sb <= max_size:
+            pool.append((sa * sb, f"prod({la},{lb})", partial(direct_product, A, B)))
+    pool.extend(_pfn_pool(max_size, min_size=4))
+    pool.extend((s, f"dual({label})", lambda b=build: vertical_dual(b())) for s, label, build in list(pool))
     return pool
 
 
-def search_family(family: str, max_size: int) -> list[tuple[str, tuple]]:
-    """Ordered (label, descriptor) stream for a search family; the 'enum'
-    family is deduplicated up to isomorphism at desk scale."""
+def search_family(family: str, max_size: int):
+    """The (label, algebra) stream of a search family in (size, label)
+    order.  Each algebra is an arrowless reduct, built once, when the stream
+    reaches it; the 'enum' family skips an instance isomorphic to an earlier
+    one of the same size, up to 12 elements."""
     if family == "pfn":
-        pool = _pfn_descriptors(max_size)
+        pool = _pfn_pool(max_size)
     elif family == "sections":
-        pool = _section_descriptors(max_size)
+        pool = _section_pool(max_size)
     elif family == "enum":
-        pool = _enum_descriptors(max_size)
+        pool = _enum_pool(max_size)
     else:
         raise ValueError(f"unknown family {family!r}")
-    pool.sort(key=lambda item: (item[0], instance_label(item[1])))
-    if family != "enum":
-        return [(instance_label(d), d) for _, d in pool]
-
-    from .core import find_isomorphism
-
-    kept: list[tuple[int, tuple, Algebra]] = []
-    out = []
-    for size, desc in pool:
-        alg = build_instance(desc).drop_arrow()
-        duplicate = False
-        if size <= 12:
-            for ks, _, kept_alg in kept:
-                if ks == size and find_isomorphism(alg, kept_alg) is not None:
-                    duplicate = True
-                    break
-        if not duplicate:
-            kept.append((size, desc, alg))
-            out.append((instance_label(desc), desc))
-    return out
+    pool.sort(key=lambda item: item[:2])
+    kept: list[Algebra] = []
+    for size, label, build in pool:
+        alg = build().drop_arrow()
+        if family == "enum" and size <= 12:
+            if any(B.n == size and find_isomorphism(alg, B) is not None for B in kept):
+                continue
+            kept.append(alg)
+        yield label, alg

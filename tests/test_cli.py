@@ -165,6 +165,23 @@ class TestExitStatuses:
         err = capsys.readouterr().err
         assert "error: argument" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["model", "sections", "--base", "3", "--fibers", "2,2"],
+            ["model", "poset-sections", "POSET", "--fibers", "2,2,2"],
+            ["--bound", "100000000", "model", "pfn", "--x", "3", "--y", "400"],
+        ],
+        ids=["sections-fiber-count", "poset-sections-fiber-count", "pfn-beyond-int16"],
+    )
+    def test_bad_model_request_is_two(self, argv, tmp_path, capsys):
+        path = tmp_path / "p.poset"
+        path.write_text(POSET_DOC)
+        code, out = run_command(["--format", "machine"] + [str(path) if a == "POSET" else a for a in argv])
+        assert code == 2
+        assert out.decode().rstrip().endswith("VERDICT: USAGE")
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_unknown_property_is_two(self):
         code, _ = run_command(
             ["search", "--family", "pfn", "--max-size", "5", "--property", "nope"]
@@ -297,13 +314,14 @@ class TestDeterminism:
         second = run_command(["--format", "machine", "verify", pf22_file])
         assert first == second
 
-    def test_search_byte_stable_across_jobs(self):
+    @pytest.mark.parametrize("family,max_size", [("enum", "3"), ("pfn", "20"), ("sections", "20")])
+    def test_search_byte_stable_across_jobs(self, family, max_size):
         argv = [
             "search",
             "--family",
-            "enum",
+            family,
             "--max-size",
-            "3",
+            max_size,
             "--property",
             "symmetric",
             "--negate",

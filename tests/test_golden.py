@@ -1,5 +1,5 @@
 """Byte-for-byte golden reports for ``check``, ``verify``, ``derive`` and
-``search``.
+``search``, and golden artifacts of ``model``.
 
 The inputs and the expected exit statuses and report bytes live under
 ``tests/golden/``.  A change that alters any report byte fails here; an
@@ -20,7 +20,7 @@ GOLDEN = Path(__file__).parent / "golden"
 INPUTS = ("pf22", "pf12", "n5", "rect2_bottom", "semilattice2")
 
 # (golden stem, command line after --format, expected exit status); an
-# argument ending in ``.alg`` names a file under tests/golden/
+# argument ending in ``.alg`` or ``.pos`` names a file under tests/golden/
 CASES = (
     ("verify-pf22", ("verify", "pf22.alg"), 0),
     ("verify-pf12", ("verify", "pf12.alg"), 0),
@@ -41,12 +41,36 @@ CASES = (
         ("search", "--family", "enum", "--max-size", "3", "--property", "skew-lattice", "--negate"),
         0,
     ),
+    (
+        "search-pfn-not-normal",
+        ("search", "--family", "pfn", "--max-size", "20", "--property", "normal", "--negate"),
+        1,
+    ),
+    (
+        "search-pfn-not-symmetric",
+        ("search", "--family", "pfn", "--max-size", "20", "--property", "symmetric", "--negate"),
+        0,
+    ),
+    (
+        "search-sections-not-strongly-distributive",
+        ("search", "--family", "sections", "--max-size", "20", "--property", "strongly-distributive", "--negate"),
+        1,
+    ),
+    (
+        "search-sections-not-symmetric",
+        ("search", "--family", "sections", "--max-size", "40", "--property", "symmetric", "--negate"),
+        0,
+    ),
+    ("model-pfn22", ("model", "pfn", "--x", "2", "--y", "2"), 0),
+    ("model-pfn31", ("model", "pfn", "--x", "3", "--y", "1"), 0),
+    ("model-sections3-322", ("model", "sections", "--base", "3", "--fibers", "3,2,2"), 0),
+    ("model-poset-sections-p3-221", ("model", "poset-sections", "p3.pos", "--fibers", "2,2,1"), 0),
 )
 FORMATS = ("machine", "text")
 
 
 def _run(argv, fmt: str) -> tuple[int, bytes]:
-    args = [str(GOLDEN / a) if a.endswith(".alg") else a for a in argv]
+    args = [str(GOLDEN / a) if a.endswith((".alg", ".pos")) else a for a in argv]
     return run_command(["--format", fmt, *args])
 
 

@@ -92,7 +92,7 @@ class TestPropertyCache:
         )
         assert code == 0
         assert set(scans) == set(GROUPS["symmetric"])
-        assert len(scans) == len(search_family("enum", 3))
+        assert len(scans) == len(list(search_family("enum", 3)))
 
     def test_skew_lattice_combines_its_axioms(self, semilattice2):
         rep = classify(semilattice2)

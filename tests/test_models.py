@@ -8,13 +8,17 @@ from skewbench import (
     derive_arrow,
     find_isomorphism,
     heyting_arrow,
+    models,
+    skew_heyting,
     vertical_dual,
 )
-from skewbench.errors import TooLarge
+from skewbench.cli import run_command
+from skewbench.errors import InconsistencyDetected, TooLarge
 from skewbench.models import (
     Poset,
     SurjectionModel,
     all_posets,
+    default_point_names,
     enumerate_skew_lattices,
     from_skew_boolean,
     partial_function_algebra,
@@ -24,6 +28,68 @@ from skewbench.models import (
     sections_algebra,
     upset_heyting,
 )
+
+
+def reference_sections(fibers, domains, label):
+    """Sections as dicts, built one table cell at a time: the reference for
+    the table builder.  Returns names, override meet, common-restriction
+    join and residue tables, in (domain mask, values) order."""
+    maps = []
+    for mask in domains:
+        dom = [p for p in range(len(fibers)) if mask >> p & 1]
+        maps += [dict(zip(dom, vals)) for vals in itertools.product(*(range(fibers[p]) for p in dom))]
+    index = {tuple(sorted(f.items())): i for i, f in enumerate(maps)}
+
+    def table(op):
+        return [[index.get(tuple(sorted(op(f, g).items())), -1) for g in maps] for f in maps]
+
+    names = tuple("{" + ",".join(label(p, v) for p, v in sorted(f.items())) + "}" for f in maps)
+    meet = table(lambda f, g: {**g, **f})
+    join = table(lambda f, g: {p: v for p, v in g.items() if p in f})
+    residue = table(lambda f, g: {p: v for p, v in g.items() if p not in f})
+    return names, meet, join, residue
+
+
+class TestSectionTables:
+    @pytest.mark.parametrize("x,y", [(1, 1), (1, 4), (2, 3), (3, 2), (4, 1), (5, 1), (3, 3)])
+    def test_pfn_matches_reference(self, x, y):
+        xs = default_point_names(x)
+        names, meet, join, residue = reference_sections([y] * x, range(1 << x), lambda p, v: f"{xs[p]}:{v}")
+        A = partial_function_algebra(x, y)
+        assert (A.names, A.top) == (names, 0)
+        for got, want in ((A.meet, meet), (A.join, join), (A.arrow, residue)):
+            assert np.array_equal(got, want)
+
+    def test_sections_match_reference(self):
+        model = SurjectionModel.from_fiber_sizes(("a", "b", "c"), (3, 1, 2))
+        names, meet, join, residue = reference_sections(
+            (3, 1, 2), range(8), lambda p, v: f"{'abc'[p]}:{model.total[model.fiber(p)[v]]}"
+        )
+        A = sections_algebra(model)
+        assert (A.names, A.top) == (names, 0)
+        for got, want in ((A.meet, meet), (A.join, join), (A.arrow, residue)):
+            assert np.array_equal(got, want)
+
+    def test_poset_sections_match_reference(self):
+        for pts in (1, 2, 3):
+            for P in all_posets(pts):
+                for fibers in itertools.product((1, 2), repeat=pts):
+                    model = SurjectionModel.from_fiber_sizes(P, fibers)
+                    names, meet, join, _ = reference_sections(
+                        fibers, P.upset_masks, lambda p, v: f"{P.points[p]}:{P.points[p]}{v}"
+                    )
+                    A = poset_sections_algebra(model)
+                    assert (A.names, A.top) == (names, 0)
+                    assert np.array_equal(A.meet, meet) and np.array_equal(A.join, join)
+
+    def test_result_outside_the_carrier_is_an_inconsistency(self):
+        # {p} overridden by {q} has domain {p,q}, which is not listed
+        with pytest.raises(InconsistencyDetected):
+            models._Sections([["p:0"], ["q:0"]], (0, 1, 2)).algebra(residue=False)
+
+    def test_difference_is_the_transposed_arrow(self, pf22):
+        _, diff = partial_function_boolean(2, 2)
+        assert np.array_equal(diff, pf22.arrow.T)
 
 
 class TestPartialFunctionAlgebra:
@@ -53,6 +119,11 @@ class TestPartialFunctionAlgebra:
     def test_size_bound(self):
         with pytest.raises(TooLarge):
             partial_function_algebra(5, 5, bound=100)
+
+    def test_int16_carrier_limit(self):
+        # 401**3 elements: refused before any row is built, whatever the bound
+        with pytest.raises(TooLarge):
+            partial_function_algebra(3, 400, bound=10**8)
 
 
 class TestSectionsAlgebra:
@@ -212,3 +283,52 @@ class TestAllPosets:
     def test_pairwise_distinct_keys(self):
         keys = [P.canonical_key() for P in all_posets(4)]
         assert len(set(keys)) == len(keys)
+
+    def test_default_point_names(self):
+        assert Poset.chain(12).points == default_point_names(12) == tuple(f"x{i}" for i in range(12))
+        assert Poset.antichain(12).points == default_point_names(12)
+        assert all(P.points == ("p", "q", "r") for P in all_posets(3))
+
+
+SEARCH = ["--format", "machine", "search", "--property", "symmetric", "--negate", "--family"]
+
+
+class TestSearchStreams:
+    def test_enum_enumerates_once_per_carrier_size(self, monkeypatch):
+        sizes = []
+        real = models.enumerate_skew_lattices
+
+        def counting(n):
+            sizes.append(n)
+            return real(n)
+
+        monkeypatch.setattr(models, "enumerate_skew_lattices", counting)
+        code, out = run_command(SEARCH + ["enum", "--max-size", "12"])
+        assert code == 0 and b"checked=85" in out
+        assert sorted(sizes) == [1, 2, 3]
+
+    def test_sections_search_builds_no_upset(self, monkeypatch):
+        calls = []
+        real = skew_heyting.upset_at
+
+        def counting(A, u, leq=None):
+            calls.append(A.n)
+            return real(A, u, leq)
+
+        monkeypatch.setattr(skew_heyting, "upset_at", counting)
+        code, out = run_command(SEARCH + ["sections", "--max-size", "40"])
+        assert code == 0 and b"checked=50" in out
+        assert calls == []
+
+    def test_stream_is_built_lazily(self, monkeypatch):
+        built = []
+        real = models.partial_function_algebra
+
+        def counting(x, y, bound=10000):
+            built.append((x, y))
+            return real(x, y, bound)
+
+        monkeypatch.setattr(models, "partial_function_algebra", counting)
+        label, A = next(iter(models.search_family("pfn", 64)))
+        assert (label, A.n, A.arrow) == ("pfn(1,1)", 2, None)
+        assert built == [(1, 1)]
