@@ -4,7 +4,7 @@ deterministic report format.
 
 Exit statuses: 0 all verdicts hold, 1 a checked property fails (witness in
 the report), 2 usage or parse error, 3 internal inconsistency (a verified
-theorem failed, meaning a workbench bug).  Reports are byte-identical
+theorem failed, or any other unexpected exception: a workbench bug).  Reports are byte-identical
 across runs and across ``--jobs`` settings.
 """
 
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -633,6 +634,12 @@ def run_command(argv) -> tuple[int, bytes]:
         )
         report.overall = "FAIL"
         return _EXIT_FAIL, emit_report(report, args.format)
+    except Exception as exc:  # a workbench bug: status 3, never a traceback or status 1
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        detail = f"{type(exc).__name__}: {exc} (in {where.name}, line {where.lineno})"
+        report.add(ReportEntry("internal", "error", detail=" ".join(detail.split())))
+        report.overall = "INCONSISTENT"
+        return _EXIT_INCONSISTENT, emit_report(report, args.format)
 
     status = _EXIT_PASS if report.overall == "PASS" else _EXIT_FAIL
     if args.command in ("model", "quotient") and report.overall == "PASS":

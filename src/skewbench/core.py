@@ -133,27 +133,30 @@ class Algebra:
 
 
 def _coerce_table(table, names: tuple[str, ...], label: str) -> np.ndarray:
+    """The index table of ``table``, whose entries are element names or
+    indices; a bad entry is reported at the first one in row-major order."""
     n = len(names)
-    lookup = {name: i for i, name in enumerate(names)}
-    rows = list(table)
+    rows = table if isinstance(table, np.ndarray) else [list(row) for row in table]
     if len(rows) != n:
         raise MalformedTable(f"{label} table has {len(rows)} rows, expected {n}")
-    out = np.empty((n, n), dtype=_DTYPE)
     for i, row in enumerate(rows):
-        cells = list(row)
-        if len(cells) != n:
-            raise MalformedTable(f"{label} table row {i} has {len(cells)} entries, expected {n}")
-        for k, cell in enumerate(cells):
-            if isinstance(cell, str):
-                if cell not in lookup:
-                    raise MalformedTable(f"{label}[{i}][{k}]: unknown element {cell!r}")
-                out[i, k] = lookup[cell]
-            else:
-                v = int(cell)
-                if not 0 <= v < n:
-                    raise MalformedTable(f"{label}[{i}][{k}]: index {v} out of range")
-                out[i, k] = v
-    return _freeze(out)
+        if len(row) != n:
+            raise MalformedTable(f"{label} table row {i} has {len(row)} entries, expected {n}")
+    cells = np.asarray(rows)
+    if cells.dtype.kind not in "iu":
+        lookup = {name: i for i, name in enumerate(names)}
+        cells = np.array(
+            [[lookup.get(c, -1) if isinstance(c, str) else int(c) for c in row] for row in rows],
+            dtype=np.int64,
+        )
+    bad = (cells < 0) | (cells >= n)
+    if bad.any():
+        i, k = np.unravel_index(int(bad.argmax()), bad.shape)
+        cell = rows[i][k]
+        if isinstance(cell, str):
+            raise MalformedTable(f"{label}[{i}][{k}]: unknown element {cell!r}")
+        raise MalformedTable(f"{label}[{i}][{k}]: index {int(cell)} out of range")
+    return _freeze(cells.astype(_DTYPE))  # a copy: the caller's array stays its own
 
 
 def _coerce_element(value, names: tuple[str, ...], label: str) -> int:

@@ -24,9 +24,21 @@ Evaluation.  A term parses to nested tuples over variable positions: an
 ``int`` is a variable, ``("c", k)`` the constant ``k``, ``(op, s, t)``
 applies a binary table (``"m"``, ``"j"``, ``"r"``, ``"d"``, ``"dd"``) or a
 boolean relation (``"leq"``, ``"pre"``), and ``("eq", s, t)`` compares two
-value terms.  A check compares its two sides over the full tuple space;
-witnesses are the lexicographically first failing tuple, independent of any
-evaluation chunking.
+value terms.  A check compares its two sides over the full tuple space,
+cut into boxes of at most 2^16 tuples taken in lexicographic order: the
+whole space if it fits, else a range of the first variable x with the other
+variables full, else one value of x and a range of the second variable y
+(one such slice is a box even where it alone holds more).  The scan stops at
+the first box with a failing tuple, so the witness is the lexicographically
+first failing tuple, whatever the box size.
+
+Each distinct subterm is evaluated once per box, and one without x once per
+range of y, then reused for every x.  A gather picks its form by operand
+shape: a single value of x takes its table row once; an operand that is the
+last variable over its full axis, paired with one constant along that axis,
+copies whole table rows; any other pair takes flat indices.  Memory: every
+index array widened to intp spans at most one box, and the reused x-free
+values hold at most n^(k-1) table cells each for k variables.
 """
 
 from __future__ import annotations
@@ -37,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_CHUNK_LIMIT = 2_000_000
+_BOX = 1 << 16  # tuples per evaluation box
 _BOOL_OPS = ("leq", "pre")
 
 GROUPS: dict[str, tuple[str, ...]] = {
@@ -195,7 +207,7 @@ def bind(A, **ops) -> dict:
     """The tables a check reads on algebra ``A``: its meet and join, the
     extra operation tables ``ops`` (``r=``, ``d=``, ``dd=``), and the
     constants ``0`` and ``1`` where ``A`` declares a bottom and a top."""
-    tables = {"m": A.meet, "j": A.join, **{k: np.asarray(t) for k, t in ops.items()}}
+    tables = {"m": A.meet, "j": A.join, **{k: np.ascontiguousarray(t) for k, t in ops.items()}}
     for const, value in (("0", A.bottom), ("1", A.top)):
         if value is not None:
             tables[const] = value
@@ -217,15 +229,6 @@ def _eval(term, tables, rels, varr):
     return tables[op][a, b]
 
 
-def _axes(n: int, count: int):
-    out = []
-    for i in range(count):
-        shape = [1] * count
-        shape[i] = n
-        out.append(np.arange(n, dtype=np.intp).reshape(shape))
-    return out
-
-
 def values_at(check: Check, tables, point, rels=None) -> tuple:
     """The values of both sides of ``check`` at one tuple of elements."""
     rels = rels or {}
@@ -235,46 +238,139 @@ def values_at(check: Check, tables, point, rels=None) -> tuple:
     )
 
 
+@dataclass(frozen=True)
+class _Plan:
+    """The nodes of ``lhs != rhs``, each distinct subterm once, children
+    first: ``(op, a, b, uses)`` with ``a``/``b`` the operand nodes (the
+    variable for ``"v"``, the constant for ``"c"``) and ``uses`` the bit set
+    of the variables below the node.  ``free`` lists the operation nodes
+    without the first variable, ``kept`` those of them an operation with it
+    reads, ``rest`` the operations with it; the last node is the mask."""
+
+    nodes: tuple
+    variables: tuple[int, ...]
+    free: tuple[int, ...]
+    kept: tuple[int, ...]
+    rest: tuple[int, ...]
+
+
+@functools.cache
+def _plan(check: Check) -> _Plan:
+    nodes, seen = [], {}
+
+    def visit(term) -> int:
+        if term not in seen:
+            if isinstance(term, int):
+                node = ("v", term, None, 1 << term)
+            elif term[0] == "c":
+                node = ("c", term[1], None, 0)
+            else:
+                a, b = visit(term[1]), visit(term[2])
+                node = (term[0], a, b, nodes[a][3] | nodes[b][3])
+            seen[term] = len(nodes)
+            nodes.append(node)
+        return seen[term]
+
+    visit(("ne", check.lhs, check.rhs))
+    ops = [i for i, node in enumerate(nodes) if node[0] not in ("v", "c")]
+    free = [i for i in ops if not nodes[i][3] & 1]
+    rest = [i for i in ops if nodes[i][3] & 1]
+    read = {operand for i in rest for operand in nodes[i][1:3]}
+    return _Plan(
+        tuple(nodes),
+        tuple(seen[v] for v in range(check.arity)),
+        tuple(free),
+        tuple(i for i in free if i in read),
+        tuple(rest),
+    )
+
+
+def _gather(table, a, b, a_last: bool, b_last: bool):
+    """``table[a, b]`` for index values that broadcast over one box; a flag
+    marks an operand that is the last variable over its full axis."""
+    if not isinstance(a, np.ndarray):
+        return table[a].take(b)
+    if not isinstance(b, np.ndarray):
+        return table[:, b].take(a)
+    if b_last and a.shape[-1] == 1:
+        return table.take(a[..., 0], axis=0)
+    if a_last and b.shape[-1] == 1:
+        return table.T.take(b[..., 0], axis=0)
+    return table.reshape(-1).take(a.astype(np.intp) * table.shape[1] + b)
+
+
+def _evaluate(plan: _Plan, order, vals, tables, rels) -> None:
+    last = plan.variables[-1]
+    for i in order:
+        op, a, b, _ = plan.nodes[i]
+        if op == "ne":
+            vals[i] = vals[a] != vals[b]
+        elif op == "eq":
+            vals[i] = vals[a] == vals[b]
+        else:
+            table = rels[op] if op in _BOOL_OPS else tables[op]
+            vals[i] = _gather(table, vals[a], vals[b], a == last, b == last)
+
+
+def _axis(values, i: int, k: int):
+    shape = [1] * k
+    shape[i] = -1
+    return values.reshape(shape)
+
+
+def _first_failure(check: Check, tables, rels, n: int):
+    """The lexicographically first tuple where the sides of ``check`` differ."""
+    plan, k = _plan(check), check.arity
+    vals = [tables[node[1]] if node[0] == "c" else None for node in plan.nodes]
+    var = plan.variables
+    every = np.arange(n, dtype=np.int16)
+    for i in range(1, k):
+        vals[var[i]] = _axis(every, i, k)
+    # boxes: ranges of x with the rest full, else one x and a range of y
+    if n ** (k - 1) <= _BOX:
+        step = _BOX // n ** (k - 1)
+        xs = [(lo, _axis(every[lo : lo + step], 0, k)) for lo in range(0, n, step)]
+        ys = [(0, None)]
+    else:
+        step = max(1, _BOX // n ** (k - 2))
+        xs = [(x, x) for x in range(n)]
+        ys = [(lo, _axis(every[lo : lo + step], 1, k)) for lo in range(0, n, step)]
+    reused: list[list] = []  # per range of y, the values of plan.kept
+    for x0, x in xs:
+        vals[var[0]] = x
+        for r, (y0, y) in enumerate(ys):
+            if y is not None:
+                vals[var[1]] = y
+            if r < len(reused):
+                for i, value in zip(plan.kept, reused[r]):
+                    vals[i] = value
+            else:
+                _evaluate(plan, plan.free, vals, tables, rels)
+                reused.append([vals[i] for i in plan.kept])
+            _evaluate(plan, plan.rest, vals, tables, rels)
+            mask = vals[-1]
+            flat = int(mask.argmax())
+            if mask.reshape(-1)[flat]:
+                at = np.unravel_index(flat, mask.shape)
+                return tuple(o + int(v) for o, v in zip([x0, y0] + [0] * k, at))
+    return None
+
+
 def run_check(check: Check, tables, rels=None) -> CheckResult:
-    """Evaluate a check exhaustively; chunks over the first variable when the
-    tuple space is large so memory stays bounded."""
+    """Evaluate a check exhaustively, box by box in lexicographic order, and
+    stop at the first box with a failing tuple."""
     rels = rels or {}
     n = tables["m"].shape[0]
     k = check.arity
-    total = n**k
-
-    def finish(witness):
-        if witness is None:
-            return CheckResult(check.name, True, None, total)
-        lhs, rhs = values_at(check, tables, witness, rels)
-        return CheckResult(check.name, False, witness, total, lhs, rhs)
-
     if k == 0:
         lhs, rhs = values_at(check, tables, (), rels)
         ok = bool(np.all(lhs == rhs))
         return CheckResult(check.name, ok, None if ok else (), 1, lhs, rhs)
-
-    if total <= _CHUNK_LIMIT or k == 1:
-        varr = _axes(n, k)
-        lhs = _eval(check.lhs, tables, rels, varr)
-        rhs = _eval(check.rhs, tables, rels, varr)
-        mask = np.broadcast_to(lhs != rhs, (n,) * k)
-        if not mask.any():
-            return finish(None)
-        flat = int(np.argmax(mask))
-        return finish(tuple(int(v) for v in np.unravel_index(flat, (n,) * k)))
-
-    tail = _axes(n, k - 1)
-    for x0 in range(n):
-        varr = [x0] + tail
-        lhs = _eval(check.lhs, tables, rels, varr)
-        rhs = _eval(check.rhs, tables, rels, varr)
-        mask = np.broadcast_to(lhs != rhs, (n,) * (k - 1))
-        if mask.any():
-            flat = int(np.argmax(mask))
-            rest = np.unravel_index(flat, (n,) * (k - 1))
-            return finish((x0, *(int(v) for v in rest)))
-    return finish(None)
+    witness = _first_failure(check, tables, rels, n)
+    if witness is None:
+        return CheckResult(check.name, True, None, n**k)
+    lhs, rhs = values_at(check, tables, witness, rels)
+    return CheckResult(check.name, False, witness, n**k, lhs, rhs)
 
 
 def run_identity(name: str, tables, rels=None) -> CheckResult:

@@ -171,13 +171,18 @@ class TestExitStatuses:
             ["model", "sections", "--base", "3", "--fibers", "2,2"],
             ["model", "poset-sections", "POSET", "--fibers", "2,2,2"],
             ["--bound", "100000000", "model", "pfn", "--x", "3", "--y", "400"],
+            # 2^22 sections, refused before the 2^22 upsets are listed
+            ["model", "poset-sections", "WIDE", "--fibers", ",".join(["1"] * 22)],
         ],
-        ids=["sections-fiber-count", "poset-sections-fiber-count", "pfn-beyond-int16"],
+        ids=["sections-fiber-count", "poset-sections-fiber-count", "pfn-beyond-int16", "wide-antichain"],
     )
     def test_bad_model_request_is_two(self, argv, tmp_path, capsys):
-        path = tmp_path / "p.poset"
-        path.write_text(POSET_DOC)
-        code, out = run_command(["--format", "machine"] + [str(path) if a == "POSET" else a for a in argv])
+        files = {"POSET": tmp_path / "p.poset", "WIDE": tmp_path / "wide.poset"}
+        files["POSET"].write_text(POSET_DOC)
+        rows = ["".join(" 1" if i == j else " 0" for j in range(22)) for i in range(22)]
+        wide = ["points:" + "".join(f" p{i}" for i in range(22)), "leq:", *rows]
+        files["WIDE"].write_text("\n".join(wide) + "\n")
+        code, out = run_command(["--format", "machine"] + [str(files.get(a, a)) for a in argv])
         assert code == 2
         assert out.decode().rstrip().endswith("VERDICT: USAGE")
         assert "Traceback" not in capsys.readouterr().err
@@ -198,6 +203,20 @@ class TestExitStatuses:
         code, out = run_command(["check", chain2_file])
         assert code == 3
         assert out.decode().rstrip().endswith("VERDICT: INCONSISTENT")
+
+    def test_unexpected_exception_is_three(self, chain2_file, monkeypatch, capsys):
+        import skewbench.cli as cli
+
+        def crash(args, report):
+            raise RuntimeError("synthetic bug")
+
+        monkeypatch.setitem(cli._HANDLERS, "check", crash)
+        code, out = run_command(["--format", "machine", "check", chain2_file])
+        text = out.decode()
+        assert code == 3
+        assert "CHECK: name=internal verdict=error" in text and "RuntimeError" in text
+        assert text.rstrip().endswith("VERDICT: INCONSISTENT")
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestCommands:

@@ -50,6 +50,15 @@ class TestMakeAlgebra:
         with pytest.raises(MalformedTable):
             make_algebra(["a", "b"], [[0, 2], [1, 1]], [[0, 1], [0, 1]])
 
+    def test_first_unknown_name_is_reported(self):
+        with pytest.raises(MalformedTable, match=r"^meet\[0\]\[1\]: unknown element 'z'$"):
+            make_algebra(["x", "y"], [["x", "z"], ["q", "y"]], [["x", "y"], ["y", "y"]])
+
+    @pytest.mark.parametrize("join", [[[0, 1], [5, -1]], np.array([[0, 1], [5, -1]])])
+    def test_first_index_out_of_range_is_reported(self, join):
+        with pytest.raises(MalformedTable, match=r"^join\[1\]\[0\]: index 5 out of range$"):
+            make_algebra(["a", "b"], [[0, 0], [0, 1]], join)
+
     def test_bad_top_rejected(self):
         # declared top a where a∨1 = 1 violates x∨top = top
         meet = [[0, 1, 2], [1, 1, 2], [2, 2, 2]]

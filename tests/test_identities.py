@@ -1,4 +1,8 @@
+import tracemalloc
+
+import numpy as np
 import pytest
+from identity_oracle import run_check as oracle_run_check
 
 from skewbench import (
     binormal_factorization,
@@ -8,7 +12,7 @@ from skewbench import (
     identities,
 )
 from skewbench.cli import run_command
-from skewbench.identities import GROUPS, NAMED, bind, named_check, parse, run_identity
+from skewbench.identities import GROUPS, NAMED, bind, named_check, parse, run_check, run_identity
 from skewbench.models import partial_function_algebra, search_family
 from skewbench.properties import PROPERTY_NAMES, property_result
 
@@ -100,3 +104,63 @@ class TestPropertyCache:
         assert skew.checked == sum(rep[name].checked for name in PROPERTY_NAMES[:5])
         assert (skew.detail, skew.witness) == ("absorption", rep["absorption"].witness)
 
+
+def _near_lattice(n: int, seed: int):
+    """Chain tables for every operation and the chain order for both
+    relations, with ``seed`` cells of each changed in rows and columns
+    n//2 and up, so that most failures lie deep in the tuple space."""
+    rng = np.random.default_rng(seed)
+    i, j = np.indices((n, n))
+    ops = {
+        "m": np.minimum(i, j),
+        "j": np.maximum(i, j),
+        "r": np.where(i <= j, n - 1, j),
+        "d": np.where(i <= j, 0, i),
+        "dd": np.where(i >= j, n - 1, i),
+    }
+    tables = {"0": 0, "1": n - 1}
+    for key, table in ops.items():
+        table = table.astype(np.int16)
+        for _ in range(seed):
+            a, b = rng.integers(n // 2, n, 2)
+            table[a, b] = rng.integers(0, n)
+        tables[key] = table
+    rels = {}
+    for key in ("leq", "pre"):
+        rel = i <= j
+        for _ in range(seed):
+            a, b = rng.integers(n // 2, n, 2)
+            rel[a, b] = ~rel[a, b]
+        rels[key] = rel
+    return tables, rels
+
+
+_FORMULAS = sorted({f for group in GROUPS.values() for f in group} | set(NAMED.values()))
+
+
+class TestBoxedEngine:
+    # n = 2, 5 and 17 fit four variables in one box or in ranges of x; 41
+    # and 90 take one x and a range of y per box for four variables
+    @pytest.mark.parametrize("n", [2, 5, 17, 41, 90])
+    def test_agrees_with_the_chunked_oracle(self, n):
+        # at n = 90 the uncorrupted tables (seed 0) are left out: on them the
+        # oracle scans all n^k tuples of every check, which takes seconds
+        for seed in (1, 2, 3) if n == 90 else (0, 1, 2, 3):
+            tables, rels = _near_lattice(n, seed)
+            for formula in _FORMULAS:
+                check = parse(formula)
+                got, want = run_check(check, tables, rels), oracle_run_check(check, tables, rels)
+                assert got == want, (n, seed, formula)
+
+    @pytest.mark.parametrize("name", ["SH4", "SH4-prime"])
+    def test_peak_memory_of_a_four_variable_check(self, name):
+        A = partial_function_algebra(4, 2)
+        tables = bind(A, r=A.arrow)
+        tracemalloc.start()
+        try:
+            res = run_identity(name, tables)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.holds and res.checked == 81**4
+        assert peak <= 4 * 2**20

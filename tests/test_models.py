@@ -280,6 +280,13 @@ class TestAllPosets:
     def test_known_counts(self):
         assert [len(all_posets(n)) for n in range(1, 6)] == [1, 2, 5, 16, 63]
 
+    def test_upsets_and_downsets_match_brute_force(self):
+        for n in range(1, 5):
+            for P in all_posets(n):
+                masks = range(1 << n)
+                assert P.upset_masks == tuple(m for m in masks if P.up(m) == m)
+                assert P.downset_masks == tuple(m for m in masks if P.down(m) == m)
+
     def test_pairwise_distinct_keys(self):
         keys = [P.canonical_key() for P in all_posets(4)]
         assert len(set(keys)) == len(keys)
