@@ -15,6 +15,7 @@ from .core import (
     find_isomorphism,
     greens,
     is_congruence,
+    isomorphism_key,
     leq_matrix,
     make_algebra,
     natural_orders,
@@ -89,6 +90,7 @@ __all__ = [
     "greens",
     "heyting_arrow",
     "is_congruence",
+    "isomorphism_key",
     "leq_matrix",
     "make_algebra",
     "models",

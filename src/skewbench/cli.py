@@ -14,7 +14,6 @@ import argparse
 import hashlib
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -474,6 +473,9 @@ def _cmd_search(args, report: Report) -> None:
 
     evaluate = partial(_search_eval, args.property, args.negate)
     if args.jobs > 1:
+        # imported here: it loads multiprocessing, which no other command needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             found = _first_hit(pool.map(evaluate, instances(), chunksize=4))
     else:

@@ -57,9 +57,9 @@ class Algebra:
     classifications, so that non-examples can be held and dissected).
 
     ``_facts`` caches facts derived from ``meet``, ``join`` and ``top``
-    (the derived arrow, the named properties); it takes no part in
-    equality or the repr, and :meth:`with_arrow` and :meth:`drop_arrow`
-    share it, since they keep those three.
+    (the derived arrow, the named properties, the isomorphism key); it
+    takes no part in equality or the repr, and :meth:`with_arrow` and
+    :meth:`drop_arrow` share it, since they keep those three.
     """
 
     names: tuple[str, ...]
@@ -528,34 +528,51 @@ def direct_product(A: Algebra, B: Algebra) -> Algebra:
     return make_algebra(names, meet, join, top=top, bottom=bottom, arrow=arrow)
 
 
-def _profiles(A: Algebra, shared_arrow: bool) -> list[tuple]:
-    idx = np.arange(A.n)
-    tables = [A.meet, A.join] + ([A.arrow] if shared_arrow else [])
-    out = []
-    for i in range(A.n):
-        sig = []
-        for T in tables:
-            sig.append(
-                (
-                    int((T[i, :] == i).sum()),
-                    int((T[:, i] == i).sum()),
-                    int((T[i, :] == idx).sum()),
-                    int((T[:, i] == idx).sum()),
-                    int(T[i, i] == i),
-                )
-            )
-        out.append(tuple(sig))
-    return out
+def _table_profiles(T: np.ndarray) -> list[tuple[int, ...]]:
+    """Per element i of one table: how often i appears in its row and in its
+    column, how many cells of its row and of its column equal their own
+    column and row index, and whether i is idempotent."""
+    idx = np.arange(T.shape[0])
+    own_row = T == idx[:, None]  # T[i, j] == i
+    own_col = T == idx[None, :]  # T[i, j] == j
+    counts = np.stack(
+        [own_row.sum(1), own_col.sum(0), own_col.sum(1), own_row.sum(0), T.diagonal() == idx], axis=1
+    )
+    return [tuple(row) for row in counts.tolist()]
+
+
+def _profiles(A: Algebra, shared_arrow: bool) -> tuple[tuple, ...]:
+    """Each element's profiles in meet and join, and in the arrow when
+    ``shared_arrow``.  Only the arrowless profiles are cached: the facts of
+    an algebra are shared by copies that differ in the arrow."""
+    base = A.cached(
+        "profiles", lambda: tuple(zip(_table_profiles(A.meet), _table_profiles(A.join)))
+    )
+    if not shared_arrow:
+        return base
+    return tuple(p + (q,) for p, q in zip(base, _table_profiles(A.arrow)))
+
+
+def isomorphism_key(A: Algebra) -> tuple:
+    """``(n, sorted arrowless profiles)``, cached per algebra: algebras with
+    different keys are not isomorphic, whatever their arrows."""
+    return A.cached("isomorphism_key", lambda: (A.n, tuple(sorted(_profiles(A, False)))))
 
 
 def find_isomorphism(A: Algebra, B: Algebra, bound: int = 12) -> HomMap | None:
     """Backtracking search for an isomorphism respecting all shared operation
     tables and shared constants.  Intended for desk-scale carriers; raises
     TooLarge beyond ``bound``.
+
+    Algebras whose :func:`isomorphism_key` differ are rejected without a
+    search; when both carry an arrow, so are those whose arrow profiles
+    differ as multisets.  Elements are then matched only to elements of
+    equal profile, so equal keys are a necessary condition and the map
+    returned is the certificate.
     """
     if A.n > bound or B.n > bound:
         raise TooLarge(f"isomorphism search bound {bound} exceeded ({A.n} vs {B.n} elements)")
-    if A.n != B.n:
+    if isomorphism_key(A) != isomorphism_key(B):
         return None
     shared_arrow = A.arrow is not None and B.arrow is not None
     tables = [(A.meet, B.meet), (A.join, B.join)]
@@ -564,7 +581,7 @@ def find_isomorphism(A: Algebra, B: Algebra, bound: int = 12) -> HomMap | None:
 
     prof_a = _profiles(A, shared_arrow)
     prof_b = _profiles(B, shared_arrow)
-    if sorted(prof_a) != sorted(prof_b):
+    if shared_arrow and sorted(prof_a) != sorted(prof_b):
         return None
 
     n = A.n

@@ -30,7 +30,14 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .core import Algebra, direct_product, find_isomorphism, make_algebra, vertical_dual
+from .core import (
+    Algebra,
+    direct_product,
+    find_isomorphism,
+    isomorphism_key,
+    make_algebra,
+    vertical_dual,
+)
 from .errors import BadPoset, InconsistencyDetected, EsakiaFormulaMismatch, PreconditionFailed, TooLarge
 from .heyting import heyting_arrow
 from .identities import CheckResult
@@ -393,7 +400,9 @@ def section_arrow_resolution(model: SurjectionModel, bound: int = 10000) -> Prop
     S = _Sections(_fiber_labels(model), P.upset_masks)
     mask = S.inside @ (1 << np.arange(P.n))
     gap = mask[None, :] & ~mask[:, None]  # dom s ∖ dom r at [r, s]
-    upclosed = np.array([P.up(m) for m in range(1 << P.n)])[gap]
+    upclosed = np.zeros_like(gap)
+    for p, up in enumerate(P._up_of_point):
+        upclosed |= np.where(gap >> p & 1, up, 0)
     first, second = S.weight[:, None, :], S.weight[None, :, :]
     candidates = {
         "printed-first-arg-upclosed": (first, upclosed),
@@ -601,7 +610,9 @@ def search_family(family: str, max_size: int):
     """The (label, algebra) stream of a search family in (size, label)
     order.  Each algebra is an arrowless reduct, built once, when the stream
     reaches it; the 'enum' family skips an instance isomorphic to an earlier
-    one of the same size, up to 12 elements."""
+    one, up to 12 elements.  Kept instances are bucketed by
+    :func:`isomorphism_key`, which is cached per algebra, and a new instance
+    is compared by ``find_isomorphism`` only with those in its own bucket."""
     if family == "pfn":
         pool = _pfn_pool(max_size)
     elif family == "sections":
@@ -611,11 +622,12 @@ def search_family(family: str, max_size: int):
     else:
         raise ValueError(f"unknown family {family!r}")
     pool.sort(key=lambda item: item[:2])
-    kept: list[Algebra] = []
+    buckets: dict[tuple, list[Algebra]] = {}
     for size, label, build in pool:
         alg = build().drop_arrow()
         if family == "enum" and size <= 12:
-            if any(B.n == size and find_isomorphism(alg, B) is not None for B in kept):
+            kept = buckets.setdefault(isomorphism_key(alg), [])
+            if any(find_isomorphism(alg, B) is not None for B in kept):
                 continue
             kept.append(alg)
         yield label, alg

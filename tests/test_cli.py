@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import skewbench
 from skewbench import errors
 from skewbench.cli import (
     emit_algebra_file,
@@ -385,3 +391,19 @@ def test_failing_sh2_witness_names_pair_and_sides(pf22):
     machine = emit_report(report, "machine").decode()
     assert "witness=" in machine and "lhs=" in machine and "rhs=" in machine
     assert machine.rstrip().endswith("VERDICT: FAIL")
+
+
+def _run_python(*args):
+    env = {**os.environ, "PYTHONPATH": str(Path(skewbench.__file__).parents[1])}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=60)
+
+
+def test_cli_import_loads_no_process_pool():
+    code = "import sys, skewbench.cli; print('concurrent.futures.process' in sys.modules)"
+    proc = _run_python("-c", code)
+    assert (proc.returncode, proc.stdout) == (0, b"False\n")
+
+
+def test_python_m_skewbench_runs_the_cli():
+    proc = _run_python("-m", "skewbench", "--help")
+    assert proc.returncode == 0 and proc.stdout.startswith(b"usage: skewbench")

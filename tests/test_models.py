@@ -50,6 +50,25 @@ def reference_sections(fibers, domains, label):
     return names, meet, join, residue
 
 
+def resolution_by_subset_table(model, A):
+    """The four candidate verdicts of ``section_arrow_resolution`` on the
+    poset-section algebra ``A`` of ``model``, with the up-closure of every
+    gap read from a table of ``Poset.up`` over all subsets of the base: the
+    reference for the vectorized up-closure."""
+    P = model.base
+    S = models._Sections(models._fiber_labels(model), P.upset_masks)
+    mask = S.inside @ (1 << np.arange(P.n))
+    gap = mask[None, :] & ~mask[:, None]
+    upclosed = np.array([P.up(m) for m in range(1 << P.n)])[gap]
+    first, second = S.weight[:, None, :], S.weight[None, :, :]
+    verdicts = []
+    for arg, keep in ((first, upclosed), (second, upclosed), (first, gap), (second, gap)):
+        value = S.find(sum((keep >> p & 1) * arg[..., p] for p in range(P.n)))
+        wrong = np.argwhere(value != A.arrow)
+        verdicts.append(tuple(int(v) for v in wrong[0]) if len(wrong) else None)
+    return verdicts
+
+
 class TestSectionTables:
     @pytest.mark.parametrize("x,y", [(1, 1), (1, 4), (2, 3), (3, 2), (4, 1), (5, 1), (3, 3)])
     def test_pfn_matches_reference(self, x, y):
@@ -209,6 +228,30 @@ class TestPosetSections:
         model = SurjectionModel.from_fiber_sizes(Poset.chain(2, ["a", "b"]), (2, 2))
         rep = section_arrow_resolution(model)
         assert not rep.holds("printed-first-arg-upclosed")
+
+    def test_resolution_matches_the_subset_table(self, monkeypatch):
+        for pts in range(1, 5):
+            for base in all_posets(pts):
+                for fibers in itertools.product((1, 2), repeat=pts):
+                    model = SurjectionModel.from_fiber_sizes(base, fibers)
+                    A = poset_sections_algebra(model)
+                    # hand the resolution the same algebra, to derive its arrow once
+                    monkeypatch.setattr(models, "poset_sections_algebra", lambda m, bound, A=A: A)
+                    rep = section_arrow_resolution(model)
+                    assert [e.witness for e in rep.entries] == resolution_by_subset_table(model, A)
+
+    def test_resolution_reads_no_subset_table(self, monkeypatch):
+        calls = []
+        real = Poset.up
+
+        def counting(self, mask):
+            calls.append(mask)
+            return real(self, mask)
+
+        monkeypatch.setattr(Poset, "up", counting)
+        rep = section_arrow_resolution(SurjectionModel.from_fiber_sizes(Poset.chain(12), [1] * 12))
+        assert rep.holds("second-arg-upclosed")
+        assert calls == []
 
 
 class TestFromSkewBoolean:
