@@ -419,7 +419,7 @@ def _cmd_model(args, report: Report) -> None:
         A = models.poset_sections_algebra(_fiber_model(P, args.fibers), bound=bound)
     else:  # upsets
         P = parse_poset_file(_read(args.posetfile, report))
-        A = models.upset_heyting(P)
+        A = models.upset_heyting(P, bound=bound)
     report.payload = emit_algebra_file(A)
     report.settle()
 

@@ -24,28 +24,52 @@ Evaluation.  A term parses to nested tuples over variable positions: an
 ``int`` is a variable, ``("c", k)`` the constant ``k``, ``(op, s, t)``
 applies a binary table (``"m"``, ``"j"``, ``"r"``, ``"d"``, ``"dd"``) or a
 boolean relation (``"leq"``, ``"pre"``), and ``("eq", s, t)`` compares two
-value terms.  A check compares its two sides over the full tuple space,
-cut into boxes of at most 2^16 tuples taken in lexicographic order: the
-whole space if it fits, else a range of the first variable x with the other
-variables full, else one value of x and a range of the second variable y
-(one such slice is a box even where it alone holds more).  The scan stops at
-the first box with a failing tuple, so the witness is the lexicographically
-first failing tuple, whatever the box size.
+value terms.  A check compares its two sides over the full tuple space, in
+lexicographic order, and reports the first failing tuple as its witness.
 
-Each distinct subterm is evaluated once per box, and one without x once per
-range of y, then reused for every x.  A gather picks its form by operand
-shape: a single value of x takes its table row once; an operand that is the
-last variable over its full axis, paired with one constant along that axis,
-copies whole table rows; any other pair takes flat indices.  Memory: every
-index array widened to intp spans at most one box, and the reused x-free
-values hold at most n^(k-1) table cells each for k variables.
+Images.  The frontier of a check is every subterm without the first
+variable x that a subterm with x reads: x-free operations and bare
+variables, constants left out.  The verdict at (x, y, ...) depends only on
+x and the frontier's values there, its image, so it is enough to check x
+against each distinct image once.  When the space needs more than one box
+(below) and some variable after x is not in the frontier bare, the
+frontier is evaluated over the space of the variables after x in boxes of
+y-ranges, and the distinct images are kept, merged box by box, each with
+the lexicographic index of its first occurrence.  Then x runs
+over the images in boxes of x-ranges.  At the first x with a failing image,
+the least first occurrence among its failing images gives the witness, so
+it is the same tuple the plain scan finds.  The images are kept only while
+they are at most a quarter of the frontier tuples seen: at the first box
+where they are more, the check falls back to the plain boxes, so a check
+the images do not shrink pays one box for trying.
+
+Plain boxes.  The space is cut into boxes of at most 2^16 tuples: the whole
+space if it fits, else a range of x with the other variables full, else one
+value of x and a range of y (one such slice is a box even where it alone
+holds more).  The scan stops at the first box with a failing tuple.  Each
+distinct subterm is evaluated once per box, and one without x once per
+range of y, then reused for every x.
+
+A gather picks its form by operand shape: a single value of x takes its
+table row once; an operand that is the last variable over its full axis,
+paired with one constant along that axis, copies whole table rows (never
+in the image scan, where a variable's column holds its values in the
+images); any other pair takes flat indices.  ``checked`` counts the tuples
+covered, n^k, and ``evaluated`` the tuples computed in the boxes scanned,
+frontier and image boxes included.
+
+Memory: every index array widened to intp spans at most one box, and the
+reused x-free values hold at most n^(k-1) table cells each for k
+variables.  The images need one int64 code each, the row in radix n and its
+first occurrence, so at most a quarter of n^(k-1) codes plus one box; where
+n^(f+k-1) overflows an int64 for f frontier nodes, the plain boxes run.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -132,6 +156,7 @@ class CheckResult:
     rhs_value: object = None
     detail: str = ""
     skipped: bool = False
+    evaluated: int = field(default=0, compare=False)
 
     @property
     def verdict(self) -> str:
@@ -244,13 +269,14 @@ class _Plan:
     first: ``(op, a, b, uses)`` with ``a``/``b`` the operand nodes (the
     variable for ``"v"``, the constant for ``"c"``) and ``uses`` the bit set
     of the variables below the node.  ``free`` lists the operation nodes
-    without the first variable, ``kept`` those of them an operation with it
-    reads, ``rest`` the operations with it; the last node is the mask."""
+    without the first variable, ``rest`` the operations with it, and
+    ``frontier`` the nodes without it that one of ``rest`` reads, constants
+    left out; the last node is the mask."""
 
     nodes: tuple
     variables: tuple[int, ...]
     free: tuple[int, ...]
-    kept: tuple[int, ...]
+    frontier: tuple[int, ...]
     rest: tuple[int, ...]
 
 
@@ -273,14 +299,13 @@ def _plan(check: Check) -> _Plan:
 
     visit(("ne", check.lhs, check.rhs))
     ops = [i for i, node in enumerate(nodes) if node[0] not in ("v", "c")]
-    free = [i for i in ops if not nodes[i][3] & 1]
     rest = [i for i in ops if nodes[i][3] & 1]
     read = {operand for i in rest for operand in nodes[i][1:3]}
     return _Plan(
         tuple(nodes),
         tuple(seen[v] for v in range(check.arity)),
-        tuple(free),
-        tuple(i for i in free if i in read),
+        tuple(i for i in ops if not nodes[i][3] & 1),
+        tuple(i for i in sorted(read) if nodes[i][0] != "c" and not nodes[i][3] & 1),
         tuple(rest),
     )
 
@@ -299,8 +324,9 @@ def _gather(table, a, b, a_last: bool, b_last: bool):
     return table.reshape(-1).take(a.astype(np.intp) * table.shape[1] + b)
 
 
-def _evaluate(plan: _Plan, order, vals, tables, rels) -> None:
-    last = plan.variables[-1]
+def _evaluate(plan: _Plan, order, vals, tables, rels, last) -> None:
+    """Evaluate the nodes ``order`` into ``vals``; ``last`` is the node of
+    the last variable where it spans its full axis, else None."""
     for i in order:
         op, a, b, _ = plan.nodes[i]
         if op == "ne":
@@ -318,59 +344,140 @@ def _axis(values, i: int, k: int):
     return values.reshape(shape)
 
 
+def _y_ranges(every, n: int, k: int) -> list:
+    """Ranges of y, each with the variables after it full, of at most _BOX
+    tuples, else of one y."""
+    step = max(1, _BOX // n ** (k - 2))
+    return [(lo, _axis(every[lo : lo + step], 1, k)) for lo in range(0, n, step)]
+
+
+def _use_images(plan: _Plan, n: int, k: int) -> bool:
+    """Whether to try the images: the space needs more than one box, some
+    variable after x is not in the frontier bare (else every image is its
+    own tuple), and the codes fit an int64."""
+    return (
+        n**k > _BOX
+        and not set(plan.variables[1:]) <= set(plan.frontier)
+        and n ** (len(plan.frontier) + k - 1) < 1 << 63
+    )
+
+
+def _images(plan: _Plan, vals, tables, rels, every, k: int):
+    """The distinct rows of frontier values over the space of the variables
+    after x, as the sorted codes ``key * n^(k-1) + first``: ``key`` reads the
+    row in radix n, and ``first`` is the lexicographic index of its first
+    occurrence, the least in its run of equal keys.  Also the tuples
+    evaluated; the codes are None once the rows are more than a quarter of
+    the tuples seen."""
+    vals, n = list(vals), every.size
+    radix = np.int64(n) ** np.arange(len(plan.frontier), dtype=np.int64)
+    size = n ** (k - 1)
+    codes = np.zeros(0, dtype=np.int64)
+    seen = 0
+    for y0, y in _y_ranges(every, n, k):
+        vals[plan.variables[1]] = y
+        _evaluate(plan, plan.free, vals, tables, rels, plan.variables[-1])
+        box = np.zeros((1, y.size) + (n,) * (k - 2), dtype=np.int64)
+        for i, r in zip(plan.frontier, radix):
+            box += r * vals[i]
+        box *= size
+        box += np.arange(seen, seen + box.size).reshape(box.shape)
+        seen += box.size
+        codes = np.concatenate([codes, box.reshape(-1)])
+        codes.sort()
+        keys = codes // size
+        codes = codes[np.concatenate([[True], keys[1:] != keys[:-1]])]
+        if 4 * codes.size > seen:
+            return None, seen
+    return codes, seen
+
+
+def _scan_images(plan: _Plan, vals, tables, rels, every, k: int, codes):
+    """The first failing tuple over x × the distinct frontier images, and
+    the tuples evaluated.  A failing image is reported by its first
+    occurrence, so the tuple is the lexicographically first failing one."""
+    n = every.size
+    keys, first = np.divmod(codes, n ** (k - 1))
+    for j, i in enumerate(plan.frontier):
+        vals[i] = (keys // n**j % n).reshape(1, -1)
+    step = max(1, _BOX // keys.size)
+    evaluated = 0
+    for lo in range(0, n, step):
+        xs = every[lo : lo + step]
+        vals[plan.variables[0]] = xs.reshape(-1, 1)
+        _evaluate(plan, plan.rest, vals, tables, rels, None)
+        evaluated += xs.size * keys.size
+        mask = np.broadcast_to(vals[-1], (xs.size, keys.size))
+        hit = mask.any(axis=1)
+        if hit.any():
+            x = int(hit.argmax())
+            at = np.unravel_index(int(first[mask[x]].min()), (n,) * (k - 1))
+            return (lo + x, *(int(v) for v in at)), evaluated
+    return None, evaluated
+
+
 def _first_failure(check: Check, tables, rels, n: int):
-    """The lexicographically first tuple where the sides of ``check`` differ."""
+    """The lexicographically first tuple where the sides of ``check``
+    differ, or None, and the tuples evaluated."""
     plan, k = _plan(check), check.arity
     vals = [tables[node[1]] if node[0] == "c" else None for node in plan.nodes]
     var = plan.variables
     every = np.arange(n, dtype=np.int16)
     for i in range(1, k):
         vals[var[i]] = _axis(every, i, k)
+    evaluated = 0
+    if _use_images(plan, n, k):
+        codes, evaluated = _images(plan, vals, tables, rels, every, k)
+        if codes is not None:
+            witness, scanned = _scan_images(plan, vals, tables, rels, every, k, codes)
+            return witness, evaluated + scanned
     # boxes: ranges of x with the rest full, else one x and a range of y
     if n ** (k - 1) <= _BOX:
         step = _BOX // n ** (k - 1)
         xs = [(lo, _axis(every[lo : lo + step], 0, k)) for lo in range(0, n, step)]
         ys = [(0, None)]
     else:
-        step = max(1, _BOX // n ** (k - 2))
         xs = [(x, x) for x in range(n)]
-        ys = [(lo, _axis(every[lo : lo + step], 1, k)) for lo in range(0, n, step)]
-    reused: list[list] = []  # per range of y, the values of plan.kept
+        ys = _y_ranges(every, n, k)
+    reused: list[list] = []  # per range of y, the values of plan.frontier
     for x0, x in xs:
         vals[var[0]] = x
         for r, (y0, y) in enumerate(ys):
             if y is not None:
                 vals[var[1]] = y
             if r < len(reused):
-                for i, value in zip(plan.kept, reused[r]):
+                for i, value in zip(plan.frontier, reused[r]):
                     vals[i] = value
             else:
-                _evaluate(plan, plan.free, vals, tables, rels)
-                reused.append([vals[i] for i in plan.kept])
-            _evaluate(plan, plan.rest, vals, tables, rels)
+                _evaluate(plan, plan.free, vals, tables, rels, var[-1])
+                reused.append([vals[i] for i in plan.frontier])
+            _evaluate(plan, plan.rest, vals, tables, rels, var[-1])
             mask = vals[-1]
+            evaluated += mask.size
             flat = int(mask.argmax())
             if mask.reshape(-1)[flat]:
                 at = np.unravel_index(flat, mask.shape)
-                return tuple(o + int(v) for o, v in zip([x0, y0] + [0] * k, at))
-    return None
+                witness = tuple(o + int(v) for o, v in zip([x0, y0] + [0] * k, at))
+                return witness, evaluated
+    return None, evaluated
 
 
 def run_check(check: Check, tables, rels=None) -> CheckResult:
-    """Evaluate a check exhaustively, box by box in lexicographic order, and
-    stop at the first box with a failing tuple."""
+    """Evaluate a check exhaustively in lexicographic order, and stop at the
+    first failing tuple; ``checked`` counts the tuples covered and
+    ``evaluated`` the tuples the engine computed to cover them."""
     rels = rels or {}
     n = tables["m"].shape[0]
     k = check.arity
     if k == 0:
         lhs, rhs = values_at(check, tables, (), rels)
         ok = bool(np.all(lhs == rhs))
-        return CheckResult(check.name, ok, None if ok else (), 1, lhs, rhs)
-    witness = _first_failure(check, tables, rels, n)
+        return CheckResult(check.name, ok, None if ok else (), 1, lhs, rhs, evaluated=1)
+    witness, evaluated = _first_failure(check, tables, rels, n)
     if witness is None:
-        return CheckResult(check.name, True, None, n**k)
+        return CheckResult(check.name, True, None, n**k, evaluated=evaluated)
     lhs, rhs = values_at(check, tables, witness, rels)
-    return CheckResult(check.name, False, witness, n**k, lhs, rhs)
+    return CheckResult(check.name, False, witness, n**k, lhs, rhs, evaluated=evaluated)
 
 
 def run_identity(name: str, tables, rels=None) -> CheckResult:
@@ -378,15 +485,14 @@ def run_identity(name: str, tables, rels=None) -> CheckResult:
     at its first failing formula and names it in the detail field."""
     if name not in GROUPS:
         return run_check(named_check(name), tables, rels)
-    checked = 0
+    checked = evaluated = 0
     for formula in GROUPS[name]:
         res = run_check(named_check(formula), tables, rels)
         checked += res.checked
+        evaluated += res.evaluated
         if not res.holds:
-            return CheckResult(
-                name, False, res.witness, checked, res.lhs_value, res.rhs_value, detail=formula
-            )
-    return CheckResult(name, True, None, checked)
+            return replace(res, name=name, checked=checked, detail=formula, evaluated=evaluated)
+    return CheckResult(name, True, None, checked, evaluated=evaluated)
 
 
 def _plain(value):

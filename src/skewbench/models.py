@@ -35,12 +35,13 @@ from .core import (
     direct_product,
     find_isomorphism,
     isomorphism_key,
+    leq_matrix,
     make_algebra,
     vertical_dual,
 )
 from .errors import BadPoset, InconsistencyDetected, EsakiaFormulaMismatch, PreconditionFailed, TooLarge
 from .heyting import heyting_arrow
-from .identities import CheckResult
+from .identities import CheckResult, bind, run_identity
 from .properties import PropertyReport, check_skew_boolean
 from .skew_heyting import check_sh_axioms, derive_arrow
 
@@ -428,13 +429,15 @@ def section_arrow_resolution(model: SurjectionModel, bound: int = 10000) -> Prop
 # Upset lattices over finite posets
 
 
-def upset_heyting(P: Poset) -> Algebra:
+def upset_heyting(P: Poset, bound: int = 10000) -> Algebra:
     """The lattice of all upsets of a finite poset with intersection,
-    union, and the implication U→V = X ∖ ↓(U∖V), verified entrywise against
-    the candidate-set oracle."""
+    union, and the implication U→V = X ∖ ↓(U∖V), verified by the exhaustive
+    adjunction U∩V ⊆ W ⇔ U ⊆ V→W, which in a lattice admits one arrow only.
+    On a failure the candidate-set kernel names the first differing pair."""
     if P.n > 12:
         raise TooLarge("upset lattices are bounded at 12 poset points")
     masks = P.upset_masks
+    _check_size("upset lattice", len(masks), bound)
     index = {m: i for i, m in enumerate(masks)}
     full = (1 << P.n) - 1
     n = len(masks)
@@ -443,20 +446,20 @@ def upset_heyting(P: Poset) -> Algebra:
     arrow = [[index[full & ~P.down(a & ~b)] for b in masks] for a in masks]
     names = tuple(P.subset_name(m) for m in masks)
     L = make_algebra(names, meet, join, top=index[full], bottom=index[0], arrow=arrow)
+    if run_identity("HA", bind(L, r=L.arrow), {"leq": leq_matrix(L)}).holds:
+        return L
     oracle = heyting_arrow(L.drop_arrow())
-    if not oracle or not np.array_equal(oracle.table, L.arrow):
-        if oracle:
-            u, v = np.unravel_index(int(np.argmax(oracle.table != L.arrow)), (n, n))
-            raise EsakiaFormulaMismatch(
-                f"complement-of-downset arrow disagrees with the oracle at "
-                f"({names[u]}, {names[v]})",
-                witness=(int(u), int(v)),
-            )
+    if oracle:
+        u, v = np.unravel_index(int(np.argmax(oracle.table != L.arrow)), (n, n))
         raise EsakiaFormulaMismatch(
-            f"upset lattice has no Heyting arrow at {oracle.offending}",
-            witness=oracle.offending or (),
+            f"complement-of-downset arrow disagrees with the oracle at "
+            f"({names[u]}, {names[v]})",
+            witness=(int(u), int(v)),
         )
-    return L
+    raise EsakiaFormulaMismatch(
+        f"upset lattice has no Heyting arrow at {oracle.offending}",
+        witness=oracle.offending or (),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -297,6 +297,12 @@ class TestCommands:
         code, _ = run_command(["--bound", "5", "model", "pfn", "--x", "2", "--y", "2"])
         assert code == 2
 
+    def test_model_upsets_honours_the_bound(self, tmp_path):
+        path = tmp_path / "p.poset"
+        path.write_text(POSET_DOC)  # a two-point chain: three upsets
+        assert run_command(["--bound", "2", "model", "upsets", str(path)])[0] == 2
+        assert run_command(["--bound", "3", "model", "upsets", str(path)])[0] == 0
+
     def test_search_negate_finds_non_example(self):
         code, out = run_command(
             [

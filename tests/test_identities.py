@@ -1,8 +1,13 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from identity_oracle import boxed_run_check
 from identity_oracle import run_check as oracle_run_check
+from test_heyting import DEEP_INSTANCES
 
 from skewbench import (
     binormal_factorization,
@@ -12,7 +17,16 @@ from skewbench import (
     identities,
 )
 from skewbench.cli import run_command
-from skewbench.identities import GROUPS, NAMED, bind, named_check, parse, run_check, run_identity
+from skewbench.identities import (
+    GROUPS,
+    NAMED,
+    bind,
+    named_check,
+    parse,
+    run_check,
+    run_identity,
+    values_at,
+)
 from skewbench.models import partial_function_algebra, search_family
 from skewbench.properties import PROPERTY_NAMES, property_result
 
@@ -164,3 +178,99 @@ class TestBoxedEngine:
             tracemalloc.stop()
         assert res.holds and res.checked == 81**4
         assert peak <= 4 * 2**20
+
+
+# x∨w reads the last variable w bare, so the images hold w's values in a
+# column of their own, which is not w over its full axis
+_LAST_BARE = "x∨w∨(y∨z∨y)=x∨(y∨z∨y)∨w"
+
+
+def _assert_failure_confirmed(res, check, tables):
+    lhs, rhs = values_at(check, tables, res.witness)
+    assert lhs != rhs and (lhs, rhs) == (res.lhs_value, res.rhs_value)
+
+
+class TestImageEngine:
+    """The image-compressed engine returns exactly what the boxed engine in
+    ``identity_oracle`` returns: verdict, witness and side values."""
+
+    @pytest.mark.parametrize("n", [2, 5, 17, 41, 90])
+    def test_agrees_with_the_boxed_oracle(self, n):
+        for seed in (0, 1, 2, 3):
+            tables, rels = _near_lattice(n, seed)
+            for formula in _FORMULAS + [_LAST_BARE]:
+                check = parse(formula)
+                got, want = run_check(check, tables, rels), boxed_run_check(check, tables, rels)
+                assert got == want, (n, seed, formula)
+
+    def test_a_bare_last_variable_is_compressed(self):
+        tables, rels = _near_lattice(17, 0)
+        res = run_check(parse(_LAST_BARE), tables, rels)
+        assert res.holds and res.evaluated < res.checked
+
+    @pytest.mark.parametrize("label", sorted(DEEP_INSTANCES))
+    def test_arrow_mutations_agree_with_the_boxed_oracle(self, label):
+        A = DEEP_INSTANCES[label]()
+        rng = np.random.default_rng(7)
+        failures = 0
+        for _ in range(6):
+            arrow = np.array(A.arrow)
+            a, b = rng.integers(0, A.n, 2)
+            arrow[a, b] = (arrow[a, b] + rng.integers(1, A.n)) % A.n
+            tables = bind(A, r=arrow)
+            for name in ("SH4", "SH4-prime", "imp-or"):
+                check = named_check(name)
+                res = run_check(check, tables)
+                assert res == boxed_run_check(check, tables), (label, a, b, name)
+                if not res.holds:
+                    failures += 1
+                    _assert_failure_confirmed(res, check, tables)
+        assert failures
+
+    @pytest.mark.parametrize("name", ["SH4", "SH4-prime"])
+    def test_images_shrink_the_four_variable_checks(self, name):
+        A = partial_function_algebra(4, 2)
+        res = run_identity(name, bind(A, r=A.arrow))
+        assert res.holds and res.checked == 81**4
+        assert res.evaluated <= res.checked / 25
+
+    def test_a_check_in_one_box_evaluates_every_tuple(self, pf22):
+        res = run_identity("imp-or", bind(pf22, r=pf22.arrow))
+        assert res.holds and res.evaluated == res.checked == 9**3
+
+    def test_images_not_fewer_than_tuples_fall_back_after_one_box(self):
+        # on a chain the images of SH4-prime, which hold y, are more than a
+        # quarter of the triples (y, z, w)
+        tables, rels = _near_lattice(41, 0)
+        res = run_check(named_check("SH4-prime"), tables, rels)
+        assert res.holds and res.checked < res.evaluated <= res.checked + identities._BOX
+
+    def test_evaluated_is_outside_equality_and_summed_by_groups(self, pf22):
+        tables = bind(pf22)
+        res = run_identity("absorption", tables)
+        parts = [run_identity(f, tables) for f in GROUPS["absorption"]]
+        assert res.evaluated == sum(p.evaluated for p in parts) > 0
+        assert res == dataclasses.replace(res, evaluated=0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_mutated_arrow_witness_is_the_first_violation(data):
+    """A single-cell arrow mutation that breaks SH4 or SH4-prime is reported
+    at the boxed engine's witness, which re-evaluates to a violation; a
+    small box makes the images span several boxes."""
+    x, y = data.draw(st.sampled_from([(2, 2), (3, 1), (2, 3)]))
+    A = partial_function_algebra(x, y)
+    a, b, v = (data.draw(st.integers(0, A.n - 1)) for _ in range(3))
+    arrow = np.array(A.arrow)
+    arrow[a, b] = v
+    tables = bind(A, r=arrow)
+    box = data.draw(st.sampled_from([identities._BOX, 1 << 6]))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(identities, "_BOX", box)
+        for name in ("SH4", "SH4-prime"):
+            check = named_check(name)
+            res = run_check(check, tables)
+            assert res == boxed_run_check(check, tables), (x, y, a, b, v, box, name)
+            if not res.holds:
+                _assert_failure_confirmed(res, check, tables)

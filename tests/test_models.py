@@ -13,7 +13,7 @@ from skewbench import (
     vertical_dual,
 )
 from skewbench.cli import run_command
-from skewbench.errors import InconsistencyDetected, TooLarge
+from skewbench.errors import EsakiaFormulaMismatch, InconsistencyDetected, TooLarge
 from skewbench.models import (
     Poset,
     SurjectionModel,
@@ -188,6 +188,19 @@ class TestUpsetHeyting:
             L = upset_heyting(P)
             oracle = heyting_arrow(L.drop_arrow())
             assert np.array_equal(oracle.table, L.arrow)
+
+    def test_mismatched_arrow_names_the_first_differing_pair(self, monkeypatch):
+        L = upset_heyting(Poset.antichain(2))
+        u, v = (int(i) for i in np.argwhere(L.arrow != L.top)[0])
+        monkeypatch.setattr(Poset, "down", lambda self, mask: 0)  # every arrow is the top
+        with pytest.raises(EsakiaFormulaMismatch, match=rf"at \({L.names[u]}, {L.names[v]}\)") as err:
+            upset_heyting(Poset.antichain(2))
+        assert err.value.witness == (u, v)
+
+    def test_bound_counts_the_upsets(self):
+        assert upset_heyting(Poset.antichain(3), bound=8).n == 8
+        with pytest.raises(TooLarge):
+            upset_heyting(Poset.antichain(3), bound=7)
 
 
 class TestPosetSections:
