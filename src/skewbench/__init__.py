@@ -28,6 +28,7 @@ from .core import (
 from .heyting import (
     ArrowResult,
     DiffResult,
+    adjunction_failure,
     check_heyting_axioms,
     dual_gb_diff,
     generalized_heyting_arrow,
@@ -45,7 +46,6 @@ from .properties import (
 )
 from .skew_heyting import (
     DeriveResult,
-    Upset,
     check_arrow_congruences,
     check_imp_or,
     check_lifting,
@@ -67,7 +67,7 @@ __all__ = [
     "HomMap",
     "Partition",
     "PropertyReport",
-    "Upset",
+    "adjunction_failure",
     "binormal_factorization",
     "check_arrow_congruences",
     "check_costrong_equivalence",

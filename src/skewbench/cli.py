@@ -363,16 +363,11 @@ def _add_derived_arrow(report: Report, A: Algebra) -> np.ndarray | None:
     try:
         derived = derive_arrow(A.drop_arrow())
     except (NoTop, NotCoStronglyDistributive, PreconditionFailed) as exc:
-        witness, detail = exc.witness, str(exc)
-    else:
-        if derived:
-            report.add(ReportEntry("arrow-derivable", "holds"))
-            return derived.table
-        witness, detail = (derived.offending_upset,), "upset is not a Heyting algebra"
-    report.add(
-        ReportEntry("arrow-derivable", "fails", witness=_witness_names(A.names, witness), detail=detail)
-    )
-    return None
+        witness = _witness_names(A.names, exc.witness)
+        report.add(ReportEntry("arrow-derivable", "fails", witness=witness, detail=str(exc)))
+        return None
+    report.add(ReportEntry("arrow-derivable", "holds"))
+    return derived.table
 
 
 def _add_declared_match(report: Report, A: Algebra, arrow: np.ndarray) -> None:

@@ -2,12 +2,11 @@
 with top, and instance-level verification of everything the implication is
 supposed to satisfy.
 
-The arrow is computed pairwise through the commutative upset at the second
-argument: x→y = (y∨x∨y)→y evaluated inside y↑.  Upsets are memoized per
-base element since each one is reused across many pairs.  The existence
-check is structural (every upset must be a Heyting algebra) rather than an
-appeal to finiteness, so failures on artificial inputs come with a concrete
-offending upset.
+The arrow is computed through the commutative upset at the second argument:
+x→y = (y∨x∨y)→y inside y↑, the pseudocomplement of y∨x∨y there, one array
+step per column over the upset's member indices.  Every upset is then
+checked against the table through the adjunction c∧a ≤ b ⇔ c ≤ a→b, which
+pins a lattice's arrow down, so failures come with a concrete upset and pair.
 
 The derivation reads only the meet, join and top of its algebra, and its
 result is cached on the algebra: ``verify`` asks for the arrow of one
@@ -28,75 +27,57 @@ from .core import (
     leq_matrix,
     preceq_matrix,
     quotient,
-    subalgebra,
 )
 from .errors import (
+    BadConstant,
     CoherenceFailure,
     InconsistencyDetected,
+    MalformedTable,
     NoTop,
     NotCoStronglyDistributive,
     PreconditionFailed,
 )
-from .heyting import _arrow_by_candidates, dual_gb_diff, generalized_heyting_arrow
+from .heyting import adjunction_failure, dual_gb_diff, generalized_heyting_arrow
 from .identities import CheckResult, bind, run_identity, skipped_result
 from .properties import PropertyReport, check_skew_lattice, property_result
 
 
-@dataclass(frozen=True)
-class Upset:
-    """The commutative lattice u↑ = {u∨x∨u : x} = {x : u ≤ x} induced
-    inside a conormal skew lattice, with u as bottom."""
-
-    base: Algebra
-    u: int
-    members: tuple[int, ...]
-    algebra: Algebra
-    arrow: np.ndarray | None
-
-    def local(self, g: int) -> int:
-        return self.members.index(g)
-
-    def to_global(self, i: int) -> int:
-        return self.members[i]
-
-
-def upset_at(A: Algebra, u: int, leq: np.ndarray | None = None) -> Upset:
-    """Construct u↑ with its induced operations and Heyting arrow (if any).
+def upset_at(A: Algebra, u: int, leq: np.ndarray | None = None) -> np.ndarray:
+    """The members of u↑ = {u∨x∨u : x} = {x : u ≤ x}, ascending.
 
     Both descriptions of the member set are computed and must agree; the
-    induced operations must be commutative with u as bottom.  These hold on
-    every conormal skew lattice, so a violation is raised as an
-    inconsistency rather than reported.
+    members must be closed under meet and join, and the induced operations
+    commutative.  These hold on every conormal skew lattice, so a violation
+    is raised as an inconsistency rather than reported.
     """
     if leq is None:
         leq = leq_matrix(A)
     J = A.join
-    via_order = [int(x) for x in np.flatnonzero(leq[u])]
-    via_join = sorted({int(J[J[u, x], u]) for x in range(A.n)})
-    if via_order != via_join:
+    via_join = np.zeros(A.n, dtype=bool)
+    via_join[J[J[u], u]] = True
+    if not np.array_equal(via_join, leq[u]):
         raise InconsistencyDetected(
             f"upset at {A.names[u]} differs between its two descriptions",
             witness=(u,),
         )
-    sub, _ = subalgebra(A, via_order, bottom=via_order.index(u))
-    if not (np.array_equal(sub.meet, sub.meet.T) and np.array_equal(sub.join, sub.join.T)):
+    members = np.flatnonzero(leq[u])
+    grid = np.ix_(members, members)
+    meet, join = A.meet[grid], A.join[grid]
+    for label, cells in (("m", meet), ("j", join)):
+        outside = cells[~leq[u, cells]]
+        if outside.size:
+            raise MalformedTable(f"subset not closed under {label}: reaches {A.names[int(outside.min())]}")
+    if not (np.array_equal(meet, meet.T) and np.array_equal(join, join.T)):
         raise InconsistencyDetected(f"upset at {A.names[u]} is not commutative", witness=(u,))
-    arrow = _arrow_by_candidates(sub)
-    return Upset(A, u, tuple(via_order), sub, arrow.table if arrow else None)
+    return members
 
 
 @dataclass(frozen=True)
 class DeriveResult:
-    """Derived arrow table, or absence with the first element whose upset
-    fails to be a Heyting algebra.  Carries the memoized upsets for reuse."""
+    """Derived arrow table, with the members of every upset for reuse."""
 
-    table: np.ndarray | None
-    offending_upset: int | None = None
-    offending_pair: tuple[int, int] | None = None
-    upsets: tuple[Upset, ...] = ()
-
-    def __bool__(self) -> bool:
-        return self.table is not None
+    table: np.ndarray
+    upsets: tuple[np.ndarray, ...]
 
 
 def _require_costrong_with_top(A: Algebra) -> None:
@@ -105,6 +86,8 @@ def _require_costrong_with_top(A: Algebra) -> None:
     skew = check_skew_lattice(A)
     if not skew:
         raise PreconditionFailed(f"not a skew lattice ({skew.detail})", witness=skew.witness)
+    if not ((A.join[:, A.top] == A.top) & (A.join[A.top] == A.top)).all():  # x∧top = x by absorption
+        raise BadConstant(f"top {A.names[A.top]!r} fails x∨top = top = top∨x")
     res = property_result(A, "co-strongly-distributive")
     if not res.holds:
         raise NotCoStronglyDistributive(
@@ -116,9 +99,9 @@ def derive_arrow(A: Algebra) -> DeriveResult:
     """Derive x→y = (y∨x∨y)→y inside the upset at y, for every pair.
 
     After the table is assembled, coherence is verified: for every u and all
-    x, y in u↑ the global arrow agrees with the arrow of the Heyting algebra
-    u↑.  A disagreement would contradict the well-definedness lemma and is
-    raised as CoherenceFailure.
+    a, b in u↑, c∧a ≤ b ⇔ c ≤ a→b over c in u↑, so the global arrow agrees
+    with the arrow of the Heyting algebra u↑.  A disagreement would
+    contradict the well-definedness lemma and is raised as CoherenceFailure.
 
     The preconditions (a co-strongly distributive skew lattice with top)
     are read from the cached properties of ``A``.  The result is cached on
@@ -130,37 +113,26 @@ def derive_arrow(A: Algebra) -> DeriveResult:
 
 
 def _derive_arrow(A: Algebra) -> DeriveResult:
-    # The upsets keep the algebra they were cut from.  A copy without the
-    # declared arrow and with a cache of its own keeps the result free of
-    # the declared arrow and out of a reference cycle with A's cache.
-    A = Algebra(A.names, A.meet, A.join, None, A.top, A.bottom)
-    n = A.n
+    n, J = A.n, A.join
     leq = leq_matrix(A)
     upsets = tuple(upset_at(A, u, leq) for u in range(n))
-    for up in upsets:
-        if up.arrow is None:
-            return DeriveResult(None, offending_upset=up.u, upsets=upsets)
-    J = A.join
     table = np.zeros((n, n), dtype=np.int16)
-    for y in range(n):
-        up = upsets[y]
-        loc_y = up.local(y)
-        for x in range(n):
-            t = int(J[J[y, x], y])
-            table[x, y] = up.to_global(int(up.arrow[up.local(t), loc_y]))
+    for y, U in enumerate(upsets):
+        # t→y in y↑ is the largest c with c∧t = y; it has the most members below it
+        below = leq[np.ix_(U, U)].sum(axis=0)
+        best = np.where(A.meet[np.ix_(U, U)] == y, below, -1).argmax(axis=1)
+        table[:, y] = U[best[np.searchsorted(U, J[J[y], y])]]
     table.setflags(write=False)
 
-    for up in upsets:
-        for li, gi in enumerate(up.members):
-            for lj, gj in enumerate(up.members):
-                local = up.to_global(int(up.arrow[li, lj]))
-                if int(table[gi, gj]) != local:
-                    raise CoherenceFailure(
-                        f"global arrow and arrow of upset at {A.names[up.u]} disagree on "
-                        f"({A.names[gi]}, {A.names[gj]})",
-                        witness=(up.u, gi, gj),
-                    )
-    return DeriveResult(table, upsets=upsets)
+    for u, U in enumerate(upsets):
+        bad = adjunction_failure(A, U, table, leq)
+        if bad is not None:
+            raise CoherenceFailure(
+                f"global arrow and arrow of upset at {A.names[u]} disagree on "
+                f"({A.names[bad[0]]}, {A.names[bad[1]]})",
+                witness=(u, *bad),
+            )
+    return DeriveResult(table, upsets)
 
 
 def check_sh_axioms(A: Algebra, arrow) -> PropertyReport:
@@ -201,14 +173,11 @@ def check_sha(A: Algebra, arrow) -> CheckOutcome:
         _require_costrong_with_top(A)
     except (NoTop, NotCoStronglyDistributive, PreconditionFailed):
         return CheckOutcome(True, detail="adjunction holds; sufficiency direction not applicable")
-    leq = leq_matrix(A)
-    above = all(leq[y, R[x, y]] for x in range(A.n) for y in range(A.n))
-    if not above:
+    if not leq_matrix(A)[np.arange(A.n), R].all():  # y ≤ x→y at [x, y]
         return CheckOutcome(True, detail="adjunction holds; y ≤ x→y fails so sufficiency not applicable")
-    derived = derive_arrow(A)
-    if not derived or not np.array_equal(derived.table, R):
-        bad = np.argwhere(derived.table != R) if derived else ()
-        witness = tuple(int(v) for v in bad[0]) if len(bad) else ()
+    derived = derive_arrow(A).table
+    if not np.array_equal(derived, R):
+        witness = tuple(int(v) for v in np.argwhere(derived != R)[0])
         return CheckOutcome(
             False, witness=witness, detail="sufficiency conditions hold but arrow differs from derived"
         )
@@ -228,28 +197,23 @@ def check_lifting(A: Algebra) -> CheckOutcome:
     additionally the projection must restrict to a Heyting-algebra
     isomorphism u↑ ≅ (D_u)↑ for every u.
 
-    A failed biconditional contradicts the lifting theorem and raises
-    InconsistencyDetected.
+    Both arrows are verified upset by upset when built, so the isomorphism
+    is compared as arrays.  A failed biconditional contradicts the lifting
+    theorem and raises InconsistencyDetected.
     """
     _require_costrong_with_top(A)
     derived = derive_arrow(A)
     D, _, _ = greens(A)
     Q, hom = quotient(A.drop_arrow(), D)
     lifted = generalized_heyting_arrow(Q)
-    if bool(derived) != bool(lifted):
-        raise InconsistencyDetected(
-            f"lifting biconditional fails: derived={bool(derived)}, quotient arrow={bool(lifted)}"
-        )
-    if not derived:
-        return CheckOutcome(True, detail="neither side admits an arrow")
+    if not lifted:
+        raise InconsistencyDetected("lifting biconditional fails: derived=True, quotient arrow=False")
 
+    project = np.array(hom.mapping)
     leq_q = leq_matrix(Q)
-    for up in derived.upsets:
-        u = up.u
-        qu = hom(u)
-        q_members = [int(v) for v in np.flatnonzero(leq_q[qu])]
-        image = [hom(g) for g in up.members]
-        if sorted(image) != q_members or len(set(image)) != len(image):
+    for u, U in enumerate(derived.upsets):
+        image = project[U]
+        if not np.array_equal(np.sort(image), np.flatnonzero(leq_q[project[u]])):
             return CheckOutcome(
                 False,
                 witness=(u,),
@@ -257,43 +221,29 @@ def check_lifting(A: Algebra) -> CheckOutcome:
             )
         # meet/join are preserved because the projection is a homomorphism;
         # the Heyting structure must transfer along it too.
-        qsub, qlocal = subalgebra(Q, q_members, bottom=q_members.index(qu))
-        q_arrow = _arrow_by_candidates(qsub)
-        if not q_arrow:
-            raise InconsistencyDetected(
-                f"upset of D-class of {A.names[u]} in S/D is not a Heyting algebra", witness=(u,)
-            )
-        for li, gi in enumerate(up.members):
-            for lj, gj in enumerate(up.members):
-                lhs = hom(up.to_global(int(up.arrow[li, lj])))
-                rhs = q_members[int(q_arrow.table[qlocal[hom(gi)], qlocal[hom(gj)]])]
-                if lhs != rhs:
-                    return CheckOutcome(
-                        False,
-                        witness=(u, gi, gj),
-                        detail="projection does not preserve the upset arrow",
-                    )
+        bad = project[derived.table[np.ix_(U, U)]] != lifted.table[np.ix_(image, image)]
+        if bad.any():
+            i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
+            witness = (u, int(U[i]), int(U[j]))
+            return CheckOutcome(False, witness=witness, detail="projection does not preserve the upset arrow")
     return CheckOutcome(True)
 
 
 def check_arrow_congruences(A: Algebra, arrow) -> CheckOutcome:
     """D, L and R must be congruences for every operation including the
-    arrow, and A, A/L, A/R must be simultaneously arrow-derivable."""
+    arrow, and the arrows of A, A/L and A/R must derive (each derivation
+    verifies itself and raises when it fails)."""
     enriched = A.with_arrow(arrow)
     D, L, R = greens(A)
     for label, part in (("D", D), ("L", L), ("R", R)):
         cong = is_congruence(enriched, part)
         if not cong:
             return CheckOutcome(False, witness=cong.witness, detail=f"{label} fails")
-    exists = [bool(derive_arrow(A))]
+    derive_arrow(A)
     for part in (L, R):
         # A/Δ has the tables of A itself, whose arrow is derived already
-        Qd = A if part.num_blocks == A.n else quotient(A.drop_arrow(), part)[0]
-        exists.append(bool(derive_arrow(Qd)))
-    if len(set(exists)) != 1:
-        raise InconsistencyDetected(
-            f"A, A/L, A/R are not simultaneously arrow-derivable: {exists}"
-        )
+        if part.num_blocks != A.n:
+            derive_arrow(quotient(A.drop_arrow(), part)[0])
     return CheckOutcome(True)
 
 
@@ -307,10 +257,7 @@ def special_case_arrows(A: Algebra, arrow=None) -> PropertyReport:
     if A.top is None:
         raise NoTop("special case comparison needs a top")
     if arrow is None:
-        derived = derive_arrow(A)
-        if not derived:
-            raise PreconditionFailed("arrow does not exist on this algebra")
-        arrow = derived.table
+        arrow = derive_arrow(A).table
     R = np.asarray(arrow)
     entries: list[CheckResult] = []
 

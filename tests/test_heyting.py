@@ -1,10 +1,15 @@
+import operator
+import tracemalloc
+
 import numpy as np
 import pytest
-from heyting_oracle import arrow_by_candidates
+import heyting_oracle
+from heyting_oracle import DEEP_INSTANCES, arrow_by_candidates, first_difference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewbench import (
+    adjunction_failure,
     check_heyting_axioms,
     direct_product,
     dual_gb_diff,
@@ -16,15 +21,17 @@ from skewbench import (
     quotient,
     subalgebra,
     upset_at,
+    vertical_dual,
 )
-from skewbench.heyting import _arrow_by_candidates
+from skewbench import heyting
+from skewbench.errors import AmbiguousDiff, InconsistencyDetected
+from skewbench.heyting import ArrowResult, _arrow_by_candidates
+from skewbench.identities import bind, named_check, values_at
 from skewbench.models import (
     Poset,
-    SurjectionModel,
     all_posets,
     default_point_names,
     partial_function_algebra,
-    poset_sections_algebra,
     upset_heyting,
 )
 
@@ -147,8 +154,6 @@ class TestDualDiff:
             assert np.array_equal(res.table.T, arrow)
 
     def test_ambiguous_on_diamond(self):
-        from skewbench.errors import AmbiguousDiff
-
         # M3: three incomparable atoms under a common top; 0∖∖a has both
         # other atoms as candidates
         meet = [
@@ -198,23 +203,6 @@ def _m3():
     return make_algebra(["0", "a", "b", "c", "1"], meet, join, top=4, bottom=0)
 
 
-def _chain_plus_point_sections():
-    # p < r < s, and q incomparable to all of them
-    leq = np.eye(4, dtype=bool)
-    for a, b in ((0, 2), (0, 3), (2, 3)):
-        leq[a, b] = True
-    model = SurjectionModel.from_fiber_sizes(Poset(("p", "q", "r", "s"), leq), (2, 2, 2, 2))
-    return poset_sections_algebra(model)
-
-
-DEEP_INSTANCES = {
-    "pfn(6,1)": lambda: partial_function_algebra(6, 1),
-    "pfn(4,2)": lambda: partial_function_algebra(4, 2),
-    "pfn(3,3)": lambda: partial_function_algebra(3, 3),
-    "sections(p<r<s,q;2,2,2,2)": _chain_plus_point_sections,
-}
-
-
 class TestKernelAgreesWithOracle:
     """The matrix-count kernel returns exactly what the candidate loop in
     ``heyting_oracle`` returns: the table, or the first failing pair in
@@ -241,19 +229,25 @@ class TestKernelAgreesWithOracle:
     @pytest.mark.parametrize("label", sorted(DEEP_INSTANCES))
     def test_every_upset_and_the_d_quotient(self, label):
         A = DEEP_INSTANCES[label]().drop_arrow()
-        leq = leq_matrix(A)
-        for u in range(A.n):
-            _assert_kernel_agrees(upset_at(A, u, leq).algebra)
+        for sub in _upset_algebras(A):
+            _assert_kernel_agrees(sub)
         D, _, _ = greens(A)
         Q, _ = quotient(A, D)
         lifted = generalized_heyting_arrow(Q)
         oracle = arrow_by_candidates(Q)
         assert lifted and oracle and np.array_equal(lifted.table, oracle.table)
-        leq_q = leq_matrix(Q)
-        for u in range(Q.n):
-            members = [int(v) for v in np.flatnonzero(leq_q[u])]
-            sub, _ = subalgebra(Q, members, bottom=members.index(u))
+        for sub in _upset_algebras(Q):
             _assert_kernel_agrees(sub)
+
+
+def _upset_algebras(A):
+    """Every upset u↑ of ``A`` as an algebra of its own, with u as bottom;
+    ``upset_at`` lists the same members."""
+    leq = leq_matrix(A)
+    for u in range(A.n):
+        members = [int(v) for v in np.flatnonzero(leq[u])]
+        assert upset_at(A, u, leq).tolist() == members
+        yield subalgebra(A, members, bottom=members.index(u))[0]
 
 
 @st.composite
@@ -286,3 +280,93 @@ def test_relabeling_an_upset_lattice_commutes_with_the_kernel(data):
     got = _arrow_by_candidates(relabeled)
     assert want and got
     assert np.array_equal(got.table, perm[want.table[grid]])
+
+
+def _diff_outcome(solve, L):
+    try:
+        res = solve(L)
+    except AmbiguousDiff as exc:
+        return "ambiguous", str(exc), exc.witness
+    table = None if res.table is None else res.table.tolist()
+    return table, res.offending
+
+
+def _diff_inputs():
+    for nx in (1, 2, 3):
+        for ny in (1, 2):
+            yield partial_function_algebra(nx, ny)
+    for pts in range(1, 5):
+        for P in all_posets(pts):
+            L = upset_heyting(P).drop_arrow()
+            yield L
+            yield vertical_dual(L)
+    yield _m3()
+
+
+def test_dual_diff_agrees_with_the_scalar_loop():
+    outcomes = [_diff_outcome(dual_gb_diff, L) for L in _diff_inputs()]
+    assert outcomes == [_diff_outcome(heyting_oracle.dual_gb_diff, L) for L in _diff_inputs()]
+    kinds = [o[0] if o[0] == "ambiguous" else o[0] is not None for o in outcomes]
+    # every branch is exercised: solved, unsolvable and ambiguous inputs
+    assert {True, False, "ambiguous"} <= set(kinds)
+
+
+class TestAdjunctionFailure:
+    """``adjunction_failure`` names the first pair of an upset, in row-major
+    order, where an arrow table is not the Heyting arrow of that upset."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_first_differing_pair_of_a_mutated_upset_lattice(self, data):
+        L = upset_heyting(data.draw(_posets())).drop_arrow()
+        leq = leq_matrix(L)
+        oracle = arrow_by_candidates(L).table
+        u = data.draw(st.integers(0, L.n - 1))
+        members = np.flatnonzero(leq[u])
+        assert adjunction_failure(L, members, oracle, leq) is None
+        a = int(members[data.draw(st.integers(0, len(members) - 1))])
+        b = int(members[data.draw(st.integers(0, len(members) - 1))])
+        v = data.draw(st.integers(0, L.n - 2))
+        mutated = np.array(oracle)
+        mutated[a, b] = v + (v >= oracle[a, b])
+        got = adjunction_failure(L, members, mutated, leq)
+        assert got == first_difference(members, mutated, oracle) == (a, b)
+        ha, tables, rels = named_check("HA"), bind(L, r=mutated), {"leq": leq}
+        assert any(
+            operator.ne(*values_at(ha, tables, (int(c), a, b), rels)) for c in members
+        )
+
+    def test_generalized_arrow_witness_is_in_the_lattice_indices(self, monkeypatch):
+        # the chain bottom < m0 < m1 < top stored as m0, m1, bottom, top, so
+        # that m0↑ = {m0, m1, top} is not an initial run of indices
+        rank = [1, 2, 0, 3]
+        meet = [[min(i, j, key=rank.__getitem__) for j in range(4)] for i in range(4)]
+        join = [[max(i, j, key=rank.__getitem__) for j in range(4)] for i in range(4)]
+        L = make_algebra(["m0", "m1", "bot", "top"], meet, join, top=3, bottom=2)
+        mutated = np.array(arrow_by_candidates(L).table)
+        mutated[1, 3] = 1  # m1→top is top
+        monkeypatch.setattr(heyting, "_arrow_by_candidates", lambda L: ArrowResult(mutated))
+        with pytest.raises(InconsistencyDetected) as info:
+            generalized_heyting_arrow(L)
+        # m0↑ is the first upset holding (m1, top), which sits at (1, 2) in it
+        assert info.value.witness == (0, 1, 3)
+
+    def test_memory_stays_bounded_on_a_large_lattice(self):
+        n = 300
+        idx = np.arange(n)
+        L = make_algebra(
+            [str(i) for i in idx], np.minimum.outer(idx, idx), np.maximum.outer(idx, idx), top=n - 1
+        )
+        leq = leq_matrix(L)
+        arrow = np.where(leq, n - 1, idx[None, :])
+        tracemalloc.start()
+        try:
+            ok = adjunction_failure(L, idx, arrow, leq)
+            arrow[n - 1, 0] = 1
+            bad = adjunction_failure(L, idx, arrow, leq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ok is None and bad == (n - 1, 0)
+        # the n³ tensor alone would take 27 MB
+        assert peak <= 2 * 2**20

@@ -1,8 +1,10 @@
 import gc
+import itertools
 import weakref
 
 import numpy as np
 import pytest
+from heyting_oracle import DEEP_INSTANCES, derive_by_upsets, generalized_arrow, lifting, upset_arrows
 
 from skewbench import (
     Algebra,
@@ -19,14 +21,17 @@ from skewbench import (
     preceq_matrix,
     quotient,
     special_case_arrows,
+    subalgebra,
     upset_at,
 )
-from skewbench import skew_heyting
+from skewbench import core, skew_heyting
 from skewbench.cli import emit_algebra_file, run_command
 from skewbench.errors import BadConstant, NoTop, NotCoStronglyDistributive
+from skewbench.heyting import ArrowResult
 from skewbench.models import (
     Poset,
     SurjectionModel,
+    all_posets,
     partial_function_algebra,
     poset_sections_algebra,
 )
@@ -73,26 +78,40 @@ class TestDeriveArrow:
     def test_upset_coherence(self, pf22):
         # x→y computed globally equals the upset-local arrow wherever both live
         derived = derive_arrow(pf22.drop_arrow())
-        for up in derived.upsets:
-            for gi in up.members:
-                for gj in up.members:
-                    local = up.to_global(int(up.arrow[up.local(gi), up.local(gj)]))
-                    assert derived.table[gi, gj] == local
+        for members, arrow in upset_arrows(pf22):
+            assert np.array_equal(derived.table[np.ix_(members, members)], arrow)
+
+    def test_builds_no_algebra_per_upset(self, monkeypatch):
+        A = partial_function_algebra(4, 2).drop_arrow()
+        calls = []
+        real = core.make_algebra
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(core, "make_algebra", counting)
+        assert derive_arrow(A).table is not None
+        assert calls == []
 
 
 class TestUpset:
     def test_members_and_bounds(self, pf22):
         u = pf22.index("{p:0}")
-        up = upset_at(pf22, u)
-        assert pf22.index("{}") in up.members
-        assert up.algebra.bottom == up.local(u)
-        assert up.algebra.top == up.local(pf22.index("{}"))
+        members = upset_at(pf22, u)
+        assert members.tolist() == np.flatnonzero(leq_matrix(pf22)[u]).tolist()
+        assert pf22.index("{}") in members
+        sub, local = subalgebra(pf22, members, bottom=members.tolist().index(u))
+        assert sub.bottom == local[u]
+        assert sub.top == local[pf22.index("{}")]
 
     def test_upset_arrow_is_heyting(self, pf22):
         u = pf22.index("{p:0,q:0}")
-        up = upset_at(pf22, u)
-        oracle = heyting_arrow(up.algebra)
-        assert oracle and np.array_equal(oracle.table, up.arrow)
+        members = upset_at(pf22, u)
+        sub, _ = subalgebra(pf22.drop_arrow(), members, bottom=members.tolist().index(u))
+        oracle = heyting_arrow(sub)
+        derived = derive_arrow(pf22.drop_arrow())
+        assert oracle and np.array_equal(members[oracle.table], derived.table[np.ix_(members, members)])
 
 
 class TestShAxioms:
@@ -266,10 +285,10 @@ class TestDeriveCache:
         assert again is not first and np.array_equal(again.table, first.table)
         assert len(upset_calls) == 2 * A.n
 
-        # a different (bogus) top re-derives, and an upset holding it rejects it
+        # a different (bogus) top is rejected before any upset is built
         with pytest.raises(BadConstant):
             derive_arrow(Algebra(A.names, A.meet, A.join, None, (A.top + 1) % A.n))
-        assert len(upset_calls) > 2 * A.n
+        assert len(upset_calls) == 2 * A.n
 
     def test_cache_dies_with_its_algebra(self):
         A = partial_function_algebra(1, 2)
@@ -288,3 +307,64 @@ class TestDeriveCache:
         for _ in range(2):
             with pytest.raises(NoTop):
                 derive_arrow(no_top)
+
+
+FAMILY = tuple((nx, ny) for nx in range(1, 7) for ny in range(1, 5) if (ny + 1) ** nx <= 100)
+ORACLE_INSTANCES = {
+    **DEEP_INSTANCES,
+    **{f"pfn({nx},{ny})": (lambda nx=nx, ny=ny: partial_function_algebra(nx, ny)) for nx, ny in FAMILY},
+}
+
+
+def _lifting_outcome(A):
+    out = check_lifting(A)
+    return out.ok, out.witness, out.detail
+
+
+def _q_arrow(A):
+    D, _, _ = greens(A)
+    return generalized_arrow(quotient(A.drop_arrow(), D)[0])
+
+
+class TestAgreesWithUpsetOracle:
+    """The derived table and the lifting outcome equal those of the
+    per-upset route in ``heyting_oracle``, which builds every upset as an
+    algebra and compares pair by pair."""
+
+    @pytest.mark.parametrize("label", sorted(ORACLE_INSTANCES))
+    def test_table_and_lifting(self, label):
+        A = ORACLE_INSTANCES[label]().drop_arrow()
+        assert np.array_equal(derive_arrow(A).table, derive_by_upsets(A))
+        assert _lifting_outcome(A) == lifting(A, _q_arrow(A)) == (True, (), "")
+
+    def test_poset_sections_up_to_three_points(self):
+        count = 0
+        for pts in (1, 2, 3):
+            for base in all_posets(pts):
+                for fibers in itertools.product((1, 2), repeat=pts):
+                    model = SurjectionModel.from_fiber_sizes(base, fibers)
+                    A = poset_sections_algebra(model)
+                    assert np.array_equal(A.arrow, derive_by_upsets(A)), model
+                    assert _lifting_outcome(A.drop_arrow()) == lifting(A, _q_arrow(A)), model
+                    count += 1
+        assert count == 2 + 2 * 4 + 5 * 8
+
+    @pytest.mark.parametrize(
+        "base, fibers",
+        [(Poset.chain(1), (2,)), (Poset.chain(2), (2, 1)), (Poset.antichain(2), (1, 2))],
+        ids=["chain1;2", "chain2;2,1", "antichain2;1,2"],
+    )
+    def test_lifting_under_every_single_cell_mutation_of_the_quotient_arrow(
+        self, base, fibers, monkeypatch
+    ):
+        A = poset_sections_algebra(SurjectionModel.from_fiber_sizes(base, fibers)).drop_arrow()
+        q_table = _q_arrow(A)
+        m = len(q_table)
+        for a, b, shift in itertools.product(range(m), range(m), range(1, m)):
+            mutated = np.array(q_table)
+            mutated[a, b] = (mutated[a, b] + shift) % m
+            monkeypatch.setattr(skew_heyting, "generalized_heyting_arrow", lambda Q: ArrowResult(mutated))
+            got = _lifting_outcome(A)
+            assert got == lifting(A, mutated)
+            # every cell of S/D lies in the upset of some D-class
+            assert got[0] is False
