@@ -3,103 +3,74 @@
 Algebras are operation tables over dense integer carriers; everything else
 (orders, Green's relations, the derived implication) is computed from the
 tables.  All values are immutable and all operations are pure functions.
+
+The public names below are resolved on first use (PEP 562), so importing
+the package, or the CLI that refuses a bad input, loads no numeric layer.
 """
 
-from . import errors, models
-from .core import (
-    Algebra,
-    CheckOutcome,
-    HomMap,
-    Partition,
-    direct_product,
-    find_isomorphism,
-    greens,
-    is_congruence,
-    isomorphism_key,
-    leq_matrix,
-    make_algebra,
-    natural_orders,
-    preceq_matrix,
-    pullback_check,
-    quotient,
-    subalgebra,
-    vertical_dual,
-)
-from .heyting import (
-    ArrowResult,
-    DiffResult,
-    adjunction_failure,
-    check_heyting_axioms,
-    dual_gb_diff,
-    generalized_heyting_arrow,
-    heyting_arrow,
-)
-from .properties import (
-    PropertyReport,
-    binormal_factorization,
-    check_costrong_equivalence,
-    check_dual_skew_boolean,
-    check_skew_boolean,
-    check_skew_lattice,
-    classify,
-    cover_in_class,
-)
-from .skew_heyting import (
-    DeriveResult,
-    check_arrow_congruences,
-    check_imp_or,
-    check_lifting,
-    check_sh_axioms,
-    check_sha,
-    derive_arrow,
-    special_case_arrows,
-    upset_at,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Algebra",
-    "ArrowResult",
-    "CheckOutcome",
-    "DeriveResult",
-    "DiffResult",
-    "HomMap",
-    "Partition",
-    "PropertyReport",
-    "adjunction_failure",
-    "binormal_factorization",
-    "check_arrow_congruences",
-    "check_costrong_equivalence",
-    "check_dual_skew_boolean",
-    "check_heyting_axioms",
-    "check_imp_or",
-    "check_lifting",
-    "check_sh_axioms",
-    "check_sha",
-    "check_skew_boolean",
-    "check_skew_lattice",
-    "classify",
-    "cover_in_class",
-    "derive_arrow",
-    "direct_product",
-    "dual_gb_diff",
-    "errors",
-    "find_isomorphism",
-    "generalized_heyting_arrow",
-    "greens",
-    "heyting_arrow",
-    "is_congruence",
-    "isomorphism_key",
-    "leq_matrix",
-    "make_algebra",
-    "models",
-    "natural_orders",
-    "preceq_matrix",
-    "pullback_check",
-    "quotient",
-    "special_case_arrows",
-    "subalgebra",
-    "upset_at",
-    "vertical_dual",
-]
+# public name -> the submodule that defines it; a submodule maps to itself
+_HOMES = {
+    "Algebra": "core",
+    "ArrowResult": "heyting",
+    "CheckOutcome": "core",
+    "DeriveResult": "skew_heyting",
+    "DiffResult": "heyting",
+    "HomMap": "core",
+    "Partition": "core",
+    "PropertyReport": "properties",
+    "adjunction_failure": "heyting",
+    "binormal_factorization": "properties",
+    "check_arrow_congruences": "skew_heyting",
+    "check_costrong_equivalence": "properties",
+    "check_dual_skew_boolean": "properties",
+    "check_heyting_axioms": "heyting",
+    "check_imp_or": "skew_heyting",
+    "check_lifting": "skew_heyting",
+    "check_sh_axioms": "skew_heyting",
+    "check_sha": "skew_heyting",
+    "check_skew_boolean": "properties",
+    "check_skew_lattice": "properties",
+    "classify": "properties",
+    "cover_in_class": "properties",
+    "derive_arrow": "skew_heyting",
+    "direct_product": "core",
+    "dual_gb_diff": "heyting",
+    "errors": "errors",
+    "find_isomorphism": "core",
+    "generalized_heyting_arrow": "heyting",
+    "greens": "core",
+    "heyting_arrow": "heyting",
+    "is_congruence": "core",
+    "isomorphism_key": "core",
+    "leq_matrix": "core",
+    "make_algebra": "core",
+    "models": "models",
+    "natural_orders": "core",
+    "preceq_matrix": "core",
+    "pullback_check": "core",
+    "quotient": "core",
+    "special_case_arrows": "skew_heyting",
+    "subalgebra": "core",
+    "upset_at": "skew_heyting",
+    "vertical_dual": "core",
+}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{home}", __name__)
+    value = module if name == home else getattr(module, name)
+    globals()[name] = value  # resolve once, as an eager import would
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -16,11 +16,11 @@ import sys
 import traceback
 from dataclasses import dataclass, field
 from functools import partial
+from numbers import Integral
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import models
-from .core import Algebra, greens, make_algebra, pullback_check, quotient
+# Only the stdlib and ``errors`` load here: every refusal of a bad argument
+# or input happens before a command imports the numeric layers it runs.
 from .errors import (
     BadConstant,
     BadPoset,
@@ -33,24 +33,14 @@ from .errors import (
     SkewbenchError,
     TooLarge,
 )
-from .identities import CheckResult
-from .models import Poset, SurjectionModel, search_family
-from .properties import (
-    PROPERTY_NAMES,
-    PropertyReport,
-    check_costrong_equivalence,
-    classify,
-    property_result,
-)
-from .skew_heyting import (
-    check_arrow_congruences,
-    check_imp_or,
-    check_sh_axioms,
-    check_sha,
-    check_lifting,
-    derive_arrow,
-    special_case_arrows,
-)
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .core import Algebra
+    from .identities import CheckResult
+    from .models import Poset
+    from .properties import PropertyReport
 
 VERSION = "skewbench 0.1.0"
 
@@ -138,6 +128,8 @@ def parse_algebra_file(text: str) -> Algebra:
     if pos < len(lines):
         lineno, raw = lines[pos]
         raise ParseError(lineno, 1, f"unexpected content {raw.strip()!r}")
+    from .core import make_algebra
+
     return make_algebra(names, meet, join, top=top, bottom=bottom, arrow=arrow)
 
 
@@ -183,7 +175,9 @@ def parse_poset_file(text: str) -> Poset:
         if len(cells) != k or any(c not in ("0", "1") for c in cells):
             raise ParseError(rowno, 1, f"expected {k} entries of 0/1")
         rows.append([c == "1" for c in cells])
-    return Poset(tuple(points), np.array(rows, dtype=bool))
+    from .models import Poset
+
+    return Poset(tuple(points), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +276,7 @@ def _digest(data: bytes) -> str:
 def _witness_names(names, witness) -> tuple[str, ...]:
     out = []
     for w in witness or ():
-        if isinstance(w, (int, np.integer)):
+        if isinstance(w, Integral):
             out.append(names[int(w)])
         else:
             out.append(str(w))
@@ -294,7 +288,7 @@ def _value_name(names, value) -> str | None:
         return None
     if isinstance(value, bool):
         return str(value)
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, Integral):
         return names[int(value)]
     return str(value)
 
@@ -334,6 +328,8 @@ def _add_outcome(report: Report, name: str, outcome, names) -> None:
 def _add_classification(report: Report, A: Algebra, entries) -> bool:
     """Add the property entries and, on a skew lattice, the co-strong
     equivalence; returns whether ``A`` is a skew lattice."""
+    from .properties import check_costrong_equivalence, property_result
+
     for res in entries:
         report.add(_entry_from_check(res, A.names))
     if not property_result(A, "skew-lattice").holds:
@@ -345,6 +341,8 @@ def _add_classification(report: Report, A: Algebra, entries) -> bool:
 
 def _cmd_check(args, report: Report) -> None:
     A = parse_algebra_file(_read(args.file, report))
+    from .properties import classify
+
     if not _add_classification(report, A, classify(A).entries):
         report.add(ReportEntry("costrong-equivalence", "skipped", detail="not a skew lattice"))
     report.settle(gating={"skew-lattice", "costrong-equivalence"})
@@ -360,6 +358,8 @@ def _arrow_payload(A: Algebra, table: np.ndarray) -> str:
 def _add_derived_arrow(report: Report, A: Algebra) -> np.ndarray | None:
     """Derive the arrow of ``A`` and add the ``arrow-derivable`` entry;
     returns the arrow table, or None when the entry fails."""
+    from .skew_heyting import derive_arrow
+
     try:
         derived = derive_arrow(A.drop_arrow())
     except (NoTop, NotCoStronglyDistributive, PreconditionFailed) as exc:
@@ -372,12 +372,14 @@ def _add_derived_arrow(report: Report, A: Algebra) -> np.ndarray | None:
 
 def _add_declared_match(report: Report, A: Algebra, arrow: np.ndarray) -> None:
     if A.arrow is not None:
-        same = bool(np.array_equal(A.arrow, arrow))
+        same = bool((A.arrow == arrow).all())
         report.add(ReportEntry("declared-arrow-matches", "holds" if same else "fails"))
 
 
 def _cmd_derive(args, report: Report) -> None:
     A = parse_algebra_file(_read(args.file, report))
+    from .skew_heyting import check_sh_axioms
+
     arrow = _add_derived_arrow(report, A)
     if arrow is not None:
         _add_property_report(report, check_sh_axioms(A, arrow))
@@ -388,6 +390,8 @@ def _cmd_derive(args, report: Report) -> None:
 
 def _cmd_quotient(args, report: Report) -> None:
     A = parse_algebra_file(_read(args.file, report))
+    from .core import greens, quotient
+
     D, L, R = greens(A)
     part = {"D": D, "L": L, "R": R}[args.rel]
     Q, _ = quotient(A, part)
@@ -395,25 +399,30 @@ def _cmd_quotient(args, report: Report) -> None:
     report.settle()
 
 
-def _fiber_model(base, fibers) -> SurjectionModel:
-    points = base.n if isinstance(base, Poset) else len(base)
+def _check_fiber_count(fibers, points: int) -> None:
     if len(fibers) != points:
         raise argparse.ArgumentTypeError(f"--fibers gives {len(fibers)} sizes for {points} base points")
-    return SurjectionModel.from_fiber_sizes(base, fibers)
 
 
 def _cmd_model(args, report: Report) -> None:
+    if args.kind == "sections":
+        _check_fiber_count(args.fibers, args.base)
+    elif args.kind != "pfn":
+        P = parse_poset_file(_read(args.posetfile, report))
+        if args.kind == "poset-sections":
+            _check_fiber_count(args.fibers, P.n)
+    from . import models
+
     bound = args.bound
     if args.kind == "pfn":
         A = models.partial_function_algebra(args.x, args.y, bound=bound)
     elif args.kind == "sections":
-        model = _fiber_model(models.default_point_names(args.base), args.fibers)
-        A = models.sections_algebra(model, bound=bound)
+        base = models.default_point_names(args.base)
+        A = models.sections_algebra(models.SurjectionModel.from_fiber_sizes(base, args.fibers), bound=bound)
     elif args.kind == "poset-sections":
-        P = parse_poset_file(_read(args.posetfile, report))
-        A = models.poset_sections_algebra(_fiber_model(P, args.fibers), bound=bound)
+        model = models.SurjectionModel.from_fiber_sizes(P, args.fibers)
+        A = models.poset_sections_algebra(model, bound=bound)
     else:  # upsets
-        P = parse_poset_file(_read(args.posetfile, report))
         A = models.upset_heyting(P, bound=bound)
     report.payload = emit_algebra_file(A)
     report.settle()
@@ -421,6 +430,17 @@ def _cmd_model(args, report: Report) -> None:
 
 def _cmd_verify(args, report: Report) -> None:
     A = parse_algebra_file(_read(args.file, report))
+    from .core import pullback_check
+    from .properties import property_result
+    from .skew_heyting import (
+        check_arrow_congruences,
+        check_imp_or,
+        check_lifting,
+        check_sh_axioms,
+        check_sha,
+        special_case_arrows,
+    )
+
     names = ("skew-lattice", "co-strongly-distributive", "symmetric", "conormal", "quasi-distributive")
     if not _add_classification(report, A, [property_result(A, name) for name in names]):
         report.settle()
@@ -446,6 +466,8 @@ def _cmd_verify(args, report: Report) -> None:
 
 
 def _search_eval(prop_name: str, negate: bool, alg: Algebra):
+    from .properties import property_result
+
     res = property_result(alg, prop_name)
     return res.holds != negate, res.witness, res.detail
 
@@ -455,10 +477,14 @@ def _first_hit(results):
 
 
 def _cmd_search(args, report: Report) -> None:
+    from .properties import PROPERTY_NAMES
+
     if args.property not in PROPERTY_NAMES:
         raise argparse.ArgumentTypeError(
             f"unknown property {args.property!r}; choose from {', '.join(PROPERTY_NAMES)}"
         )
+    from .models import search_family
+
     seen: list[tuple[str, tuple[str, ...]]] = []  # (label, element names) per instance
 
     def instances():
@@ -546,7 +572,7 @@ def _positive_ints(text: str) -> list[int]:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="skewbench", add_help=True)
     parser.add_argument("--format", choices=("text", "machine"), default="text")
-    parser.add_argument("--bound", type=int, default=10000, help="global size bound for models")
+    parser.add_argument("--bound", type=_positive_int, default=10000, help="global size bound for models")
     parser.add_argument("--jobs", type=_positive_int, default=1, help="parallelism degree for search")
     sub = parser.add_subparsers(dest="command")
 

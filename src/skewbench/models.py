@@ -430,16 +430,17 @@ def upset_heyting(P: Poset, bound: int = 10000) -> Algebra:
     On a failure the candidate-set kernel names the first differing pair."""
     if P.n > 12:
         raise TooLarge("upset lattices are bounded at 12 poset points")
-    masks = P.upset_masks
-    _check_size("upset lattice", len(masks), bound)
-    index = {m: i for i, m in enumerate(masks)}
-    full = (1 << P.n) - 1
-    n = len(masks)
-    meet = [[index[a & b] for b in masks] for a in masks]
-    join = [[index[a | b] for b in masks] for a in masks]
-    arrow = [[index[full & ~P.down(a & ~b)] for b in masks] for a in masks]
-    names = tuple(P.subset_name(m) for m in masks)
-    L = make_algebra(names, meet, join, top=index[full], bottom=index[0], arrow=arrow)
+    _check_size("upset lattice", len(P.upset_masks), bound)
+    masks = np.array(P.upset_masks, dtype=np.int64)
+    n, full = len(masks), (1 << P.n) - 1
+    index = np.full(1 << P.n, -1, dtype=np.int64)  # mask -> element; upsets only
+    index[masks] = np.arange(n)
+    down = np.array([P.down(m) for m in range(1 << P.n)], dtype=np.int64)
+    arrow_of_gap = index[full & ~down]  # U→V read off U∖V; X∖↓D is an upset
+    a, b = masks[:, None], masks[None, :]
+    meet, join, arrow = index[a & b], index[a | b], arrow_of_gap[a & ~b]
+    names = tuple(P.subset_name(int(m)) for m in masks)
+    L = make_algebra(names, meet, join, top=int(index[full]), bottom=int(index[0]), arrow=arrow)
     if run_identity("HA", bind(L, r=L.arrow), {"leq": leq_matrix(L)}).holds:
         return L
     oracle = heyting_arrow(L.drop_arrow())

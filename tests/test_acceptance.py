@@ -315,12 +315,12 @@ def test_criterion_9_negative_controls(tmp_path, monkeypatch, n5, rect2_bottom):
         failures.append("exit 1")
     if run_command(["check", str(broken_file)])[0] != 2:
         failures.append("exit 2")
-    import skewbench.cli as cli
+    import skewbench.properties as properties
 
     def boom(A):
         raise InconsistencyDetected("synthetic")
 
-    monkeypatch.setattr(cli, "check_costrong_equivalence", boom)
+    monkeypatch.setattr(properties, "check_costrong_equivalence", boom)
     if run_command(["check", str(ok_file)])[0] != 3:
         failures.append("exit 3")
     _announce(9, "negative controls and exit contract", not failures)

@@ -200,12 +200,12 @@ class TestExitStatuses:
         assert code == 2
 
     def test_inconsistency_is_three(self, chain2_file, monkeypatch):
-        import skewbench.cli as cli
+        import skewbench.properties as properties
 
         def boom(A):
             raise errors.InconsistencyDetected("synthetic theorem violation")
 
-        monkeypatch.setattr(cli, "check_costrong_equivalence", boom)
+        monkeypatch.setattr(properties, "check_costrong_equivalence", boom)
         code, out = run_command(["check", chain2_file])
         assert code == 3
         assert out.decode().rstrip().endswith("VERDICT: INCONSISTENT")
@@ -411,5 +411,57 @@ def test_cli_import_loads_no_process_pool():
 
 
 def test_python_m_skewbench_runs_the_cli():
-    proc = _run_python("-m", "skewbench", "--help")
+    proc = _run_python("-X", "importtime", "-m", "skewbench", "--help")
     assert proc.returncode == 0 and proc.stdout.startswith(b"usage: skewbench")
+    assert "numpy" not in _imported_modules(proc.stderr)
+
+
+def _imported_modules(importtime_log: bytes) -> set[str]:
+    """The modules named by ``python -X importtime``'s log on stderr."""
+    prefix = b"import time:"
+    lines = (line for line in importtime_log.splitlines() if line.startswith(prefix))
+    return {line.rsplit(b"|", 1)[-1].strip().decode() for line in lines}
+
+
+@pytest.mark.parametrize("module", ["skewbench", "skewbench.cli"])
+def test_import_loads_no_numpy(module):
+    proc = _run_python("-c", f"import sys, {module}; print('numpy' in sys.modules)")
+    assert (proc.returncode, proc.stdout) == (0, b"False\n")
+
+
+REFUSED_BEFORE_NUMPY = {
+    "check missing file": ["check", "{missing.alg}"],
+    "check non-utf8": ["check", "{latin1.alg}"],
+    "check unknown element": ["check", "{unknown.alg}"],
+    "quotient --rel X": ["quotient", "{chain2.alg}", "--rel", "X"],
+    "model sections --fibers a,b": ["model", "sections", "--base", "2", "--fibers", "a,b"],
+    "model pfn --x 0": ["model", "pfn", "--x", "0", "--y", "2"],
+    "model sections wrong fiber count": ["model", "sections", "--base", "3", "--fibers", "2,2"],
+    "--jobs 0 search": ["--jobs", "0", "search", "--family", "pfn", "--max-size", "10", "--property", "symmetric"],
+    "search --max-size -3": ["search", "--family", "pfn", "--max-size", "-3", "--property", "symmetric"],
+    "--bound -1": ["--bound", "-1", "model", "pfn", "--x", "2", "--y", "2"],
+}
+
+
+@pytest.mark.parametrize("argv", REFUSED_BEFORE_NUMPY.values(), ids=REFUSED_BEFORE_NUMPY.keys())
+def test_refused_input_exits_two_without_numpy(tmp_path, argv):
+    (tmp_path / "chain2.alg").write_text(CHAIN2_DOC)
+    (tmp_path / "latin1.alg").write_bytes(b"# caf\xe9\n" + CHAIN2_DOC.encode())
+    (tmp_path / "unknown.alg").write_text(CHAIN2_DOC.replace("0 0\n0 1\njoin", "0 0\n0 nosuch\njoin"))
+    argv = [str(tmp_path / a[1:-1]) if a.startswith("{") else a for a in argv]
+    proc = _run_python("-X", "importtime", "-m", "skewbench", *argv)
+    assert proc.returncode == 2
+    assert "numpy" not in _imported_modules(proc.stderr)
+
+
+def test_a_model_command_imports_numpy():
+    """The control for the tests above: the log does name numpy once a
+    command runs its numeric layers."""
+    proc = _run_python("-X", "importtime", "-m", "skewbench", "model", "pfn", "--x", "1", "--y", "1")
+    assert proc.returncode == 0
+    assert "numpy" in _imported_modules(proc.stderr)
+
+
+def test_negative_bound_is_a_usage_error():
+    code, out = run_command(["--bound", "-1", "model", "pfn", "--x", "2", "--y", "2"])
+    assert (code, out) == (2, b"VERDICT: USAGE\n")

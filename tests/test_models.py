@@ -8,11 +8,12 @@ from skewbench import (
     derive_arrow,
     find_isomorphism,
     heyting_arrow,
+    make_algebra,
     models,
     skew_heyting,
     vertical_dual,
 )
-from skewbench.cli import run_command
+from skewbench.cli import emit_algebra_file, run_command
 from skewbench.errors import EsakiaFormulaMismatch, InconsistencyDetected, TooLarge
 from skewbench.models import (
     Poset,
@@ -196,6 +197,37 @@ class TestUpsetHeyting:
         with pytest.raises(EsakiaFormulaMismatch, match=rf"at \({L.names[u]}, {L.names[v]}\)") as err:
             upset_heyting(Poset.antichain(2))
         assert err.value.witness == (u, v)
+
+    @staticmethod
+    def _five_point():
+        # p < r, q < r, r < s, and t incomparable to all of them
+        leq = np.eye(5, dtype=bool)
+        for a, b in ((0, 2), (1, 2), (2, 3), (0, 3), (1, 3)):
+            leq[a, b] = True
+        return Poset(("p", "q", "r", "s", "t"), leq)
+
+    def test_model_upsets_bytes_match_the_cell_by_cell_tables(self, tmp_path):
+        """``model upsets`` emits exactly the algebra file of the tables
+        built one cell at a time from the upset masks."""
+        posets = [P for k in range(1, 5) for P in all_posets(k)] + [self._five_point()]
+        for i, P in enumerate(posets):
+            masks = P.upset_masks
+            index = {m: j for j, m in enumerate(masks)}
+            full = (1 << P.n) - 1
+            reference = make_algebra(
+                [P.subset_name(m) for m in masks],
+                [[index[a & b] for b in masks] for a in masks],
+                [[index[a | b] for b in masks] for a in masks],
+                top=index[full],
+                bottom=index[0],
+                arrow=[[index[full & ~P.down(a & ~b)] for b in masks] for a in masks],
+            )
+            path = tmp_path / f"p{i}.poset"
+            rows = (" ".join("1" if c else "0" for c in row) for row in P.leq)
+            path.write_text("points: " + " ".join(P.points) + "\nleq:\n" + "\n".join(rows) + "\n")
+            code, out = run_command(["model", "upsets", str(path)])
+            assert code == 0
+            assert out == emit_algebra_file(reference).encode(), P.points
 
     def test_bound_counts_the_upsets(self):
         assert upset_heyting(Poset.antichain(3), bound=8).n == 8
