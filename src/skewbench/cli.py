@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import sys
 import traceback
 from dataclasses import dataclass, field
@@ -477,7 +478,7 @@ def _first_hit(results):
 
 
 def _cmd_search(args, report: Report) -> None:
-    from .properties import PROPERTY_NAMES
+    from .property_names import PROPERTY_NAMES
 
     if args.property not in PROPERTY_NAMES:
         raise argparse.ArgumentTypeError(
@@ -672,6 +673,12 @@ def run_command(argv) -> tuple[int, bytes]:
 
 
 def main() -> int:
+    # Every matrix product in the workbench is an integer one, which numpy
+    # runs in its own loops, so an OpenBLAS worker thread would only spin.
+    # Pinned here, not at import, so that importing the CLI leaves the
+    # environment alone; a value the caller set wins, and --jobs workers
+    # inherit it.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     status, out = run_command(sys.argv[1:])
     sys.stdout.buffer.write(out)
     return status

@@ -36,6 +36,7 @@ from .errors import (
     SkewbenchError,
 )
 from .identities import GROUPS, CheckResult, bind, run_identity
+from .property_names import PROPERTY_NAMES, SKEW_AXIOMS
 
 
 @dataclass(frozen=True)
@@ -72,29 +73,6 @@ class PropertyReport:
         return tuple(self.names[i] for i in entry.witness if isinstance(i, int))
 
 
-_SKEW_AXIOMS = (
-    "meet-idempotent",
-    "join-idempotent",
-    "meet-associative",
-    "join-associative",
-    "absorption",
-)
-
-PROPERTY_NAMES = _SKEW_AXIOMS + (
-    "skew-lattice",
-    "equivalence-pair",
-    "regular",
-    "rectangular",
-    "strongly-distributive",
-    "co-strongly-distributive",
-    "distributive",
-    "symmetric",
-    "conormal",
-    "normal",
-    "quasi-distributive",
-)
-
-
 def property_result(A: Algebra, name: str) -> CheckResult:
     """The verdict of property ``name`` of :data:`PROPERTY_NAMES` on ``A``.
 
@@ -111,7 +89,7 @@ def _property(A: Algebra, name: str) -> CheckResult:
         return _quasi_distributive(A)
     if name != "skew-lattice":
         return run_identity(name, bind(A))
-    axioms = [property_result(A, axiom) for axiom in _SKEW_AXIOMS]
+    axioms = [property_result(A, axiom) for axiom in SKEW_AXIOMS]
     checked = sum(e.checked for e in axioms)
     fail = next((e for e in axioms if not e.holds), None)
     if fail is None:
@@ -123,7 +101,7 @@ def _property(A: Algebra, name: str) -> CheckResult:
 
 def check_skew_lattice(A: Algebra) -> CheckOutcome:
     """Idempotency, associativity and absorption for both operations."""
-    for name in _SKEW_AXIOMS:
+    for name in SKEW_AXIOMS:
         res = property_result(A, name)
         if not res.holds:
             return CheckOutcome(False, witness=res.witness, detail=f"{name}: {res.detail}")

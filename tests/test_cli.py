@@ -399,8 +399,10 @@ def test_failing_sh2_witness_names_pair_and_sides(pf22):
     assert machine.rstrip().endswith("VERDICT: FAIL")
 
 
-def _run_python(*args):
-    env = {**os.environ, "PYTHONPATH": str(Path(skewbench.__file__).parents[1])}
+def _run_python(*args, env=None):
+    """Run the interpreter on ``args`` with ``env`` (default: this
+    process's environment) and the package on its path."""
+    env = {**(os.environ if env is None else env), "PYTHONPATH": str(Path(skewbench.__file__).parents[1])}
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=60)
 
 
@@ -438,6 +440,7 @@ REFUSED_BEFORE_NUMPY = {
     "model pfn --x 0": ["model", "pfn", "--x", "0", "--y", "2"],
     "model sections wrong fiber count": ["model", "sections", "--base", "3", "--fibers", "2,2"],
     "--jobs 0 search": ["--jobs", "0", "search", "--family", "pfn", "--max-size", "10", "--property", "symmetric"],
+    "search --property no-such": ["search", "--family", "pfn", "--max-size", "10", "--property", "no-such"],
     "search --max-size -3": ["search", "--family", "pfn", "--max-size", "-3", "--property", "symmetric"],
     "--bound -1": ["--bound", "-1", "model", "pfn", "--x", "2", "--y", "2"],
 }
@@ -465,3 +468,67 @@ def test_a_model_command_imports_numpy():
 def test_negative_bound_is_a_usage_error():
     code, out = run_command(["--bound", "-1", "model", "pfn", "--x", "2", "--y", "2"])
     assert (code, out) == (2, b"VERDICT: USAGE\n")
+
+
+# the variables OpenBLAS reads for its thread count, first match wins
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+_HAS_TASK_DIR = os.path.isdir("/proc/self/task")
+
+
+def _unpinned_env() -> dict:
+    return {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARS}
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+_MAIN_THEN_THREADS = """\
+import os, sys
+from skewbench import cli
+sys.argv = ["skewbench", "model", "pfn", "--x", "1", "--y", "1"]
+status = cli.main()
+threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else "-"
+print(status, threads, os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+
+
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_main_pins_blas_to_one_thread_unless_set(preset):
+    env = _unpinned_env()
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = _run_python("-c", _MAIN_THEN_THREADS, env=env)
+    assert proc.returncode == 0, proc.stderr
+    status, threads, value = proc.stdout.splitlines()[-1].decode().split()
+    assert (status, value) == ("0", preset or "1")
+    if preset is None and _HAS_TASK_DIR:
+        assert threads == "1"
+
+
+@pytest.mark.skipif(not _HAS_TASK_DIR or _usable_cpus() < 2, reason="needs /proc/self/task and two CPUs")
+def test_bare_numpy_import_starts_blas_workers():
+    """The control for the test above: without the pin, loading numpy
+    starts OpenBLAS worker threads."""
+    proc = _run_python("-c", "import os, numpy; print(len(os.listdir('/proc/self/task')))", env=_unpinned_env())
+    assert proc.returncode == 0 and int(proc.stdout) > 1
+
+
+def test_import_and_run_command_leave_the_environment_alone():
+    code = """\
+import os
+before = dict(os.environ)
+import skewbench, skewbench.cli
+skewbench.cli.run_command(["model", "pfn", "--x", "1", "--y", "1"])
+print(dict(os.environ) == before)
+"""
+    proc = _run_python("-c", code, env=_unpinned_env())
+    assert (proc.returncode, proc.stdout) == (0, b"True\n")
+
+
+def test_search_jobs_through_the_entry_point():
+    """``--jobs`` workers forked from a pinned ``main`` give the same bytes."""
+    argv = ["search", "--family", "pfn", "--max-size", "16", "--property", "co-strongly-distributive", "--negate"]
+    runs = [_run_python("-m", "skewbench", "--jobs", jobs, *argv, env=_unpinned_env()) for jobs in ("1", "2")]
+    assert runs[0].stdout.startswith(b"skewbench ")
+    assert (runs[1].returncode, runs[1].stdout) == (runs[0].returncode, runs[0].stdout)
