@@ -36,6 +36,7 @@ _HOMES = {
     "check_skew_lattice": "properties",
     "classify": "properties",
     "cover_in_class": "properties",
+    "d_partition": "core",
     "derive_arrow": "skew_heyting",
     "direct_product": "core",
     "dual_gb_diff": "heyting",
@@ -46,6 +47,7 @@ _HOMES = {
     "heyting_arrow": "heyting",
     "is_congruence": "core",
     "isomorphism_key": "core",
+    "lattice_image": "core",
     "leq_matrix": "core",
     "make_algebra": "core",
     "models": "models",

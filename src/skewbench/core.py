@@ -1,12 +1,13 @@
 """Finite double-band algebras as operation tables.
 
 Elements are dense integer indices; display names ride along as a sidecar
-tuple.  Operation tables are the single source of truth: orders, Green's
-relations and everything derived from them are always recomputed from the
-tables, never stored authoritatively.  Algebra values are immutable after
-construction (the private memo of derived facts each one carries only saves
-recomputation) and every function here is pure, so values may be shared
-freely between threads.
+tuple.  Operation tables are the single source of truth.  The facts derived
+from them here are built on first use and cached on the algebra: ≤
+(:func:`leq_matrix`), ⪯ (:func:`preceq_matrix`), Green's relations
+(:func:`greens`), the partition ⪯ ∩ ⪰ (:func:`d_partition`) and S/D with
+its projection (:func:`lattice_image`).  Algebra values are immutable
+(cached arrays are read-only) and every function here is pure, so values
+may be shared freely between threads.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from .errors import (
 _DTYPE = np.int16
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(arr, dtype=_DTYPE)
+def _freeze(arr: np.ndarray, dtype=_DTYPE) -> np.ndarray:
+    out = np.ascontiguousarray(arr, dtype=dtype)
     out.setflags(write=False)
     return out
 
@@ -56,10 +57,10 @@ class Algebra:
     and the constant laws (algebraic laws such as associativity are opt-in
     classifications, so that non-examples can be held and dissected).
 
-    ``_facts`` caches facts derived from ``meet``, ``join`` and ``top``
-    (the derived arrow, the named properties, the isomorphism key); it
-    takes no part in equality or the repr, and :meth:`with_arrow` and
-    :meth:`drop_arrow` share it, since they keep those three.
+    ``_facts`` caches facts derived from the tables but the arrow: ≤, ⪯,
+    Green's relations, ⪯ ∩ ⪰, S/D, the derived arrow, the named properties
+    and the isomorphism key.  It takes no part in equality or the repr, and
+    :meth:`with_arrow` and :meth:`drop_arrow` share it.
     """
 
     names: tuple[str, ...]
@@ -240,18 +241,15 @@ def subalgebra(A: Algebra, elements, top=None, bottom=None) -> tuple[Algebra, di
 
 
 def leq_matrix(A: Algebra) -> np.ndarray:
-    """Natural partial order: x ≤ y iff x∨y = y = y∨x."""
-    J = A.join
-    col = np.arange(A.n)[None, :]
-    return np.asarray((J == col) & (J.T == col))
+    """Natural partial order: x ≤ y iff x∨y = y = y∨x.  Cached, read-only."""
+    J, col = A.join, np.arange(A.n)[None, :]
+    return A.cached("leq", lambda: _freeze((J == col) & (J.T == col), bool))
 
 
 def preceq_matrix(A: Algebra) -> np.ndarray:
-    """Natural preorder: x ⪯ y iff y∨x∨y = y."""
-    J = A.join
-    col = np.arange(A.n)[None, :]
-    yxy = J[J.T, np.broadcast_to(col, J.shape)]
-    return np.asarray(yxy == col)
+    """Natural preorder: x ⪯ y iff y∨x∨y = y.  Cached, read-only."""
+    J, col = A.join, np.arange(A.n)[None, :]
+    return A.cached("preceq", lambda: _freeze(J[J.T, np.broadcast_to(col, J.shape)] == col, bool))
 
 
 def natural_orders(A: Algebra) -> tuple[np.ndarray, np.ndarray]:
@@ -318,7 +316,7 @@ class Partition:
             raise ValueError(f"relation not reflexive at {x}")
         if not np.array_equal(rel, rel.T):
             raise ValueError("relation not symmetric")
-        comp = (rel.astype(np.uint8) @ rel.astype(np.uint8)) > 0
+        comp = _bool_compose(rel, rel)
         if (comp & ~rel).any():
             x, y = np.unravel_index(int(np.argmax(comp & ~rel)), rel.shape)
             raise ValueError(f"relation not transitive at ({x}, {y})")
@@ -344,26 +342,36 @@ def _bool_compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.astype(np.uint8) @ b.astype(np.uint8)) > 0
 
 
+def d_partition(A: Algebra) -> Partition:
+    """The partition of ⪯ ∩ ⪰, which is Green's D on a skew lattice.
+    Cached; raises NotComposable when the relation is not an equivalence."""
+    return A.cached("D", lambda: _d_partition(A))
+
+
+def _d_partition(A: Algebra) -> Partition:
+    pre = preceq_matrix(A)
+    try:
+        return Partition.from_relation(pre & pre.T)
+    except ValueError as exc:
+        raise NotComposable(f"D is not an equivalence: {exc}") from exc
+
+
 def greens(A: Algebra) -> tuple[Partition, Partition, Partition]:
-    """Green's relations (D, L, R) as partitions.
+    """Green's relations (D, L, R) as partitions, cached.
 
     Verifies on the instance that the meet and join characterizations of L
-    and R agree and that L∘R = R∘L = D; a failure signals that the input is
-    not a skew lattice.
+    and R agree, that all three are equivalences and that L∘R = R∘L = D; a
+    failure signals that the input is not a skew lattice.
     """
-    M, J = A.meet, A.join
-    n = A.n
-    row = np.arange(n)[:, None]
-    col = np.arange(n)[None, :]
+    return A.cached("greens", lambda: _greens(A))
 
-    p1 = M == row  # x∧y = x
-    Lrel = p1 & p1.T
-    q1 = J == col  # x∨y = y
-    Lor = q1 & q1.T
-    s1 = M == col  # x∧y = y
-    Rrel = s1 & s1.T
-    t1 = J == row  # x∨y = x
-    Ror = t1 & t1.T
+
+def _greens(A: Algebra) -> tuple[Partition, Partition, Partition]:
+    M, J = A.meet, A.join
+    row, col = np.arange(A.n)[:, None], np.arange(A.n)[None, :]
+    # x L y by x∧y = x and y∧x = y, or by x∨y = y and y∨x = x; R dually
+    Lrel, Lor = (M == row) & (M == row).T, (J == col) & (J == col).T
+    Rrel, Ror = (M == col) & (M == col).T, (J == row) & (J == row).T
     for label, a, b in (("L", Lrel, Lor), ("R", Rrel, Ror)):
         if not np.array_equal(a, b):
             x, y = np.unravel_index(int(np.argmax(a != b)), a.shape)
@@ -372,8 +380,14 @@ def greens(A: Algebra) -> tuple[Partition, Partition, Partition]:
                 witness=(int(x), int(y)),
             )
 
-    pre = preceq_matrix(A)
-    Drel = pre & pre.T
+    D = d_partition(A)
+    try:
+        L = Partition.from_relation(Lrel)
+        R = Partition.from_relation(Rrel)
+    except ValueError as exc:
+        raise NotComposable(f"Green's relation is not an equivalence: {exc}") from exc
+    bof = np.array(D.block_of)
+    Drel = bof[:, None] == bof[None, :]
     lr = _bool_compose(Lrel, Rrel)
     rl = _bool_compose(Rrel, Lrel)
     if not (np.array_equal(lr, Drel) and np.array_equal(rl, Drel)):
@@ -383,12 +397,6 @@ def greens(A: Algebra) -> tuple[Partition, Partition, Partition]:
             f"L∘R = R∘L = D fails at ({A.names[x]}, {A.names[y]})",
             witness=(int(x), int(y)),
         )
-    try:
-        D = Partition.from_relation(Drel)
-        L = Partition.from_relation(Lrel)
-        R = Partition.from_relation(Rrel)
-    except ValueError as exc:
-        raise NotComposable(f"Green's relation is not an equivalence: {exc}") from exc
     return D, L, R
 
 
@@ -474,15 +482,21 @@ def quotient(A: Algebra, partition: Partition) -> tuple[Algebra, HomMap]:
     qbottom = int(bof[A.bottom]) if A.bottom is not None else None
     Q = make_algebra(qnames, qmeet, qjoin, top=qtop, bottom=qbottom, arrow=qarrow)
 
-    pre = preceq_matrix(A)
     try:
-        is_d = Partition.from_relation(pre & pre.T) == partition
-    except ValueError:
+        is_d = d_partition(A) == partition
+    except NotComposable:
         is_d = False
     if is_d:
         if not (np.array_equal(Q.meet, Q.meet.T) and np.array_equal(Q.join, Q.join.T)):
             raise NotComposable("quotient by D is not commutative; input is not a skew lattice")
     return Q, HomMap(A, Q, tuple(int(v) for v in bof))
+
+
+def lattice_image(A: Algebra) -> tuple[Algebra, HomMap]:
+    """The maximal lattice image S/D of the arrowless reduct of ``A``, the
+    quotient by :func:`d_partition`, with its projection.  Cached; raises
+    as :func:`d_partition` and :func:`quotient` do."""
+    return A.cached("S/D", lambda: quotient(A.drop_arrow(), d_partition(A)))
 
 
 def pullback_check(A: Algebra) -> CheckOutcome:

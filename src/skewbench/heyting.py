@@ -81,10 +81,11 @@ def heyting_arrow(L: Algebra) -> ArrowResult:
     return _arrow_by_candidates(L)
 
 
-def adjunction_failure(L: Algebra, members, arrow, leq) -> tuple[int, int] | None:
+def adjunction_failure(L: Algebra, members, arrow) -> tuple[int, int] | None:
     """The first pair (a, b) of ``members`` (ascending indices of L), in
     row-major order, at which c∧a ≤ b ⇔ c ≤ a→b fails for some member c, or
     None.  Each range of a holds at most 2^16 cells, or one a."""
+    leq = leq_matrix(L)
     U = np.asarray(members)
     m = len(U)
     step = max(1, (1 << 16) // (m * m))
@@ -111,7 +112,7 @@ def generalized_heyting_arrow(L: Algebra) -> ArrowResult:
         return res
     leq = leq_matrix(L)
     for u in range(L.n):
-        bad = adjunction_failure(L, np.flatnonzero(leq[u]), res.table, leq)
+        bad = adjunction_failure(L, np.flatnonzero(leq[u]), res.table)
         if bad is not None:
             raise InconsistencyDetected(
                 f"global arrow exists but upset at {L.names[u]} is not a Heyting algebra",
@@ -123,11 +124,10 @@ def generalized_heyting_arrow(L: Algebra) -> ArrowResult:
 def check_heyting_axioms(L: Algebra, arrow) -> PropertyReport:
     """Verdicts for the Heyting axioms, the adjunction and the reduction
     x→y = (x∨y)→y, each quantified exhaustively."""
-    tables = bind(L, r=arrow)
-    rels = {"leq": leq_matrix(L)}
+    tables = bind(L, r=arrow, leq=leq_matrix(L))
     h1 = run_identity("H1", tables) if L.top is not None else skipped_result("H1", "no top declared")
     rest = ("H2", "H3", "H4", "HA", "arrow-join-reduction")
-    return PropertyReport((h1, *(run_identity(name, tables, rels) for name in rest)), L.names)
+    return PropertyReport((h1, *(run_identity(name, tables) for name in rest)), L.names)
 
 
 def dual_gb_diff(L: Algebra) -> DiffResult:

@@ -23,9 +23,10 @@ name, and ask for it with :func:`run_identity` by that name.
 Evaluation.  A term parses to nested tuples over variable positions: an
 ``int`` is a variable, ``("c", k)`` the constant ``k``, ``(op, s, t)``
 applies a binary table (``"m"``, ``"j"``, ``"r"``, ``"d"``, ``"dd"``) or a
-boolean relation (``"leq"``, ``"pre"``), and ``("eq", s, t)`` compares two
-value terms.  A check compares its two sides over the full tuple space, in
-lexicographic order, and reports the first failing tuple as its witness.
+boolean relation (``"leq"``, ``"pre"``), all read from the bound tables, and
+``("eq", s, t)`` compares two value terms.  A check compares its two sides
+over the full tuple space, in lexicographic order, and reports the first
+failing tuple as its witness.
 
 Images.  The frontier of a check is every subterm without the first
 variable x that a subterm with x reads: x-free operations and bare
@@ -74,7 +75,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 _BOX = 1 << 16  # tuples per evaluation box
-_BOOL_OPS = ("leq", "pre")
 
 GROUPS: dict[str, tuple[str, ...]] = {
     # the skew lattice axioms
@@ -230,8 +230,9 @@ def named_check(name: str) -> Check:
 
 def bind(A, **ops) -> dict:
     """The tables a check reads on algebra ``A``: its meet and join, the
-    extra operation tables ``ops`` (``r=``, ``d=``, ``dd=``), and the
-    constants ``0`` and ``1`` where ``A`` declares a bottom and a top."""
+    extra tables ``ops`` (operations ``r=``, ``d=``, ``dd=`` and relations
+    ``leq=``, ``pre=``), and the constants ``0`` and ``1`` where ``A``
+    declares a bottom and a top."""
     tables = {"m": A.meet, "j": A.join, **{k: np.ascontiguousarray(t) for k, t in ops.items()}}
     for const, value in (("0", A.bottom), ("1", A.top)):
         if value is not None:
@@ -239,28 +240,20 @@ def bind(A, **ops) -> dict:
     return tables
 
 
-def _eval(term, tables, rels, varr):
+def _eval(term, tables, varr):
     if isinstance(term, int):
         return varr[term]
     op = term[0]
     if op == "c":
         return tables[term[1]]
-    a = _eval(term[1], tables, rels, varr)
-    b = _eval(term[2], tables, rels, varr)
-    if op == "eq":
-        return a == b
-    if op in _BOOL_OPS:
-        return rels[op][a, b]
-    return tables[op][a, b]
+    a = _eval(term[1], tables, varr)
+    b = _eval(term[2], tables, varr)
+    return a == b if op == "eq" else tables[op][a, b]
 
 
-def values_at(check: Check, tables, point, rels=None) -> tuple:
+def values_at(check: Check, tables, point) -> tuple:
     """The values of both sides of ``check`` at one tuple of elements."""
-    rels = rels or {}
-    return (
-        _plain(_eval(check.lhs, tables, rels, point)),
-        _plain(_eval(check.rhs, tables, rels, point)),
-    )
+    return _plain(_eval(check.lhs, tables, point)), _plain(_eval(check.rhs, tables, point))
 
 
 @dataclass(frozen=True)
@@ -324,7 +317,7 @@ def _gather(table, a, b, a_last: bool, b_last: bool):
     return table.reshape(-1).take(a.astype(np.intp) * table.shape[1] + b)
 
 
-def _evaluate(plan: _Plan, order, vals, tables, rels, last) -> None:
+def _evaluate(plan: _Plan, order, vals, tables, last) -> None:
     """Evaluate the nodes ``order`` into ``vals``; ``last`` is the node of
     the last variable where it spans its full axis, else None."""
     for i in order:
@@ -334,8 +327,7 @@ def _evaluate(plan: _Plan, order, vals, tables, rels, last) -> None:
         elif op == "eq":
             vals[i] = vals[a] == vals[b]
         else:
-            table = rels[op] if op in _BOOL_OPS else tables[op]
-            vals[i] = _gather(table, vals[a], vals[b], a == last, b == last)
+            vals[i] = _gather(tables[op], vals[a], vals[b], a == last, b == last)
 
 
 def _axis(values, i: int, k: int):
@@ -362,7 +354,7 @@ def _use_images(plan: _Plan, n: int, k: int) -> bool:
     )
 
 
-def _images(plan: _Plan, vals, tables, rels, every, k: int):
+def _images(plan: _Plan, vals, tables, every, k: int):
     """The distinct rows of frontier values over the space of the variables
     after x, as the sorted codes ``key * n^(k-1) + first``: ``key`` reads the
     row in radix n, and ``first`` is the lexicographic index of its first
@@ -376,7 +368,7 @@ def _images(plan: _Plan, vals, tables, rels, every, k: int):
     seen = 0
     for y0, y in _y_ranges(every, n, k):
         vals[plan.variables[1]] = y
-        _evaluate(plan, plan.free, vals, tables, rels, plan.variables[-1])
+        _evaluate(plan, plan.free, vals, tables, plan.variables[-1])
         box = np.zeros((1, y.size) + (n,) * (k - 2), dtype=np.int64)
         for i, r in zip(plan.frontier, radix):
             box += r * vals[i]
@@ -392,7 +384,7 @@ def _images(plan: _Plan, vals, tables, rels, every, k: int):
     return codes, seen
 
 
-def _scan_images(plan: _Plan, vals, tables, rels, every, k: int, codes):
+def _scan_images(plan: _Plan, vals, tables, every, k: int, codes):
     """The first failing tuple over x × the distinct frontier images, and
     the tuples evaluated.  A failing image is reported by its first
     occurrence, so the tuple is the lexicographically first failing one."""
@@ -405,7 +397,7 @@ def _scan_images(plan: _Plan, vals, tables, rels, every, k: int, codes):
     for lo in range(0, n, step):
         xs = every[lo : lo + step]
         vals[plan.variables[0]] = xs.reshape(-1, 1)
-        _evaluate(plan, plan.rest, vals, tables, rels, None)
+        _evaluate(plan, plan.rest, vals, tables, None)
         evaluated += xs.size * keys.size
         mask = np.broadcast_to(vals[-1], (xs.size, keys.size))
         hit = mask.any(axis=1)
@@ -416,7 +408,7 @@ def _scan_images(plan: _Plan, vals, tables, rels, every, k: int, codes):
     return None, evaluated
 
 
-def _first_failure(check: Check, tables, rels, n: int):
+def _first_failure(check: Check, tables, n: int):
     """The lexicographically first tuple where the sides of ``check``
     differ, or None, and the tuples evaluated."""
     plan, k = _plan(check), check.arity
@@ -427,9 +419,9 @@ def _first_failure(check: Check, tables, rels, n: int):
         vals[var[i]] = _axis(every, i, k)
     evaluated = 0
     if _use_images(plan, n, k):
-        codes, evaluated = _images(plan, vals, tables, rels, every, k)
+        codes, evaluated = _images(plan, vals, tables, every, k)
         if codes is not None:
-            witness, scanned = _scan_images(plan, vals, tables, rels, every, k, codes)
+            witness, scanned = _scan_images(plan, vals, tables, every, k, codes)
             return witness, evaluated + scanned
     # boxes: ranges of x with the rest full, else one x and a range of y
     if n ** (k - 1) <= _BOX:
@@ -449,9 +441,9 @@ def _first_failure(check: Check, tables, rels, n: int):
                 for i, value in zip(plan.frontier, reused[r]):
                     vals[i] = value
             else:
-                _evaluate(plan, plan.free, vals, tables, rels, var[-1])
+                _evaluate(plan, plan.free, vals, tables, var[-1])
                 reused.append([vals[i] for i in plan.frontier])
-            _evaluate(plan, plan.rest, vals, tables, rels, var[-1])
+            _evaluate(plan, plan.rest, vals, tables, var[-1])
             mask = vals[-1]
             evaluated += mask.size
             flat = int(mask.argmax())
@@ -462,32 +454,31 @@ def _first_failure(check: Check, tables, rels, n: int):
     return None, evaluated
 
 
-def run_check(check: Check, tables, rels=None) -> CheckResult:
+def run_check(check: Check, tables) -> CheckResult:
     """Evaluate a check exhaustively in lexicographic order, and stop at the
     first failing tuple; ``checked`` counts the tuples covered and
     ``evaluated`` the tuples the engine computed to cover them."""
-    rels = rels or {}
     n = tables["m"].shape[0]
     k = check.arity
     if k == 0:
-        lhs, rhs = values_at(check, tables, (), rels)
+        lhs, rhs = values_at(check, tables, ())
         ok = bool(np.all(lhs == rhs))
         return CheckResult(check.name, ok, None if ok else (), 1, lhs, rhs, evaluated=1)
-    witness, evaluated = _first_failure(check, tables, rels, n)
+    witness, evaluated = _first_failure(check, tables, n)
     if witness is None:
         return CheckResult(check.name, True, None, n**k, evaluated=evaluated)
-    lhs, rhs = values_at(check, tables, witness, rels)
+    lhs, rhs = values_at(check, tables, witness)
     return CheckResult(check.name, False, witness, n**k, lhs, rhs, evaluated=evaluated)
 
 
-def run_identity(name: str, tables, rels=None) -> CheckResult:
+def run_identity(name: str, tables) -> CheckResult:
     """Evaluate the group or the check reported as ``name``.  A group stops
     at its first failing formula and names it in the detail field."""
     if name not in GROUPS:
-        return run_check(named_check(name), tables, rels)
+        return run_check(named_check(name), tables)
     checked = evaluated = 0
     for formula in GROUPS[name]:
-        res = run_check(named_check(formula), tables, rels)
+        res = run_check(named_check(formula), tables)
         checked += res.checked
         evaluated += res.evaluated
         if not res.holds:

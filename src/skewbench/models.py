@@ -441,7 +441,7 @@ def upset_heyting(P: Poset, bound: int = 10000) -> Algebra:
     meet, join, arrow = index[a & b], index[a | b], arrow_of_gap[a & ~b]
     names = tuple(P.subset_name(int(m)) for m in masks)
     L = make_algebra(names, meet, join, top=int(index[full]), bottom=int(index[0]), arrow=arrow)
-    if run_identity("HA", bind(L, r=L.arrow), {"leq": leq_matrix(L)}).holds:
+    if run_identity("HA", bind(L, r=L.arrow, leq=leq_matrix(L))).holds:
         return L
     oracle = heyting_arrow(L.drop_arrow())
     if oracle:

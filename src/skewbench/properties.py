@@ -18,11 +18,10 @@ from .core import (
     Algebra,
     CheckOutcome,
     HomMap,
-    Partition,
     direct_product,
     find_isomorphism,
     greens,
-    is_congruence,
+    lattice_image,
     leq_matrix,
     preceq_matrix,
     quotient,
@@ -31,6 +30,7 @@ from .core import (
 from .errors import (
     FactorizationNotFound,
     InconsistencyDetected,
+    NotACongruence,
     NotUnique,
     PreconditionFailed,
     SkewbenchError,
@@ -111,23 +111,16 @@ def check_skew_lattice(A: Algebra) -> CheckOutcome:
 def _quasi_distributive(A: Algebra) -> CheckResult:
     name = "quasi-distributive"
     try:
-        pre = preceq_matrix(A)
-        part = Partition.from_relation(pre & pre.T)
-    except ValueError as exc:
-        return CheckResult(name, False, (), 0, detail=f"D is not an equivalence: {exc}")
-    base = A.drop_arrow()
-    cong = is_congruence(base, part)
-    if not cong:
-        return CheckResult(name, False, tuple(cong.witness[1:]), 0, detail="D is not a congruence")
-    try:
-        Q, _ = quotient(base, part)
+        Q, hom = lattice_image(A)
+    except NotACongruence as exc:
+        return CheckResult(name, False, exc.witness[1:], 0, detail="D is not a congruence")
     except SkewbenchError as exc:
-        return CheckResult(name, False, getattr(exc, "witness", ()), 0, detail=str(exc))
+        return CheckResult(name, False, exc.witness, 0, detail=str(exc))
     # S/D is a lattice: both of its distributive laws, in their lattice form
     res = run_identity("lattice-distributive", bind(Q))
     if res.holds:
         return CheckResult(name, True, None, res.checked)
-    reps = tuple(part.blocks[b][0] for b in res.witness)
+    reps = tuple(hom.mapping.index(b) for b in res.witness)
     return CheckResult(name, False, reps, res.checked, detail="evaluated in S/D on class representatives")
 
 

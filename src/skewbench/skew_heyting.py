@@ -24,6 +24,7 @@ from .core import (
     CheckOutcome,
     greens,
     is_congruence,
+    lattice_image,
     leq_matrix,
     preceq_matrix,
     quotient,
@@ -42,7 +43,7 @@ from .identities import CheckResult, bind, run_identity, skipped_result
 from .properties import PropertyReport, check_skew_lattice, property_result
 
 
-def upset_at(A: Algebra, u: int, leq: np.ndarray | None = None) -> np.ndarray:
+def upset_at(A: Algebra, u: int) -> np.ndarray:
     """The members of u↑ = {u∨x∨u : x} = {x : u ≤ x}, ascending.
 
     Both descriptions of the member set are computed and must agree; the
@@ -50,8 +51,7 @@ def upset_at(A: Algebra, u: int, leq: np.ndarray | None = None) -> np.ndarray:
     commutative.  These hold on every conormal skew lattice, so a violation
     is raised as an inconsistency rather than reported.
     """
-    if leq is None:
-        leq = leq_matrix(A)
+    leq = leq_matrix(A)
     J = A.join
     via_join = np.zeros(A.n, dtype=bool)
     via_join[J[J[u], u]] = True
@@ -115,7 +115,7 @@ def derive_arrow(A: Algebra) -> DeriveResult:
 def _derive_arrow(A: Algebra) -> DeriveResult:
     n, J = A.n, A.join
     leq = leq_matrix(A)
-    upsets = tuple(upset_at(A, u, leq) for u in range(n))
+    upsets = tuple(upset_at(A, u) for u in range(n))
     table = np.zeros((n, n), dtype=np.int16)
     for y, U in enumerate(upsets):
         # t→y in y↑ is the largest c with c∧t = y; it has the most members below it
@@ -125,7 +125,7 @@ def _derive_arrow(A: Algebra) -> DeriveResult:
     table.setflags(write=False)
 
     for u, U in enumerate(upsets):
-        bad = adjunction_failure(A, U, table, leq)
+        bad = adjunction_failure(A, U, table)
         if bad is not None:
             raise CoherenceFailure(
                 f"global arrow and arrow of upset at {A.names[u]} disagree on "
@@ -158,14 +158,13 @@ def check_sha(A: Algebra, arrow) -> CheckOutcome:
     in that case agreement with the derived arrow is verified as well.
     """
     R = np.asarray(arrow)
-    tables = bind(A, r=R)
-    rels = {"pre": preceq_matrix(A)}
-    adj = run_identity("SHA", tables, rels)
+    tables = bind(A, r=R, pre=preceq_matrix(A))
+    adj = run_identity("SHA", tables)
     if not adj.holds:
         return CheckOutcome(False, witness=adj.witness, detail="adjunction fails")
     if A.top is None:
         return CheckOutcome(False, detail="no top: x→y=1 clause unverifiable")
-    unit = run_identity("x→y=1 ⇔ x⪯y", tables, rels)
+    unit = run_identity("x→y=1 ⇔ x⪯y", tables)
     if not unit.holds:
         return CheckOutcome(False, witness=unit.witness, detail="x→y=1 iff x⪯y fails")
 
@@ -203,8 +202,7 @@ def check_lifting(A: Algebra) -> CheckOutcome:
     """
     _require_costrong_with_top(A)
     derived = derive_arrow(A)
-    D, _, _ = greens(A)
-    Q, hom = quotient(A.drop_arrow(), D)
+    Q, hom = lattice_image(A)
     lifted = generalized_heyting_arrow(Q)
     if not lifted:
         raise InconsistencyDetected("lifting biconditional fails: derived=True, quotient arrow=False")
@@ -261,9 +259,7 @@ def special_case_arrows(A: Algebra, arrow=None) -> PropertyReport:
     R = np.asarray(arrow)
     entries: list[CheckResult] = []
 
-    D, _, _ = greens(A)
-    Q, _ = quotient(A.drop_arrow(), D)
-    leq_q = leq_matrix(Q)
+    leq_q = leq_matrix(lattice_image(A)[0])
     is_chain = bool((leq_q | leq_q.T).all())
     if is_chain:
         pre = preceq_matrix(A)

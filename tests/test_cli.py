@@ -1,3 +1,4 @@
+import functools
 import os
 import subprocess
 import sys
@@ -5,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import skewbench
 from skewbench import errors
@@ -17,6 +20,10 @@ from skewbench.cli import (
     Report,
     ReportEntry,
 )
+from skewbench.models import search_family
+
+from conftest import shuffle_algebra
+
 CHAIN2_DOC = """\
 # two-element chain
 elements: 0 1
@@ -360,6 +367,78 @@ class TestDeterminism:
         base = run_command(["--jobs", "1"] + argv)
         for jobs in ("2", "3"):
             assert run_command(["--jobs", jobs] + argv) == base
+
+
+_FILE_COMMANDS = {
+    "check": ("check",),
+    "derive": ("derive",),
+    "verify": ("verify",),
+    "quotient": ("quotient", "--rel", "D"),
+}
+
+
+# the conftest fixtures written out for the golden reports, and two more
+_SEED_DOCUMENTS = [CHAIN2_DOC.encode(), NON_SKEW_DOC.encode()] + [
+    path.read_bytes() for path in sorted((Path(__file__).parent / "golden").glob("*.alg"))
+]
+
+
+@st.composite
+def _damaged_documents(draw):
+    """A valid algebra file with a few bytes replaced, inserted or deleted."""
+    doc = bytearray(draw(st.sampled_from(_SEED_DOCUMENTS)))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(doc)))
+        # the slice i:i inserts, i:i+1 replaces, and either with b"" deletes
+        cut = draw(st.integers(0, 1))
+        doc[i : i + cut] = draw(st.sampled_from([b"", *(bytes([c]) for c in b"01ab{}:, \n#\xff")]))
+    return bytes(doc)
+
+
+@st.composite
+def _random_tables(draw):
+    """A well-formed file whose tables and constants are arbitrary."""
+    n = draw(st.integers(1, 4))
+    names = [f"e{i}" for i in range(n)]
+    cell = st.sampled_from(names)
+    lines = ["elements: " + " ".join(names)]
+    for label in ("meet:", "join:"):
+        lines.append(label)
+        lines += [" ".join(draw(st.lists(cell, min_size=n, max_size=n))) for _ in range(n)]
+    for label in ("top", "bottom"):
+        if draw(st.booleans()):
+            lines.append(f"{label}: {draw(cell)}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+@functools.cache
+def _family(name: str) -> list:
+    return [A for _, A in search_family(name, 12)]
+
+
+class TestRobustness:
+    """Property-based: no file makes a command fail with a traceback or an
+    internal error, and parse∘emit is the identity."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        command=st.sampled_from(sorted(_FILE_COMMANDS)),
+        data=st.one_of(st.binary(max_size=200), _damaged_documents(), _random_tables()),
+    )
+    def test_any_bytes_give_a_status_of_at_most_two(self, tmp_path_factory, command, data):
+        path = tmp_path_factory.getbasetemp() / "arbitrary.alg"
+        path.write_bytes(data)
+        cmd, *rest = _FILE_COMMANDS[command]
+        code, out = run_command(["--format", "machine", cmd, str(path), *rest])
+        assert code <= 2, out
+        assert b"name=internal " not in out
+
+    @settings(max_examples=60, deadline=None)
+    @given(family=st.sampled_from(["enum", "pfn", "sections"]), data=st.data())
+    def test_parse_inverts_emit_on_relabeled_instances(self, family, data):
+        A = data.draw(st.sampled_from(_family(family)))
+        B = shuffle_algebra(A, seed=data.draw(st.integers(0, 2**32 - 1)))
+        assert parse_algebra_file(emit_algebra_file(B)) == B
 
 
 def test_emit_report_formats():

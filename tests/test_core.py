@@ -7,19 +7,24 @@ from skewbench import (
     find_isomorphism,
     greens,
     is_congruence,
+    lattice_image,
+    leq_matrix,
     make_algebra,
     natural_orders,
+    preceq_matrix,
     pullback_check,
     quotient,
     vertical_dual,
 )
+from skewbench import cli, core
 from skewbench.errors import (
     BadConstant,
     MalformedTable,
     NotACongruence,
+    NotComposable,
     TooLarge,
 )
-from skewbench.models import SurjectionModel, sections_algebra
+from skewbench.models import SurjectionModel, partial_function_algebra, sections_algebra
 
 from conftest import shuffle_algebra
 
@@ -114,6 +119,75 @@ class TestGreens:
         # left-handed: D coincides with L and R is trivial
         assert D.blocks == L.blocks
         assert all(len(b) == 1 for b in R.blocks)
+
+
+class TestFactsCache:
+    """≤, ⪯, Green's relations, D and S/D are built once per algebra and
+    shared by its copies that keep meet, join and the constants."""
+
+    @pytest.mark.parametrize("x,y", [(6, 1), (2, 2)], ids=["pfn(6,1)", "pf22"])
+    def test_verify_builds_each_relation_and_s_mod_d_once(self, x, y, tmp_path, monkeypatch):
+        path = tmp_path / "in.alg"
+        path.write_text(cli.emit_algebra_file(partial_function_algebra(x, y)))
+        parsed, relations, partitions = [], [], []
+        real_parse, real_relation, real_quotient = (
+            cli.parse_algebra_file,
+            Partition.from_relation.__func__,
+            core.quotient,
+        )
+
+        def parse(text):
+            parsed.append(real_parse(text))
+            return parsed[-1]
+
+        def from_relation(cls, rel):
+            relations.append(rel.shape)
+            return real_relation(cls, rel)
+
+        def counting_quotient(A, partition):
+            partitions.append(partition)
+            return real_quotient(A, partition)
+
+        monkeypatch.setattr(cli, "parse_algebra_file", parse)
+        monkeypatch.setattr(Partition, "from_relation", classmethod(from_relation))
+        monkeypatch.setattr(core, "quotient", counting_quotient)
+        code, _ = cli.run_command(["verify", str(path)])
+        assert code == 0
+        assert len(relations) <= 3
+        # S/D is the quotient by the cached D; A/L, a quotient by an equal
+        # but separately built partition, is not counted
+        D = core.d_partition(parsed[0])
+        assert sum(p is D for p in partitions) == 1
+
+    def test_copies_share_read_only_facts(self, pf22):
+        leq = leq_matrix(pf22)
+        other = pf22.with_arrow(np.zeros((pf22.n, pf22.n), dtype=np.int16))
+        assert leq_matrix(other) is leq and leq_matrix(pf22.drop_arrow()) is leq
+        assert preceq_matrix(other) is preceq_matrix(pf22)
+        assert greens(other) is greens(pf22)
+        assert lattice_image(other) is lattice_image(pf22)
+        for arr in (leq, preceq_matrix(pf22)):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = False
+
+    def test_equal_algebras_built_apart_compute_apart(self):
+        A, B = partial_function_algebra(2, 2), partial_function_algebra(2, 2)
+        assert A == B
+        assert leq_matrix(A) is not leq_matrix(B)
+        assert np.array_equal(leq_matrix(A), leq_matrix(B))
+        assert greens(A) is not greens(B) and greens(A) == greens(B)
+
+    def test_a_failure_is_raised_afresh_on_every_call(self):
+        # left-zero meet and left-zero join: L is total by meet, trivial by join
+        A = make_algebra(["a", "b"], [[0, 0], [1, 1]], [[0, 0], [1, 1]])
+        raised = []
+        for _ in range(2):
+            with pytest.raises(NotComposable) as info:
+                greens(A)
+            raised.append(info.value)
+        assert raised[0] is not raised[1]
+        assert raised[0].witness == raised[1].witness
 
 
 class TestQuotient:

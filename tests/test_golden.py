@@ -1,5 +1,5 @@
 """Byte-for-byte golden reports for ``check``, ``verify``, ``derive`` and
-``search``, and golden artifacts of ``model``.
+``search``, and golden artifacts of ``model`` and ``quotient``.
 
 The inputs and the expected exit statuses and report bytes live under
 ``tests/golden/``.  A change that alters any report byte fails here; an
@@ -31,6 +31,11 @@ CASES = (
     ("check-n5", ("check", "n5.alg"), 0),
     ("check-rect2_bottom", ("check", "rect2_bottom.alg"), 0),
     ("check-semilattice2", ("check", "semilattice2.alg"), 1),
+    ("verify-semilattice2", ("verify", "semilattice2.alg"), 1),
+    ("quotient-pf22-D", ("quotient", "pf22.alg", "--rel", "D"), 0),
+    ("quotient-pf22-L", ("quotient", "pf22.alg", "--rel", "L"), 0),
+    ("quotient-pf22-R", ("quotient", "pf22.alg", "--rel", "R"), 0),
+    ("quotient-semilattice2-D", ("quotient", "semilattice2.alg", "--rel", "D"), 0),
     (
         "search-enum-not-costrong",
         ("search", "--family", "enum", "--max-size", "3", "--property", "co-strongly-distributive", "--negate"),

@@ -246,7 +246,7 @@ def _upset_algebras(A):
     leq = leq_matrix(A)
     for u in range(A.n):
         members = [int(v) for v in np.flatnonzero(leq[u])]
-        assert upset_at(A, u, leq).tolist() == members
+        assert upset_at(A, u).tolist() == members
         yield subalgebra(A, members, bottom=members.index(u))[0]
 
 
@@ -323,18 +323,16 @@ class TestAdjunctionFailure:
         oracle = arrow_by_candidates(L).table
         u = data.draw(st.integers(0, L.n - 1))
         members = np.flatnonzero(leq[u])
-        assert adjunction_failure(L, members, oracle, leq) is None
+        assert adjunction_failure(L, members, oracle) is None
         a = int(members[data.draw(st.integers(0, len(members) - 1))])
         b = int(members[data.draw(st.integers(0, len(members) - 1))])
         v = data.draw(st.integers(0, L.n - 2))
         mutated = np.array(oracle)
         mutated[a, b] = v + (v >= oracle[a, b])
-        got = adjunction_failure(L, members, mutated, leq)
+        got = adjunction_failure(L, members, mutated)
         assert got == first_difference(members, mutated, oracle) == (a, b)
-        ha, tables, rels = named_check("HA"), bind(L, r=mutated), {"leq": leq}
-        assert any(
-            operator.ne(*values_at(ha, tables, (int(c), a, b), rels)) for c in members
-        )
+        ha, tables = named_check("HA"), bind(L, r=mutated, leq=leq)
+        assert any(operator.ne(*values_at(ha, tables, (int(c), a, b))) for c in members)
 
     def test_generalized_arrow_witness_is_in_the_lattice_indices(self, monkeypatch):
         # the chain bottom < m0 < m1 < top stored as m0, m1, bottom, top, so
@@ -361,9 +359,9 @@ class TestAdjunctionFailure:
         arrow = np.where(leq, n - 1, idx[None, :])
         tracemalloc.start()
         try:
-            ok = adjunction_failure(L, idx, arrow, leq)
+            ok = adjunction_failure(L, idx, arrow)
             arrow[n - 1, 0] = 1
-            bad = adjunction_failure(L, idx, arrow, leq)
+            bad = adjunction_failure(L, idx, arrow)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

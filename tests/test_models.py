@@ -406,9 +406,9 @@ class TestSearchStreams:
         calls = []
         real = skew_heyting.upset_at
 
-        def counting(A, u, leq=None):
+        def counting(A, u):
             calls.append(A.n)
-            return real(A, u, leq)
+            return real(A, u)
 
         monkeypatch.setattr(skew_heyting, "upset_at", counting)
         code, out = run_command(SEARCH + ["sections", "--max-size", "40"])

@@ -246,9 +246,9 @@ class TestDeriveCache:
         calls = []
         real = skew_heyting.upset_at
 
-        def counting(A, u, leq=None):
+        def counting(A, u):
             calls.append(A.n)
-            return real(A, u, leq)
+            return real(A, u)
 
         monkeypatch.setattr(skew_heyting, "upset_at", counting)
         return calls
