@@ -492,11 +492,17 @@ def quotient(A: Algebra, partition: Partition) -> tuple[Algebra, HomMap]:
     return Q, HomMap(A, Q, tuple(int(v) for v in bof))
 
 
-def lattice_image(A: Algebra) -> tuple[Algebra, HomMap]:
+def lattice_image(A: Algebra) -> tuple[Algebra, np.ndarray]:
     """The maximal lattice image S/D of the arrowless reduct of ``A``, the
-    quotient by :func:`d_partition`, with its projection.  Cached; raises
-    as :func:`d_partition` and :func:`quotient` do."""
-    return A.cached("S/D", lambda: quotient(A.drop_arrow(), d_partition(A)))
+    quotient by :func:`d_partition`, with its projection as a read-only
+    index array (a ``HomMap`` would tie the cache to itself).  Cached;
+    raises as :func:`d_partition` and :func:`quotient` do."""
+
+    def build():
+        Q, hom = quotient(A.drop_arrow(), d_partition(A))
+        return Q, _freeze(hom.mapping)
+
+    return A.cached("S/D", build)
 
 
 def pullback_check(A: Algebra) -> CheckOutcome:

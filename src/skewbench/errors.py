@@ -83,7 +83,7 @@ class CoherenceFailure(InconsistencyDetected):
 
 
 class EsakiaFormulaMismatch(InconsistencyDetected):
-    """The complement-of-downset formula disagrees with the candidate-set oracle."""
+    """The complement-of-downset formula fails the Heyting adjunction."""
 
 
 class FactorizationNotFound(InconsistencyDetected):

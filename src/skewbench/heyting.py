@@ -6,6 +6,7 @@ with one integer matrix count per y, so that a failed pair yields
 counterexample data (the pair and all its maximal candidates) for free.  The
 scalar candidate loop it replaced stays in the tests as the reference
 oracle, and the kernel must agree with it on tables and failure data.
+``verify`` never calls it: its arrows, S/D's included, are derived.
 
 :func:`adjunction_failure` verifies a table on a sublattice such as an upset
 through c∧a ≤ b ⇔ c ≤ a→b, which in a lattice admits one arrow only.
@@ -84,20 +85,25 @@ def heyting_arrow(L: Algebra) -> ArrowResult:
 def adjunction_failure(L: Algebra, members, arrow) -> tuple[int, int] | None:
     """The first pair (a, b) of ``members`` (ascending indices of L), in
     row-major order, at which c∧a ≤ b ⇔ c ≤ a→b fails for some member c, or
-    None.  Each range of a holds at most 2^16 cells, or one a."""
+    None.  Both sides are gathered as rows of ≤, in steps of at most 2^16
+    cells (a, b, c), or of one a and one b."""
     leq = leq_matrix(L)
     U = np.asarray(members)
     m = len(U)
-    step = max(1, (1 << 16) // (m * m))
+    width = min(m, max(1, (1 << 16) // m))  # b per step
+    step = max(1, (1 << 16) // (m * width))  # a per step
+    under_of = np.ascontiguousarray(leq[U].T)  # [x, c]: c ≤ x
+    blocks = [(U[j : j + width], np.ascontiguousarray(leq[:, U[j : j + width]])) for j in range(0, m, width)]
     for start in range(0, m, step):
         a = U[start : start + step]
-        meets = L.meet[np.ix_(U, a)].T[:, None, :]  # [a, ·, c] = c∧a
-        below = leq[meets, U[None, :, None]]  # [a, b, c]: c∧a ≤ b
-        under = leq[U[None, None, :], arrow[np.ix_(a, U)][:, :, None]]  # c ≤ a→b
-        bad = (below != under).any(axis=2)
-        if bad.any():
-            i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
-            return int(a[i]), int(U[j])
+        meets = L.meet[np.ix_(U, a)].T  # [a, c] = c∧a
+        for b, below_of in blocks:  # below_of[x, b]: x ≤ b
+            below = below_of[meets].transpose(0, 2, 1)  # [a, b, c]: c∧a ≤ b
+            under = under_of[arrow[np.ix_(a, b)]]  # [a, b, c]: c ≤ a→b
+            bad = (below != under).any(axis=2)
+            if bad.any():
+                i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
+                return int(a[i]), int(b[j])
     return None
 
 

@@ -17,6 +17,9 @@ small.  The partial-function and section constructors refuse, before they
 build a row, a carrier larger than their bound or than an int16 table can
 index.
 
+An upset lattice's arrow is the complement-of-downset formula, verified
+by the Heyting adjunction; no arrow is searched for.
+
 ``search_family`` streams (label, algebra) pairs: each instance is built
 once, without its arrow, when the stream reaches it.
 """
@@ -35,13 +38,12 @@ from .core import (
     direct_product,
     find_isomorphism,
     isomorphism_key,
-    leq_matrix,
     make_algebra,
     vertical_dual,
 )
 from .errors import BadPoset, InconsistencyDetected, EsakiaFormulaMismatch, PreconditionFailed, TooLarge
-from .heyting import heyting_arrow
-from .identities import CheckResult, bind, run_identity
+from .heyting import adjunction_failure
+from .identities import CheckResult
 from .properties import PropertyReport, check_skew_boolean
 from .skew_heyting import check_sh_axioms, derive_arrow
 
@@ -426,8 +428,8 @@ def section_arrow_resolution(model: SurjectionModel, bound: int = 10000) -> Prop
 def upset_heyting(P: Poset, bound: int = 10000) -> Algebra:
     """The lattice of all upsets of a finite poset with intersection,
     union, and the implication U→V = X ∖ ↓(U∖V), verified by the exhaustive
-    adjunction U∩V ⊆ W ⇔ U ⊆ V→W, which in a lattice admits one arrow only.
-    On a failure the candidate-set kernel names the first differing pair."""
+    adjunction W∩U ⊆ V ⇔ W ⊆ U→V, which in a lattice admits one arrow only,
+    so it fails first where the table first differs from that arrow."""
     if P.n > 12:
         raise TooLarge("upset lattices are bounded at 12 poset points")
     _check_size("upset lattice", len(P.upset_masks), bound)
@@ -441,19 +443,12 @@ def upset_heyting(P: Poset, bound: int = 10000) -> Algebra:
     meet, join, arrow = index[a & b], index[a | b], arrow_of_gap[a & ~b]
     names = tuple(P.subset_name(int(m)) for m in masks)
     L = make_algebra(names, meet, join, top=int(index[full]), bottom=int(index[0]), arrow=arrow)
-    if run_identity("HA", bind(L, r=L.arrow, leq=leq_matrix(L))).holds:
+    bad = adjunction_failure(L, np.arange(n), L.arrow)
+    if bad is None:
         return L
-    oracle = heyting_arrow(L.drop_arrow())
-    if oracle:
-        u, v = np.unravel_index(int(np.argmax(oracle.table != L.arrow)), (n, n))
-        raise EsakiaFormulaMismatch(
-            f"complement-of-downset arrow disagrees with the oracle at "
-            f"({names[u]}, {names[v]})",
-            witness=(int(u), int(v)),
-        )
+    u, v = L.name_tuple(bad)
     raise EsakiaFormulaMismatch(
-        f"upset lattice has no Heyting arrow at {oracle.offending}",
-        witness=oracle.offending or (),
+        f"complement-of-downset arrow disagrees with the Heyting arrow at ({u}, {v})", witness=bad
     )
 
 

@@ -111,7 +111,7 @@ def check_skew_lattice(A: Algebra) -> CheckOutcome:
 def _quasi_distributive(A: Algebra) -> CheckResult:
     name = "quasi-distributive"
     try:
-        Q, hom = lattice_image(A)
+        Q, project = lattice_image(A)
     except NotACongruence as exc:
         return CheckResult(name, False, exc.witness[1:], 0, detail="D is not a congruence")
     except SkewbenchError as exc:
@@ -120,7 +120,7 @@ def _quasi_distributive(A: Algebra) -> CheckResult:
     res = run_identity("lattice-distributive", bind(Q))
     if res.holds:
         return CheckResult(name, True, None, res.checked)
-    reps = tuple(hom.mapping.index(b) for b in res.witness)
+    reps = tuple(int(np.argmax(project == b)) for b in res.witness)
     return CheckResult(name, False, reps, res.checked, detail="evaluated in S/D on class representatives")
 
 

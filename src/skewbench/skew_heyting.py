@@ -4,13 +4,13 @@ supposed to satisfy.
 
 The arrow is computed through the commutative upset at the second argument:
 x→y = (y∨x∨y)→y inside y↑, the pseudocomplement of y∨x∨y there, one array
-step per column over the upset's member indices.  Every upset is then
-checked against the table through the adjunction c∧a ≤ b ⇔ c ≤ a→b, which
-pins a lattice's arrow down, so failures come with a concrete upset and pair.
+step per column over the upset's member indices.  Upsets are then checked
+against the table through the adjunction c∧a ≤ b ⇔ c ≤ a→b, which pins a
+lattice's arrow down, so failures come with a concrete upset and pair.
 
 The derivation reads only the meet, join and top of its algebra, and its
-result is cached on the algebra: ``verify`` asks for the arrow of one
-algebra from several suites, and only the first request builds the upsets.
+result is cached on the algebra.  It is the only arrow construction here:
+the arrows of S/D, A/L and A/R are derived the same way, each once.
 """
 
 from __future__ import annotations
@@ -37,8 +37,9 @@ from .errors import (
     NoTop,
     NotCoStronglyDistributive,
     PreconditionFailed,
+    SkewbenchError,
 )
-from .heyting import adjunction_failure, dual_gb_diff, generalized_heyting_arrow
+from .heyting import adjunction_failure, dual_gb_diff
 from .identities import CheckResult, bind, run_identity, skipped_result
 from .properties import PropertyReport, check_skew_lattice, property_result
 
@@ -124,15 +125,25 @@ def _derive_arrow(A: Algebra) -> DeriveResult:
         table[:, y] = U[best[np.searchsorted(U, J[J[y], y])]]
     table.setflags(write=False)
 
+    bad = _coherence_failure(A, upsets, table)
+    if bad is not None:
+        u, a, b = A.name_tuple(bad)
+        raise CoherenceFailure(f"global arrow and arrow of upset at {u} disagree on ({a}, {b})", witness=bad)
+    return DeriveResult(table, upsets)
+
+
+def _coherence_failure(A: Algebra, upsets, table) -> tuple[int, int, int] | None:
+    """The first u, then the first pair (a, b) of u↑, at which ``table``
+    fails the adjunction on u↑, or None.  v ≤ u gives u↑ ⊆ v↑, so only the
+    upsets of ≤-minimal elements are checked until one of them fails."""
+    minimal = np.flatnonzero(leq_matrix(A).sum(axis=0) == 1)
+    if all(adjunction_failure(A, upsets[u], table) is None for u in minimal):
+        return None
     for u, U in enumerate(upsets):
         bad = adjunction_failure(A, U, table)
         if bad is not None:
-            raise CoherenceFailure(
-                f"global arrow and arrow of upset at {A.names[u]} disagree on "
-                f"({A.names[bad[0]]}, {A.names[bad[1]]})",
-                witness=(u, *bad),
-            )
-    return DeriveResult(table, upsets)
+            return (u, *bad)
+    return None
 
 
 def check_sh_axioms(A: Algebra, arrow) -> PropertyReport:
@@ -196,18 +207,19 @@ def check_lifting(A: Algebra) -> CheckOutcome:
     additionally the projection must restrict to a Heyting-algebra
     isomorphism u↑ ≅ (D_u)↑ for every u.
 
-    Both arrows are verified upset by upset when built, so the isomorphism
-    is compared as arrays.  A failed biconditional contradicts the lifting
+    A/D's arrow is derived as A's is (A/D is A relabelled when D is the
+    identity), so both are verified when built and the isomorphism is
+    compared as arrays.  A failed biconditional contradicts the lifting
     theorem and raises InconsistencyDetected.
     """
-    _require_costrong_with_top(A)
     derived = derive_arrow(A)
-    Q, hom = lattice_image(A)
-    lifted = generalized_heyting_arrow(Q)
-    if not lifted:
-        raise InconsistencyDetected("lifting biconditional fails: derived=True, quotient arrow=False")
+    Q, project = lattice_image(A)
+    try:
+        lifted = derived if Q.n == A.n else derive_arrow(Q)
+    except SkewbenchError as exc:
+        detail = "lifting biconditional fails: derived=True, quotient arrow=False"
+        raise InconsistencyDetected(detail) from exc
 
-    project = np.array(hom.mapping)
     leq_q = leq_matrix(Q)
     for u, U in enumerate(derived.upsets):
         image = project[U]
@@ -239,9 +251,9 @@ def check_arrow_congruences(A: Algebra, arrow) -> CheckOutcome:
             return CheckOutcome(False, witness=cong.witness, detail=f"{label} fails")
     derive_arrow(A)
     for part in (L, R):
-        # A/Δ has the tables of A itself, whose arrow is derived already
+        # A/Δ has the tables of A itself, and A/D is the cached S/D
         if part.num_blocks != A.n:
-            derive_arrow(quotient(A.drop_arrow(), part)[0])
+            derive_arrow(lattice_image(A)[0] if part == D else quotient(A.drop_arrow(), part)[0])
     return CheckOutcome(True)
 
 
@@ -259,25 +271,18 @@ def special_case_arrows(A: Algebra, arrow=None) -> PropertyReport:
     R = np.asarray(arrow)
     entries: list[CheckResult] = []
 
+    def compare(name: str, expected: np.ndarray) -> CheckResult:
+        """R against ``expected``: the first differing (x, y), R's value, the expected one."""
+        mismatch = R != expected
+        if not mismatch.any():
+            return CheckResult(name, True, None, A.n * A.n)
+        x, y = np.unravel_index(int(np.argmax(mismatch)), R.shape)
+        return CheckResult(name, False, (int(x), int(y)), A.n * A.n, int(R[x, y]), int(expected[x, y]))
+
     leq_q = leq_matrix(lattice_image(A)[0])
-    is_chain = bool((leq_q | leq_q.T).all())
-    if is_chain:
-        pre = preceq_matrix(A)
-        expected = np.where(pre, np.int16(A.top), np.arange(A.n, dtype=np.int16)[None, :])
-        if np.array_equal(R, expected):
-            entries.append(CheckResult("case2-skew-chain", True, None, A.n * A.n))
-        else:
-            x, y = np.unravel_index(int(np.argmax(R != expected)), R.shape)
-            entries.append(
-                CheckResult(
-                    "case2-skew-chain",
-                    False,
-                    (int(x), int(y)),
-                    A.n * A.n,
-                    int(R[x, y]),
-                    int(expected[x, y]),
-                )
-            )
+    if (leq_q | leq_q.T).all():
+        expected = np.where(preceq_matrix(A), np.int16(A.top), np.arange(A.n, dtype=np.int16)[None, :])
+        entries.append(compare("case2-skew-chain", expected))
     else:
         entries.append(skipped_result("case2-skew-chain", "maximal lattice image is not a chain"))
 
@@ -285,21 +290,7 @@ def special_case_arrows(A: Algebra, arrow=None) -> PropertyReport:
     if diff:
         # x→y = y∖∖x; the solver works over the y∨x∨y sandwich, so the
         # stated reduction to y∖∖(y∨x∨y) is built in.
-        mismatch = R != diff.table.T
-        if not mismatch.any():
-            entries.append(CheckResult("case3-dual-boolean-diff", True, None, A.n * A.n))
-        else:
-            x, y = np.unravel_index(int(np.argmax(mismatch)), mismatch.shape)
-            entries.append(
-                CheckResult(
-                    "case3-dual-boolean-diff",
-                    False,
-                    (int(x), int(y)),
-                    A.n * A.n,
-                    int(R[x, y]),
-                    int(diff.table[y, x]),
-                )
-            )
+        entries.append(compare("case3-dual-boolean-diff", diff.table.T))
     else:
         entries.append(
             skipped_result(

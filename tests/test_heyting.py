@@ -368,3 +368,17 @@ class TestAdjunctionFailure:
         assert ok is None and bad == (n - 1, 0)
         # the n³ tensor alone would take 27 MB
         assert peak <= 2 * 2**20
+
+    def test_first_pair_is_row_major_across_column_blocks(self):
+        # past 256 members a step covers one a and a block of b; a later a
+        # in the first block must not come before an earlier a in a later one
+        n = 300
+        idx = np.arange(n)
+        L = make_algebra(
+            [str(i) for i in idx], np.minimum.outer(idx, idx), np.maximum.outer(idx, idx), top=n - 1
+        )
+        oracle = np.where(leq_matrix(L), n - 1, idx[None, :])
+        arrow = np.array(oracle)
+        arrow[5, 290] = 0
+        arrow[6, 3] = 0
+        assert adjunction_failure(L, idx, arrow) == first_difference(idx, arrow, oracle) == (5, 290)

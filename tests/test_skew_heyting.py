@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import weakref
@@ -16,6 +17,7 @@ from skewbench import (
     derive_arrow,
     greens,
     heyting_arrow,
+    lattice_image,
     leq_matrix,
     make_algebra,
     preceq_matrix,
@@ -24,10 +26,10 @@ from skewbench import (
     subalgebra,
     upset_at,
 )
-from skewbench import core, skew_heyting
+from skewbench import core, heyting, skew_heyting
 from skewbench.cli import emit_algebra_file, run_command
-from skewbench.errors import BadConstant, NoTop, NotCoStronglyDistributive
-from skewbench.heyting import ArrowResult
+from skewbench.errors import BadConstant, CoherenceFailure, NoTop, NotCoStronglyDistributive
+from skewbench.heyting import adjunction_failure
 from skewbench.models import (
     Poset,
     SurjectionModel,
@@ -93,6 +95,56 @@ class TestDeriveArrow:
         monkeypatch.setattr(core, "make_algebra", counting)
         assert derive_arrow(A).table is not None
         assert calls == []
+
+
+class TestCoherence:
+    """Coherence is checked on the upsets of the ≤-minimal elements; the
+    witness is that of the in-order scan over every upset."""
+
+    @staticmethod
+    def _scan_every_upset(A, upsets, table):
+        for u, U in enumerate(upsets):
+            bad = adjunction_failure(A, U, table)
+            if bad is not None:
+                return (u, *bad)
+        return None
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: partial_function_algebra(2, 2),
+            lambda: poset_sections_algebra(SurjectionModel.from_fiber_sizes(Poset.chain(2), (2, 2))),
+        ],
+        ids=["pf22", "sections(p<q;2,2)"],
+    )
+    def test_every_single_cell_mutation_gives_the_in_order_witness(self, build):
+        A = build().drop_arrow()
+        derived = derive_arrow(A)
+        assert 1 < (leq_matrix(A).sum(axis=0) == 1).sum() < A.n
+        failures = 0
+        for x, y, shift in itertools.product(range(A.n), range(A.n), range(1, A.n)):
+            table = np.array(derived.table)
+            table[x, y] = (table[x, y] + shift) % A.n
+            got = skew_heyting._coherence_failure(A, derived.upsets, table)
+            assert got == self._scan_every_upset(A, derived.upsets, table), (x, y, shift)
+            failures += got is not None
+        assert failures > 0
+
+    def test_a_failure_is_raised_with_the_in_order_witness(self, monkeypatch):
+        A = partial_function_algebra(2, 2).drop_arrow()
+        real = skew_heyting._coherence_failure
+        seen = []
+
+        def wrong_cell(B, upsets, table):
+            table = np.array(table)
+            table[-1, -1] = (B.top + 1) % B.n  # x→x is the top, so this cell is wrong
+            seen.append(self._scan_every_upset(B, upsets, table))
+            return real(B, upsets, table)
+
+        monkeypatch.setattr(skew_heyting, "_coherence_failure", wrong_cell)
+        with pytest.raises(CoherenceFailure) as info:
+            derive_arrow(A)
+        assert seen[0] is not None and info.value.witness == seen[0]
 
 
 class TestUpset:
@@ -224,6 +276,23 @@ class TestSpecialCases:
         assert rep["case2-skew-chain"].verdict == "holds"
         assert rep["case3-dual-boolean-diff"].verdict == "skipped"
 
+    @pytest.mark.parametrize("fixture", ["t3", "chain2"])
+    def test_a_one_cell_wrong_arrow_is_named_by_both_cases(self, fixture, request):
+        # both closed forms equal the derived arrow here, so each entry
+        # reports the mutated cell, the given value and the expected one
+        A = request.getfixturevalue(fixture).drop_arrow()
+        R = derive_arrow(A).table
+        for x, y in itertools.product(range(A.n), repeat=2):
+            wrong = np.array(R)
+            wrong[x, y] = (R[x, y] + 1) % A.n
+            rep = special_case_arrows(A, wrong)
+            for name in ("case2-skew-chain", "case3-dual-boolean-diff"):
+                entry = rep[name]
+                assert entry.verdict == "fails", name
+                assert entry.witness == (x, y), name
+                assert (entry.lhs_value, entry.rhs_value) == (wrong[x, y], R[x, y]), name
+                assert entry.checked == A.n * A.n, name
+
 
 def test_d_congruence_at_partition_level(pf22):
     # D-related argument pairs produce D-related arrow values
@@ -291,22 +360,40 @@ class TestDeriveCache:
         assert len(upset_calls) == 2 * A.n
 
     def test_cache_dies_with_its_algebra(self):
-        A = partial_function_algebra(1, 2)
-        derived = derive_arrow(A)
-        ref = weakref.ref(A)
-        gc.disable()
-        try:
-            del A
-            assert ref() is None  # freed by reference counting, no cycle
-        finally:
-            gc.enable()
-        assert derived
+        # with and without an arrow, and with S/D built and derived
+        for arrowless in (False, True):
+            A = partial_function_algebra(1, 2)
+            A = A.drop_arrow() if arrowless else A
+            derived = derive_arrow(A)
+            assert check_lifting(A) and lattice_image(A)[0].n < A.n
+            ref = weakref.ref(A)
+            gc.disable()
+            try:
+                del A
+                assert ref() is None  # freed by reference counting, no cycle
+            finally:
+                gc.enable()
+            assert derived
 
     def test_failures_are_not_cached(self, pf22):
         no_top = make_algebra(pf22.names, pf22.meet, pf22.join)
         for _ in range(2):
             with pytest.raises(NoTop):
                 derive_arrow(no_top)
+
+
+@pytest.mark.parametrize("x,y", [(2, 2), (6, 1), (4, 2)], ids=["pf22", "pfn(6,1)", "pfn(4,2)"])
+def test_verify_never_calls_the_candidate_kernel(x, y, tmp_path, monkeypatch):
+    # every arrow of a verify, S/D's included, comes from derive_arrow
+    def refuse(L):
+        raise AssertionError("candidate kernel called")
+
+    monkeypatch.setattr(heyting, "_arrow_by_candidates", refuse)
+    monkeypatch.setattr(heyting, "generalized_heyting_arrow", refuse)
+    path = tmp_path / "in.alg"
+    path.write_text(emit_algebra_file(partial_function_algebra(x, y)))
+    code, out = run_command(["verify", str(path)])
+    assert code == 0, out
 
 
 FAMILY = tuple((nx, ny) for nx in range(1, 7) for ny in range(1, 5) if (ny + 1) ** nx <= 100)
@@ -360,10 +447,18 @@ class TestAgreesWithUpsetOracle:
         A = poset_sections_algebra(SurjectionModel.from_fiber_sizes(base, fibers)).drop_arrow()
         q_table = _q_arrow(A)
         m = len(q_table)
+        Q = lattice_image(A)[0]
+        assert Q.n == m < A.n
+        real = skew_heyting.derive_arrow
         for a, b, shift in itertools.product(range(m), range(m), range(1, m)):
             mutated = np.array(q_table)
             mutated[a, b] = (mutated[a, b] + shift) % m
-            monkeypatch.setattr(skew_heyting, "generalized_heyting_arrow", lambda Q: ArrowResult(mutated))
+            # S/D's arrow is injected; A's own is derived as usual
+            monkeypatch.setattr(
+                skew_heyting,
+                "derive_arrow",
+                lambda B: dataclasses.replace(real(Q), table=mutated) if B is Q else real(B),
+            )
             got = _lifting_outcome(A)
             assert got == lifting(A, mutated)
             # every cell of S/D lies in the upset of some D-class
