@@ -6,7 +6,7 @@ with one integer matrix count per y, so that a failed pair yields
 counterexample data (the pair and all its maximal candidates) for free.  The
 scalar candidate loop it replaced stays in the tests as the reference
 oracle, and the kernel must agree with it on tables and failure data.
-``verify`` never calls it: its arrows, S/D's included, are derived.
+``verify`` calls it once, on S/D, for the lifting check.
 
 :func:`adjunction_failure` verifies a table on a sublattice such as an upset
 through c∧a ≤ b ⇔ c ≤ a→b, which in a lattice admits one arrow only.
