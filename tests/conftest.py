@@ -52,6 +52,15 @@ def semilattice2():
 
 
 @pytest.fixture(scope="session")
+def left_zero_top():
+    # a left-zero pair {a,b} for both operations under a top: idempotent and
+    # associative, but (x∧y)∨y=y fails at (a, b), so not a skew lattice
+    meet = [[0, 0, 0], [1, 1, 1], [0, 1, 2]]
+    join = [[0, 0, 2], [1, 1, 2], [2, 2, 2]]
+    return make_algebra(["a", "b", "1"], meet, join, top=2)
+
+
+@pytest.fixture(scope="session")
 def n5():
     # the nonmodular five-element lattice: 0 < a < c < 1, 0 < b < 1
     meet = [

@@ -217,6 +217,25 @@ class TestExitStatuses:
         assert code == 3
         assert out.decode().rstrip().endswith("VERDICT: INCONSISTENT")
 
+    def test_inconsistency_keeps_the_entries_before_it(self, pf22_file, monkeypatch):
+        import skewbench.skew_heyting as skew_heyting
+
+        def boom(A):
+            raise errors.InconsistencyDetected("synthetic lifting violation")
+
+        monkeypatch.setattr(skew_heyting, "check_lifting", boom)
+        code, out = run_command(["--format", "machine", "verify", pf22_file])
+        names = [line.split()[1][5:] for line in out.decode().splitlines() if line.startswith("CHECK:")]
+        assert code == 3
+        assert names[names.index("arrow-derivable") :] == [
+            "arrow-derivable",
+            "declared-arrow-matches",
+            *("SH0", "SH1", "SH2", "SH3", "SH4", "SH4-prime"),
+            "SHA",
+            "imp-or",
+            "inconsistency",
+        ]
+
     def test_unexpected_exception_is_three(self, chain2_file, monkeypatch, capsys):
         import skewbench.cli as cli
 

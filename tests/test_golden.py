@@ -17,7 +17,7 @@ from skewbench.identities import GROUPS, bind, named_check, values_at
 GOLDEN = Path(__file__).parent / "golden"
 
 # conftest fixtures written to tests/golden/<stem>.alg
-INPUTS = ("pf22", "pf12", "n5", "rect2_bottom", "semilattice2")
+INPUTS = ("pf22", "pf12", "n5", "rect2_bottom", "semilattice2", "left_zero_top")
 
 # (golden stem, command line after --format, expected exit status); an
 # argument ending in ``.alg`` or ``.pos`` names a file under tests/golden/
@@ -27,6 +27,7 @@ CASES = (
     ("derive-pf22", ("derive", "pf22.alg"), 0),
     ("derive-pf12", ("derive", "pf12.alg"), 0),
     ("derive-n5", ("derive", "n5.alg"), 1),
+    ("derive-left_zero_top", ("derive", "left_zero_top.alg"), 1),
     ("check-pf22", ("check", "pf22.alg"), 0),
     ("check-n5", ("check", "n5.alg"), 0),
     ("check-rect2_bottom", ("check", "rect2_bottom.alg"), 0),

@@ -14,7 +14,7 @@ from skewbench import (
     vertical_dual,
 )
 from skewbench.cli import emit_algebra_file, run_command
-from skewbench.errors import EsakiaFormulaMismatch, InconsistencyDetected, TooLarge
+from skewbench.errors import EsakiaFormulaMismatch, InconsistencyDetected, PreconditionFailed, TooLarge
 from skewbench.models import (
     Poset,
     SurjectionModel,
@@ -311,6 +311,12 @@ class TestFromSkewBoolean:
         assert result.top == chain2.bottom
         derived = derive_arrow(result.drop_arrow())
         assert np.array_equal(result.arrow, derived.table)
+
+    def test_non_skew_lattice_is_refused_with_the_failing_axiom(self, left_zero_top):
+        with pytest.raises(PreconditionFailed) as info:
+            from_skew_boolean(vertical_dual(left_zero_top), np.zeros((3, 3), dtype=int))
+        assert str(info.value) == "not a skew Boolean algebra: absorption: (x∧y)∨y=y"
+        assert info.value.witness == (0, 1)
 
     def test_four_element_boolean_entrywise(self, chain2):
         from skewbench import direct_product, dual_gb_diff

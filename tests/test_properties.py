@@ -164,6 +164,17 @@ class TestSkewBoolean:
         bad[1, 1] = (bad[1, 1] + 1) % sba.n
         assert not check_skew_boolean(sba, bad)
 
+    def test_non_skew_lattice_names_the_failing_axiom(self, left_zero_top):
+        # the skew lattice check runs first, whatever the difference table
+        table = np.zeros((3, 3), dtype=int)
+        for check, A in (
+            (check_skew_boolean, vertical_dual(left_zero_top)),
+            (check_dual_skew_boolean, left_zero_top),
+        ):
+            res = check(A, table)
+            assert not res
+            assert (res.witness, res.detail) == ((0, 1), "absorption: (x∧y)∨y=y")
+
 
 def test_upsets_of_conormal_instances_commute(pf22, t3):
     for A in (pf22, t3):
