@@ -16,9 +16,8 @@ __version__ = "0.1.0"
 _HOMES = {
     "Algebra": "core",
     "ArrowResult": "heyting",
-    "CheckOutcome": "core",
+    "CheckResult": "core",
     "DeriveResult": "skew_heyting",
-    "DiffResult": "heyting",
     "HomMap": "core",
     "Partition": "core",
     "PropertyReport": "properties",
@@ -33,7 +32,6 @@ _HOMES = {
     "check_sh_axioms": "skew_heyting",
     "check_sha": "skew_heyting",
     "check_skew_boolean": "properties",
-    "check_skew_lattice": "properties",
     "classify": "properties",
     "cover_in_class": "properties",
     "d_partition": "core",

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import re
 import sys
 import traceback
 from dataclasses import dataclass, field
@@ -38,10 +39,8 @@ from .errors import (
 if TYPE_CHECKING:
     import numpy as np
 
-    from .core import Algebra
-    from .identities import CheckResult
+    from .core import Algebra, CheckResult
     from .models import Poset
-    from .properties import PropertyReport
 
 VERSION = "skewbench 0.1.0"
 
@@ -101,14 +100,13 @@ def parse_algebra_file(text: str) -> Algebra:
             if pos >= len(lines):
                 raise ParseError(lines[-1][0], 1, f"{section} table is missing rows")
             rowno, raw = lines[pos]
-            cells = raw.split()
+            cells = list(re.finditer(r"\S+", raw))
             if len(cells) != n:
                 raise ParseError(rowno, 1, f"row has {len(cells)} entries, expected {n}")
             for cell in cells:
-                if cell not in lookup:
-                    col = raw.index(cell) + 1
-                    raise ParseError(rowno, col, f"unknown element {cell!r}")
-            rows.append([lookup[c] for c in cells])
+                if cell[0] not in lookup:
+                    raise ParseError(rowno, cell.start() + 1, f"unknown element {cell[0]!r}")
+            rows.append([lookup[c[0]] for c in cells])
             pos += 1
         return rows
 
@@ -274,17 +272,8 @@ def _digest(data: bytes) -> str:
     return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
-def _witness_names(names, witness) -> tuple[str, ...]:
-    out = []
-    for w in witness or ():
-        if isinstance(w, Integral):
-            out.append(names[int(w)])
-        else:
-            out.append(str(w))
-    return tuple(out)
-
-
 def _value_name(names, value) -> str | None:
+    """A witness component or an evaluated side: an element index as its name."""
     if value is None:
         return None
     if isinstance(value, bool):
@@ -298,7 +287,7 @@ def _entry_from_check(res: CheckResult, names) -> ReportEntry:
     return ReportEntry(
         name=res.name,
         verdict=res.verdict,
-        witness=_witness_names(names, res.witness),
+        witness=tuple(_value_name(names, w) for w in res.witness or ()),
         checked=res.checked or None,
         lhs=_value_name(names, res.lhs_value),
         rhs=_value_name(names, res.rhs_value),
@@ -306,20 +295,10 @@ def _entry_from_check(res: CheckResult, names) -> ReportEntry:
     )
 
 
-def _add_property_report(report: Report, prop: PropertyReport) -> None:
-    for res in prop.entries:
-        report.add(_entry_from_check(res, prop.names))
-
-
-def _add_outcome(report: Report, name: str, outcome, names) -> None:
-    report.add(
-        ReportEntry(
-            name=name,
-            verdict="holds" if outcome.ok else "fails",
-            witness=_witness_names(names, outcome.witness),
-            detail=outcome.detail,
-        )
-    )
+def _add_checks(report: Report, results, names) -> None:
+    """Add an entry per result, each as soon as ``results`` yields it."""
+    for res in results:
+        report.add(_entry_from_check(res, names))
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +310,7 @@ def _add_classification(report: Report, A: Algebra, entries) -> bool:
     equivalence; returns whether ``A`` is a skew lattice."""
     from .properties import check_costrong_equivalence, property_result
 
-    for res in entries:
-        report.add(_entry_from_check(res, A.names))
+    _add_checks(report, entries, A.names)
     if not property_result(A, "skew-lattice").holds:
         return False
     check_costrong_equivalence(A)
@@ -359,13 +337,14 @@ def _arrow_payload(A: Algebra, table: np.ndarray) -> str:
 def _add_derived_arrow(report: Report, A: Algebra) -> np.ndarray | None:
     """Derive the arrow of ``A`` and add the ``arrow-derivable`` entry;
     returns the arrow table, or None when the entry fails."""
+    from .core import CheckResult
     from .skew_heyting import derive_arrow
 
     try:
         derived = derive_arrow(A.drop_arrow())
     except (NoTop, NotCoStronglyDistributive, PreconditionFailed) as exc:
-        witness = _witness_names(A.names, exc.witness)
-        report.add(ReportEntry("arrow-derivable", "fails", witness=witness, detail=str(exc)))
+        failed = CheckResult("arrow-derivable", False, exc.witness, 0, detail=str(exc))
+        report.add(_entry_from_check(failed, A.names))
         return None
     report.add(ReportEntry("arrow-derivable", "holds"))
     return derived.table
@@ -383,7 +362,7 @@ def _cmd_derive(args, report: Report) -> None:
 
     arrow = _add_derived_arrow(report, A)
     if arrow is not None:
-        _add_property_report(report, check_sh_axioms(A, arrow))
+        _add_checks(report, check_sh_axioms(A, arrow).entries, A.names)
         _add_declared_match(report, A, arrow)
         report.payload = _arrow_payload(A, arrow)
     report.settle()
@@ -429,10 +408,10 @@ def _cmd_model(args, report: Report) -> None:
     report.settle()
 
 
-def _cmd_verify(args, report: Report) -> None:
-    A = parse_algebra_file(_read(args.file, report))
+def _verify_suites(A: Algebra, arrow: np.ndarray):
+    """The results of the theorem suites in report order, each computed
+    when the one before it has been taken."""
     from .core import pullback_check
-    from .properties import property_result
     from .skew_heyting import (
         check_arrow_congruences,
         check_imp_or,
@@ -441,6 +420,19 @@ def _cmd_verify(args, report: Report) -> None:
         check_sha,
         special_case_arrows,
     )
+
+    yield from check_sh_axioms(A, arrow).entries
+    yield check_sha(A, arrow)
+    yield check_imp_or(A, arrow)
+    yield check_lifting(A)
+    yield check_arrow_congruences(A, arrow)
+    yield from special_case_arrows(A, arrow).entries
+    yield pullback_check(A)
+
+
+def _cmd_verify(args, report: Report) -> None:
+    A = parse_algebra_file(_read(args.file, report))
+    from .properties import property_result
 
     names = ("skew-lattice", "co-strongly-distributive", "symmetric", "conormal", "quasi-distributive")
     if not _add_classification(report, A, [property_result(A, name) for name in names]):
@@ -456,13 +448,7 @@ def _cmd_verify(args, report: Report) -> None:
         report.settle()
         return
     _add_declared_match(report, A, arrow)
-    _add_property_report(report, check_sh_axioms(A, arrow))
-    _add_outcome(report, "SHA", check_sha(A, arrow), A.names)
-    _add_outcome(report, "imp-or", check_imp_or(A, arrow), A.names)
-    _add_outcome(report, "lifting", check_lifting(A), A.names)
-    _add_outcome(report, "arrow-congruences", check_arrow_congruences(A, arrow), A.names)
-    _add_property_report(report, special_case_arrows(A, arrow))
-    _add_outcome(report, "pullback", pullback_check(A), A.names)
+    _add_checks(report, _verify_suites(A, arrow), A.names)
     report.settle()
 
 
@@ -484,6 +470,8 @@ def _cmd_search(args, report: Report) -> None:
         raise argparse.ArgumentTypeError(
             f"unknown property {args.property!r}; choose from {', '.join(PROPERTY_NAMES)}"
         )
+    if args.max_size > args.bound:
+        raise TooLarge(f"--max-size {args.max_size} exceeds the size bound {args.bound}")
     from .models import search_family
 
     seen: list[tuple[str, tuple[str, ...]]] = []  # (label, element names) per instance
@@ -526,14 +514,10 @@ def _cmd_search(args, report: Report) -> None:
                 unit="instances",
             )
         )
-        report.add(
-            ReportEntry(
-                args.property,
-                "fails" if args.negate else "holds",
-                witness=_witness_names(names, witness),
-                detail=detail or f"on instance {label}",
-            )
-        )
+        from .core import CheckResult
+
+        hit = CheckResult(args.property, not args.negate, witness, 0, detail=detail or f"on instance {label}")
+        report.add(_entry_from_check(hit, names))
     report.settle(gating={"search"})
 
 

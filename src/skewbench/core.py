@@ -7,7 +7,8 @@ from them here are built on first use and cached on the algebra: ≤
 (:func:`greens`), the partition ⪯ ∩ ⪰ (:func:`d_partition`) and S/D with
 its projection (:func:`lattice_image`).  Algebra values are immutable
 (cached arrays are read-only) and every function here is pure, so values
-may be shared freely between threads.
+may be shared freely between threads.  :class:`CheckResult` is the verdict
+of every check in the workbench.
 """
 
 from __future__ import annotations
@@ -36,15 +37,44 @@ def _freeze(arr: np.ndarray, dtype=_DTYPE) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class CheckOutcome:
-    """Boolean verdict with an optional witness tuple and free-form detail."""
+class CheckResult:
+    """The verdict of one universally quantified check: whether it holds,
+    the first failing witness (element indices, after an operation name for
+    a congruence) or None, the tuples covered, and for an identity both
+    sides' values at the witness.  True iff the check holds."""
 
-    ok: bool
-    witness: tuple = ()
+    name: str
+    holds: bool
+    witness: tuple | None
+    checked: int
+    lhs_value: object = None
+    rhs_value: object = None
     detail: str = ""
+    skipped: bool = False
+    evaluated: int = field(default=0, compare=False)
+
+    @property
+    def verdict(self) -> str:
+        if self.skipped:
+            return "skipped"
+        return "holds" if self.holds else "fails"
 
     def __bool__(self) -> bool:
-        return self.ok
+        return self.holds
+
+
+def skipped_result(name: str, detail: str = "") -> CheckResult:
+    """Placeholder entry for a check that does not apply to the instance."""
+    return CheckResult(name, True, None, 0, detail=detail, skipped=True)
+
+
+def first_true(mask) -> tuple[int, ...] | None:
+    """The index of the first True entry of ``mask`` in row-major order, or
+    None when there is none."""
+    mask = np.asarray(mask)
+    if not mask.any():
+        return None
+    return tuple(int(v) for v in np.unravel_index(int(mask.argmax()), mask.shape))
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,9 +180,9 @@ def _coerce_table(table, names: tuple[str, ...], label: str) -> np.ndarray:
             [[lookup.get(c, -1) if isinstance(c, str) else int(c) for c in row] for row in rows],
             dtype=np.int64,
         )
-    bad = (cells < 0) | (cells >= n)
-    if bad.any():
-        i, k = np.unravel_index(int(bad.argmax()), bad.shape)
+    bad = first_true((cells < 0) | (cells >= n))
+    if bad is not None:
+        i, k = bad
         cell = rows[i][k]
         if isinstance(cell, str):
             raise MalformedTable(f"{label}[{i}][{k}]: unknown element {cell!r}")
@@ -262,13 +292,13 @@ def natural_orders(A: Algebra) -> tuple[np.ndarray, np.ndarray]:
     leq = leq_matrix(A)
     form2 = A.join[A.join, np.broadcast_to(row, (n, n))] == col
     form3 = A.meet[A.meet.T, np.broadcast_to(col, (n, n))] == row
-    bad = (leq != form2) | (leq != form3)
-    if bad.any():
-        x, y = np.unravel_index(int(np.argmax(bad)), bad.shape)
+    bad = first_true((leq != form2) | (leq != form3))
+    if bad is not None:
+        x, y = bad
         raise CostaMismatch(
             f"order characterizations disagree at ({A.names[x]}, {A.names[y]}); "
             "input is not a skew lattice",
-            witness=(int(x), int(y)),
+            witness=bad,
         )
     return leq, preceq_matrix(A)
 
@@ -316,10 +346,9 @@ class Partition:
             raise ValueError(f"relation not reflexive at {x}")
         if not np.array_equal(rel, rel.T):
             raise ValueError("relation not symmetric")
-        comp = _bool_compose(rel, rel)
-        if (comp & ~rel).any():
-            x, y = np.unravel_index(int(np.argmax(comp & ~rel)), rel.shape)
-            raise ValueError(f"relation not transitive at ({x}, {y})")
+        bad = first_true(_bool_compose(rel, rel) & ~rel)
+        if bad is not None:
+            raise ValueError(f"relation not transitive at ({bad[0]}, {bad[1]})")
         blocks = []
         done = set()
         for x in range(n):
@@ -373,11 +402,12 @@ def _greens(A: Algebra) -> tuple[Partition, Partition, Partition]:
     Lrel, Lor = (M == row) & (M == row).T, (J == col) & (J == col).T
     Rrel, Ror = (M == col) & (M == col).T, (J == row) & (J == row).T
     for label, a, b in (("L", Lrel, Lor), ("R", Rrel, Ror)):
-        if not np.array_equal(a, b):
-            x, y = np.unravel_index(int(np.argmax(a != b)), a.shape)
+        bad = first_true(a != b)
+        if bad is not None:
+            x, y = bad
             raise NotComposable(
                 f"meet and join forms of {label} disagree at ({A.names[x]}, {A.names[y]})",
-                witness=(int(x), int(y)),
+                witness=bad,
             )
 
     D = d_partition(A)
@@ -388,22 +418,17 @@ def _greens(A: Algebra) -> tuple[Partition, Partition, Partition]:
         raise NotComposable(f"Green's relation is not an equivalence: {exc}") from exc
     bof = np.array(D.block_of)
     Drel = bof[:, None] == bof[None, :]
-    lr = _bool_compose(Lrel, Rrel)
-    rl = _bool_compose(Rrel, Lrel)
-    if not (np.array_equal(lr, Drel) and np.array_equal(rl, Drel)):
-        bad = (lr != Drel) | (rl != Drel)
-        x, y = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        raise NotComposable(
-            f"L∘R = R∘L = D fails at ({A.names[x]}, {A.names[y]})",
-            witness=(int(x), int(y)),
-        )
+    bad = first_true((_bool_compose(Lrel, Rrel) != Drel) | (_bool_compose(Rrel, Lrel) != Drel))
+    if bad is not None:
+        x, y = bad
+        raise NotComposable(f"L∘R = R∘L = D fails at ({A.names[x]}, {A.names[y]})", witness=bad)
     return D, L, R
 
 
-def is_congruence(A: Algebra, partition: Partition) -> CheckOutcome:
+def is_congruence(A: Algebra, partition: Partition) -> CheckResult:
     """Check that a partition respects every operation table present.
 
-    A failing outcome carries a witness ``(op, a, b, c, d)`` with a ≈ c and
+    A failing result carries a witness ``(op, a, b, c, d)`` with a ≈ c and
     b ≈ d but op(a,b) not ≈ op(c,d); the pair (a, b) is the lexicographically
     first violation against block representatives.
     """
@@ -411,14 +436,12 @@ def is_congruence(A: Algebra, partition: Partition) -> CheckOutcome:
     reps = np.array([blk[0] for blk in partition.blocks])
     for label, table in A.tables().items():
         classes = bof[table]
-        expected = classes[np.ix_(reps, reps)][np.ix_(bof, bof)]
-        bad = classes != expected
-        if bad.any():
-            a, b = np.unravel_index(int(np.argmax(bad)), bad.shape)
-            c, d = int(reps[bof[a]]), int(reps[bof[b]])
+        bad = first_true(classes != classes[np.ix_(reps, reps)][np.ix_(bof, bof)])
+        if bad is not None:
+            a, b = bad
             name = {"m": "meet", "j": "join", "r": "arrow"}[label]
-            return CheckOutcome(False, witness=(name, int(a), int(b), c, d))
-    return CheckOutcome(True)
+            return CheckResult("congruence", False, (name, a, b, int(reps[bof[a]]), int(reps[bof[b]])), 0)
+    return CheckResult("congruence", True, None, 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -441,17 +464,13 @@ class HomMap:
         if src.arrow is not None and tgt.arrow is not None:
             pairs.append(("arrow", src.arrow, tgt.arrow))
         for label, ts, tt in pairs:
-            if not np.array_equal(mp[ts], tt[np.ix_(mp, mp)]):
-                bad = mp[ts] != tt[np.ix_(mp, mp)]
-                x, y = np.unravel_index(int(np.argmax(bad)), bad.shape)
-                raise ValueError(f"map does not preserve {label} at ({x}, {y})")
+            bad = first_true(mp[ts] != tt[np.ix_(mp, mp)])
+            if bad is not None:
+                raise ValueError(f"map does not preserve {label} at ({bad[0]}, {bad[1]})")
         if src.top is not None and tgt.top is not None and self.mapping[src.top] != tgt.top:
             raise ValueError("map does not preserve top")
         if src.bottom is not None and tgt.bottom is not None and self.mapping[src.bottom] != tgt.bottom:
             raise ValueError("map does not preserve bottom")
-
-    def __call__(self, i: int) -> int:
-        return self.mapping[i]
 
     def is_bijective(self) -> bool:
         return self.source.n == self.target.n and len(set(self.mapping)) == self.source.n
@@ -505,7 +524,7 @@ def lattice_image(A: Algebra) -> tuple[Algebra, np.ndarray]:
     return A.cached("S/D", build)
 
 
-def pullback_check(A: Algebra) -> CheckOutcome:
+def pullback_check(A: Algebra) -> CheckResult:
     """Check that A is the pullback of A/R and A/L over A/D.
 
     The canonical map a ↦ (R-class, L-class) is a homomorphism by
@@ -516,14 +535,14 @@ def pullback_check(A: Algebra) -> CheckOutcome:
     for a in range(A.n):
         key = (R.block_of[a], L.block_of[a])
         if key in image:
-            return CheckOutcome(False, witness=(image[key], a), detail="canonical map not injective")
+            return CheckResult("pullback", False, (image[key], a), 0, detail="canonical map not injective")
         image[key] = a
     d_of_r = [D.block_of[blk[0]] for blk in R.blocks]
     d_of_l = [D.block_of[blk[0]] for blk in L.blocks]
     for i, j in itertools.product(range(R.num_blocks), range(L.num_blocks)):
         if d_of_r[i] == d_of_l[j] and (i, j) not in image:
-            return CheckOutcome(False, witness=(i, j), detail="fiber element not hit")
-    return CheckOutcome(True)
+            return CheckResult("pullback", False, (i, j), 0, detail="fiber element not hit")
+    return CheckResult("pullback", True, None, 0)
 
 
 def vertical_dual(A: Algebra) -> Algebra:

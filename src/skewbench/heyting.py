@@ -9,7 +9,8 @@ oracle, and the kernel must agree with it on tables and failure data.
 ``verify`` calls it once, on S/D, for the lifting check.
 
 :func:`adjunction_failure` verifies a table on a sublattice such as an upset
-through c∧a ≤ b ⇔ c ≤ a→b, which in a lattice admits one arrow only.
+through c∧a ≤ b ⇔ c ≤ a→b, which in a lattice admits one arrow only, and
+:func:`coherence_failure` verifies it on every upset at once.
 """
 
 from __future__ import annotations
@@ -18,31 +19,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Algebra, leq_matrix
+from .core import Algebra, first_true, leq_matrix, skipped_result
 from .errors import AmbiguousDiff, InconsistencyDetected
-from .identities import bind, run_identity, skipped_result
+from .identities import bind, run_identity
 from .properties import PropertyReport
 
 
 @dataclass(frozen=True)
 class ArrowResult:
-    """Arrow table, or absence with the offending pair and its maximal
-    candidates (two or more incomparable maxima witness non-distributivity)."""
+    """Arrow or dual difference table, or absence with the offending pair
+    and, for an arrow, its maximal candidates (two or more incomparable
+    maxima witness non-distributivity)."""
 
     table: np.ndarray | None
     offending: tuple[int, int] | None = None
     maximal: tuple[int, ...] = ()
-
-    def __bool__(self) -> bool:
-        return self.table is not None
-
-
-@dataclass(frozen=True)
-class DiffResult:
-    """Dual difference table, or absence with the first unsolvable pair."""
-
-    table: np.ndarray | None
-    offending: tuple[int, int] | None = None
 
     def __bool__(self) -> bool:
         return self.table is not None
@@ -100,30 +91,42 @@ def adjunction_failure(L: Algebra, members, arrow) -> tuple[int, int] | None:
         for b, below_of in blocks:  # below_of[x, b]: x ≤ b
             below = below_of[meets].transpose(0, 2, 1)  # [a, b, c]: c∧a ≤ b
             under = under_of[arrow[np.ix_(a, b)]]  # [a, b, c]: c ≤ a→b
-            bad = (below != under).any(axis=2)
-            if bad.any():
-                i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
-                return int(a[i]), int(b[j])
+            bad = first_true((below != under).any(axis=2))
+            if bad is not None:
+                return int(a[bad[0]]), int(b[bad[1]])
+    return None
+
+
+def coherence_failure(L: Algebra, upsets, table) -> tuple[int, int, int] | None:
+    """The first u, then the first pair (a, b) of u↑ (``upsets[u]``), at
+    which ``table`` fails the adjunction on u↑, or None.  v ≤ u gives
+    u↑ ⊆ v↑, so only the upsets of ≤-minimal elements are checked until one
+    of them fails."""
+    minimal = np.flatnonzero(leq_matrix(L).sum(axis=0) == 1)
+    if all(adjunction_failure(L, upsets[u], table) is None for u in minimal):
+        return None
+    for u, U in enumerate(upsets):
+        bad = adjunction_failure(L, U, table)
+        if bad is not None:
+            return (u, *bad)
     return None
 
 
 def generalized_heyting_arrow(L: Algebra) -> ArrowResult:
     """Arrow on a distributive lattice with top but possibly no bottom.
 
-    Beyond the candidate-set construction this verifies that every upset u↑
-    forms a Heyting algebra, which is the structural reason the arrow exists.
+    Beyond the candidate-set construction this verifies, through
+    :func:`coherence_failure`, that every upset u↑ forms a Heyting algebra
+    under the table, which is the structural reason the arrow exists.
     """
     res = _arrow_by_candidates(L)
     if not res:
         return res
-    leq = leq_matrix(L)
-    for u in range(L.n):
-        bad = adjunction_failure(L, np.flatnonzero(leq[u]), res.table)
-        if bad is not None:
-            raise InconsistencyDetected(
-                f"global arrow exists but upset at {L.names[u]} is not a Heyting algebra",
-                witness=(u, *bad),
-            )
+    bad = coherence_failure(L, [np.flatnonzero(row) for row in leq_matrix(L)], res.table)
+    if bad is not None:
+        raise InconsistencyDetected(
+            f"global arrow exists but upset at {L.names[bad[0]]} is not a Heyting algebra", witness=bad
+        )
     return res
 
 
@@ -133,21 +136,22 @@ def check_heyting_axioms(L: Algebra, arrow) -> PropertyReport:
     tables = bind(L, r=arrow, leq=leq_matrix(L))
     h1 = run_identity("H1", tables) if L.top is not None else skipped_result("H1", "no top declared")
     rest = ("H2", "H3", "H4", "HA", "arrow-join-reduction")
-    return PropertyReport((h1, *(run_identity(name, tables) for name in rest)), L.names)
+    return PropertyReport((h1, *(run_identity(name, tables) for name in rest)))
 
 
-def dual_gb_diff(L: Algebra) -> DiffResult:
+def dual_gb_diff(L: Algebra) -> ArrowResult:
     """Solve the dual difference entrywise from its defining identities:
     (y∨x∨y)∨(y∖∖x) = 1 = (y∖∖x)∨(y∨x∨y) and (y∨x∨y)∧(y∖∖x) = y = the
     reverse.  On commutative carriers the sandwich collapses to y∨x.
 
-    Exactly one candidate per pair gives the table; none gives absence; two
-    or more raise AmbiguousDiff, which signals non-distributivity.
+    Exactly one candidate per pair gives the table; none gives absence, with
+    the first unsolvable pair (y, x); two or more raise AmbiguousDiff, which
+    signals non-distributivity.
     """
     n = L.n
     M, J, top = L.meet, L.join, L.top
     if top is None:
-        return DiffResult(None, (0, 0))
+        return ArrowResult(None, (0, 0))
     table = np.zeros((n, n), dtype=np.int16)
     for y in range(n):
         s = J[J[y], y]  # y∨x∨y for every x
@@ -156,7 +160,7 @@ def dual_gb_diff(L: Algebra) -> DiffResult:
         if (counts != 1).any():
             x = int(np.argmax(counts != 1))
             if counts[x] == 0:
-                return DiffResult(None, (y, x))
+                return ArrowResult(None, (y, x))
             cands = np.flatnonzero(cond[x])
             raise AmbiguousDiff(
                 f"two dual-difference candidates for ({L.names[y]} ∖∖ {L.names[x]}): "
@@ -165,4 +169,4 @@ def dual_gb_diff(L: Algebra) -> DiffResult:
             )
         table[y] = cond.argmax(axis=1)
     table.setflags(write=False)
-    return DiffResult(table)
+    return ArrowResult(table)

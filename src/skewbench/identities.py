@@ -70,9 +70,11 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
+
+from .core import CheckResult
 
 _BOX = 1 << 16  # tuples per evaluation box
 
@@ -144,30 +146,6 @@ class Check:
     arity: int
     lhs: object
     rhs: object
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    holds: bool
-    witness: tuple[int, ...] | None
-    checked: int
-    lhs_value: object = None
-    rhs_value: object = None
-    detail: str = ""
-    skipped: bool = False
-    evaluated: int = field(default=0, compare=False)
-
-    @property
-    def verdict(self) -> str:
-        if self.skipped:
-            return "skipped"
-        return "holds" if self.holds else "fails"
-
-
-def skipped_result(name: str, detail: str = "") -> CheckResult:
-    """Placeholder entry for a check that does not apply to the instance."""
-    return CheckResult(name, True, None, 0, detail=detail, skipped=True)
 
 
 def parse(formula: str, name: str | None = None) -> Check:

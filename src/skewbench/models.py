@@ -35,7 +35,9 @@ import numpy as np
 
 from .core import (
     Algebra,
+    CheckResult,
     direct_product,
+    first_true,
     find_isomorphism,
     isomorphism_key,
     make_algebra,
@@ -43,7 +45,6 @@ from .core import (
 )
 from .errors import BadPoset, InconsistencyDetected, EsakiaFormulaMismatch, PreconditionFailed, TooLarge
 from .heyting import adjunction_failure
-from .identities import CheckResult
 from .properties import PropertyReport, check_skew_boolean
 from .skew_heyting import check_sh_axioms, derive_arrow
 
@@ -411,14 +412,13 @@ def section_arrow_resolution(model: SurjectionModel, bound: int = 10000) -> Prop
     total = A.n**2
     for name, (arg, keep) in candidates.items():
         value = S.find(sum((keep >> p & 1) * arg[..., p] for p in range(P.n)))
-        wrong = np.argwhere(value != A.arrow)
-        if not len(wrong):
+        wrong = first_true(value != A.arrow)
+        if wrong is None:
             entries.append(CheckResult(name, True, None, total))
             continue
-        i, k = (int(v) for v in wrong[0])
-        detail = "formula leaves the section carrier" if value[i, k] < 0 else "disagrees with derived arrow"
-        entries.append(CheckResult(name, False, (i, k), total, detail=detail))
-    return PropertyReport(tuple(entries), A.names)
+        detail = "formula leaves the section carrier" if value[wrong] < 0 else "disagrees with derived arrow"
+        entries.append(CheckResult(name, False, wrong, total, detail=detail))
+    return PropertyReport(tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +465,7 @@ def from_skew_boolean(A_sba: Algebra, diff_table) -> Algebra:
     """
     outcome = check_skew_boolean(A_sba, diff_table)
     if not outcome:
-        raise PreconditionFailed(f"not a skew Boolean algebra: {outcome.detail}", outcome.witness)
+        raise PreconditionFailed(f"not a skew Boolean algebra: {outcome.detail}", outcome.witness or ())
     diff = np.asarray(diff_table)
     dual = vertical_dual(A_sba)
     arrow = np.ascontiguousarray(diff.T, dtype=np.int16)
@@ -562,7 +562,8 @@ def _pfn_pool(max_size: int, min_size: int = 2):
             if size > max_size:
                 break
             if size >= min_size:
-                out.append((size, f"pfn({nx},{ny})", partial(partial_function_algebra, nx, ny)))
+                build = partial(partial_function_algebra, nx, ny, bound=max_size)
+                out.append((size, f"pfn({nx},{ny})", build))
     return out
 
 
@@ -579,7 +580,7 @@ def _section_pool(max_size: int):
                 # of every one of these models; the search needs none
                 model = SurjectionModel.from_fiber_sizes(base, fibers)
                 label = f"sections(P{pts}#{i};{','.join(map(str, fibers))})"
-                out.append((size, label, partial(_poset_sections_reduct, model)))
+                out.append((size, label, partial(_poset_sections_reduct, model, bound=max_size)))
     return out
 
 
@@ -604,7 +605,10 @@ def search_family(family: str, max_size: int):
     reaches it; the 'enum' family skips an instance isomorphic to an earlier
     one, up to 12 elements.  Kept instances are bucketed by
     :func:`isomorphism_key`, which is cached per algebra, and a new instance
-    is compared by ``find_isomorphism`` only with those in its own bucket."""
+    is compared by ``find_isomorphism`` only with those in its own bucket.
+    ``max_size`` bounds every instance built; past the int16 carrier limit
+    it is refused with TooLarge before any pool is built."""
+    _check_size("the largest search instance", max_size, max_size)
     if family == "pfn":
         pool = _pfn_pool(max_size)
     elif family == "sections":

@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import (
     Algebra,
-    CheckOutcome,
+    CheckResult,
     HomMap,
     direct_product,
     find_isomorphism,
@@ -35,7 +35,7 @@ from .errors import (
     PreconditionFailed,
     SkewbenchError,
 )
-from .identities import GROUPS, CheckResult, bind, run_identity
+from .identities import GROUPS, bind, run_identity
 from .property_names import PROPERTY_NAMES, SKEW_AXIOMS
 
 
@@ -49,7 +49,6 @@ class PropertyReport:
     """
 
     entries: tuple[CheckResult, ...]
-    names: tuple[str, ...]
 
     def __getitem__(self, name: str) -> CheckResult:
         for entry in self.entries:
@@ -60,17 +59,8 @@ class PropertyReport:
     def holds(self, name: str) -> bool:
         return self[name].holds
 
-    def verdicts(self) -> dict[str, str]:
-        return {e.name: e.verdict for e in self.entries}
-
     def all_hold(self) -> bool:
         return all(e.holds for e in self.entries if e.verdict != "skipped")
-
-    def witness_names(self, name: str) -> tuple[str, ...]:
-        entry = self[name]
-        if entry.witness is None:
-            return ()
-        return tuple(self.names[i] for i in entry.witness if isinstance(i, int))
 
 
 def property_result(A: Algebra, name: str) -> CheckResult:
@@ -99,15 +89,6 @@ def _property(A: Algebra, name: str) -> CheckResult:
     )
 
 
-def check_skew_lattice(A: Algebra) -> CheckOutcome:
-    """Idempotency, associativity and absorption for both operations."""
-    for name in SKEW_AXIOMS:
-        res = property_result(A, name)
-        if not res.holds:
-            return CheckOutcome(False, witness=res.witness, detail=f"{name}: {res.detail}")
-    return CheckOutcome(True)
-
-
 def _quasi_distributive(A: Algebra) -> CheckResult:
     name = "quasi-distributive"
     try:
@@ -130,7 +111,7 @@ def classify(A: Algebra) -> PropertyReport:
     Witnesses report the lexicographically first failing tuple.  Verdicts
     are stable under element relabeling.
     """
-    return PropertyReport(tuple(property_result(A, name) for name in PROPERTY_NAMES), A.names)
+    return PropertyReport(tuple(property_result(A, name) for name in PROPERTY_NAMES))
 
 
 def check_costrong_equivalence(A: Algebra) -> bool:
@@ -204,66 +185,68 @@ def binormal_factorization(A: Algebra) -> tuple[Algebra, Algebra, HomMap] | None
     return L, B, iso
 
 
-def _complemented_distributive(sub: Algebra) -> CheckOutcome:
+def _complemented_distributive(sub: Algebra) -> CheckResult:
     """Commutative, distributive and complemented, i.e. a Boolean algebra."""
+    name = "boolean-algebra"
     if not (np.array_equal(sub.meet, sub.meet.T) and np.array_equal(sub.join, sub.join.T)):
-        return CheckOutcome(False, detail="not commutative")
+        return CheckResult(name, False, None, 0, detail="not commutative")
     res = run_identity(GROUPS["strongly-distributive"][0], bind(sub))
     if not res.holds:
-        return CheckOutcome(False, witness=res.witness, detail="not distributive")
+        return CheckResult(name, False, res.witness, 0, detail="not distributive")
     if sub.top is None or sub.bottom is None:
-        return CheckOutcome(False, detail="not bounded")
+        return CheckResult(name, False, None, 0, detail="not bounded")
     for v in range(sub.n):
         has = any(
             sub.join[v, w] == sub.top and sub.meet[v, w] == sub.bottom for w in range(sub.n)
         )
         if not has:
-            return CheckOutcome(False, witness=(v,), detail="element has no complement")
-    return CheckOutcome(True)
+            return CheckResult(name, False, (v,), 0, detail="element has no complement")
+    return CheckResult(name, True, None, 0)
 
 
-def check_skew_boolean(A: Algebra, diff_table) -> CheckOutcome:
+def check_skew_boolean(A: Algebra, diff_table) -> CheckResult:
     """Strongly distributive skew lattice with bottom whose difference
     satisfies the four defining identities; every principal downset must be
     a Boolean algebra with the class sandwich x∧y∧x complemented by x∖y."""
+    name = "skew-boolean"
     if A.bottom is None:
-        return CheckOutcome(False, detail="no bottom")
-    skew = check_skew_lattice(A)
-    if not skew:
-        return skew
+        return CheckResult(name, False, None, 0, detail="no bottom")
+    skew = property_result(A, "skew-lattice")
+    if not skew:  # detailed by the failing axiom and its formula
+        formula = property_result(A, skew.detail).detail
+        return CheckResult(name, False, skew.witness, 0, detail=f"{skew.detail}: {formula}")
     strong = property_result(A, "strongly-distributive")
-    if not strong.holds:
-        return CheckOutcome(False, witness=strong.witness, detail="not strongly distributive")
+    if not strong:
+        return CheckResult(name, False, strong.witness, 0, detail="not strongly distributive")
     res = run_identity("skew-boolean-identities", bind(A, d=diff_table))
     if not res.holds:
-        return CheckOutcome(False, witness=res.witness, detail=res.detail)
+        return CheckResult(name, False, res.witness, 0, detail=res.detail)
     leq = leq_matrix(A)
     for u in range(A.n):
         members = [x for x in range(A.n) if leq[x, u]]
         try:
             sub, _ = subalgebra(A, members, top=members.index(u), bottom=members.index(A.bottom))
         except SkewbenchError as exc:
-            return CheckOutcome(False, witness=(u,), detail=f"u↓ at {A.names[u]}: {exc}")
+            return CheckResult(name, False, (u,), 0, detail=f"u↓ at {A.names[u]}: {exc}")
         boolean = _complemented_distributive(sub)
         if not boolean:
-            return CheckOutcome(
-                False, witness=(u,) + boolean.witness, detail=f"u↓ at {A.names[u]}: {boolean.detail}"
-            )
-    return CheckOutcome(True)
+            witness = (u, *(boolean.witness or ()))
+            return CheckResult(name, False, witness, 0, detail=f"u↓ at {A.names[u]}: {boolean.detail}")
+    return CheckResult(name, True, None, 0)
 
 
-def check_dual_skew_boolean(A: Algebra, ddiff_table) -> CheckOutcome:
+def check_dual_skew_boolean(A: Algebra, ddiff_table) -> CheckResult:
     """Co-strongly distributive skew lattice with top whose dual difference
     satisfies the four sandwich identities."""
+    name = "dual-skew-boolean"
     if A.top is None:
-        return CheckOutcome(False, detail="no top")
-    skew = check_skew_lattice(A)
-    if not skew:
-        return skew
+        return CheckResult(name, False, None, 0, detail="no top")
+    skew = property_result(A, "skew-lattice")
+    if not skew:  # detailed by the failing axiom and its formula
+        formula = property_result(A, skew.detail).detail
+        return CheckResult(name, False, skew.witness, 0, detail=f"{skew.detail}: {formula}")
     costrong = property_result(A, "co-strongly-distributive")
-    if not costrong.holds:
-        return CheckOutcome(False, witness=costrong.witness, detail="not co-strongly distributive")
+    if not costrong:
+        return CheckResult(name, False, costrong.witness, 0, detail="not co-strongly distributive")
     res = run_identity("dual-skew-boolean-identities", bind(A, dd=ddiff_table))
-    if not res.holds:
-        return CheckOutcome(False, witness=res.witness, detail=res.detail)
-    return CheckOutcome(True)
+    return CheckResult(name, res.holds, res.witness, 0, detail=res.detail)

@@ -22,13 +22,15 @@ import numpy as np
 
 from .core import (
     Algebra,
-    CheckOutcome,
+    CheckResult,
+    first_true,
     greens,
     is_congruence,
     lattice_image,
     leq_matrix,
     preceq_matrix,
     quotient,
+    skipped_result,
 )
 from .errors import (
     BadConstant,
@@ -39,9 +41,9 @@ from .errors import (
     NotCoStronglyDistributive,
     PreconditionFailed,
 )
-from .heyting import adjunction_failure, dual_gb_diff, generalized_heyting_arrow
-from .identities import CheckResult, bind, run_identity, skipped_result
-from .properties import PropertyReport, check_skew_lattice, property_result
+from .heyting import coherence_failure, dual_gb_diff, generalized_heyting_arrow
+from .identities import bind, run_identity
+from .properties import PropertyReport, property_result
 
 
 def upset_at(A: Algebra, u: int) -> np.ndarray:
@@ -84,9 +86,10 @@ class DeriveResult:
 def _require_costrong_with_top(A: Algebra) -> None:
     if A.top is None:
         raise NoTop("arrow derivation requires a declared top")
-    skew = check_skew_lattice(A)
+    skew = property_result(A, "skew-lattice")
     if not skew:
-        raise PreconditionFailed(f"not a skew lattice ({skew.detail})", witness=skew.witness)
+        formula = property_result(A, skew.detail).detail
+        raise PreconditionFailed(f"not a skew lattice ({skew.detail}: {formula})", witness=skew.witness)
     if not ((A.join[:, A.top] == A.top) & (A.join[A.top] == A.top)).all():  # x∧top = x by absorption
         raise BadConstant(f"top {A.names[A.top]!r} fails x∨top = top = top∨x")
     res = property_result(A, "co-strongly-distributive")
@@ -125,25 +128,11 @@ def _derive_arrow(A: Algebra) -> DeriveResult:
         table[:, y] = U[best[np.searchsorted(U, J[J[y], y])]]
     table.setflags(write=False)
 
-    bad = _coherence_failure(A, upsets, table)
+    bad = coherence_failure(A, upsets, table)
     if bad is not None:
         u, a, b = A.name_tuple(bad)
         raise CoherenceFailure(f"global arrow and arrow of upset at {u} disagree on ({a}, {b})", witness=bad)
     return DeriveResult(table, upsets)
-
-
-def _coherence_failure(A: Algebra, upsets, table) -> tuple[int, int, int] | None:
-    """The first u, then the first pair (a, b) of u↑, at which ``table``
-    fails the adjunction on u↑, or None.  v ≤ u gives u↑ ⊆ v↑, so only the
-    upsets of ≤-minimal elements are checked until one of them fails."""
-    minimal = np.flatnonzero(leq_matrix(A).sum(axis=0) == 1)
-    if all(adjunction_failure(A, upsets[u], table) is None for u in minimal):
-        return None
-    for u, U in enumerate(upsets):
-        bad = adjunction_failure(A, U, table)
-        if bad is not None:
-            return (u, *bad)
-    return None
 
 
 def check_sh_axioms(A: Algebra, arrow) -> PropertyReport:
@@ -158,10 +147,10 @@ def check_sh_axioms(A: Algebra, arrow) -> PropertyReport:
     tables = bind(A, r=arrow)
     names = ("SH0", "SH1", "SH2", "SH3", "SH4", "SH4-prime")
     entries = [run_identity(name, tables) for name in names]
-    return PropertyReport(tuple(entries), A.names)
+    return PropertyReport(tuple(entries))
 
 
-def check_sha(A: Algebra, arrow) -> CheckOutcome:
+def check_sha(A: Algebra, arrow) -> CheckResult:
     """The preorder adjunction: x ⪯ y→z iff x∧y ⪯ z, plus x→y = 1 iff x ⪯ y.
 
     When the reduct is a co-strongly distributive skew lattice with top and
@@ -172,37 +161,35 @@ def check_sha(A: Algebra, arrow) -> CheckOutcome:
     tables = bind(A, r=R, pre=preceq_matrix(A))
     adj = run_identity("SHA", tables)
     if not adj.holds:
-        return CheckOutcome(False, witness=adj.witness, detail="adjunction fails")
+        return CheckResult("SHA", False, adj.witness, 0, detail="adjunction fails")
     if A.top is None:
-        return CheckOutcome(False, detail="no top: x→y=1 clause unverifiable")
+        return CheckResult("SHA", False, None, 0, detail="no top: x→y=1 clause unverifiable")
     unit = run_identity("x→y=1 ⇔ x⪯y", tables)
     if not unit.holds:
-        return CheckOutcome(False, witness=unit.witness, detail="x→y=1 iff x⪯y fails")
+        return CheckResult("SHA", False, unit.witness, 0, detail="x→y=1 iff x⪯y fails")
 
     try:
         _require_costrong_with_top(A)
     except (NoTop, NotCoStronglyDistributive, PreconditionFailed):
-        return CheckOutcome(True, detail="adjunction holds; sufficiency direction not applicable")
+        detail = "adjunction holds; sufficiency direction not applicable"
+        return CheckResult("SHA", True, None, 0, detail=detail)
     if not leq_matrix(A)[np.arange(A.n), R].all():  # y ≤ x→y at [x, y]
-        return CheckOutcome(True, detail="adjunction holds; y ≤ x→y fails so sufficiency not applicable")
-    derived = derive_arrow(A).table
-    if not np.array_equal(derived, R):
-        witness = tuple(int(v) for v in np.argwhere(derived != R)[0])
-        return CheckOutcome(
-            False, witness=witness, detail="sufficiency conditions hold but arrow differs from derived"
-        )
-    return CheckOutcome(True)
+        detail = "adjunction holds; y ≤ x→y fails so sufficiency not applicable"
+        return CheckResult("SHA", True, None, 0, detail=detail)
+    witness = first_true(derive_arrow(A).table != R)
+    if witness is not None:
+        detail = "sufficiency conditions hold but arrow differs from derived"
+        return CheckResult("SHA", False, witness, 0, detail=detail)
+    return CheckResult("SHA", True, None, 0)
 
 
-def check_imp_or(A: Algebra, arrow) -> CheckOutcome:
+def check_imp_or(A: Algebra, arrow) -> CheckResult:
     """(x∨y∨x)→z = (x→z)∧(y→z)∧(x→z), quantified over all triples."""
     res = run_identity("imp-or", bind(A, r=arrow))
-    if res.holds:
-        return CheckOutcome(True)
-    return CheckOutcome(False, witness=res.witness)
+    return CheckResult("imp-or", res.holds, res.witness, 0)
 
 
-def check_lifting(A: Algebra) -> CheckOutcome:
+def check_lifting(A: Algebra) -> CheckResult:
     """Arrow exists on A iff the generalized Heyting arrow exists on A/D;
     additionally the projection must restrict to a Heyting-algebra
     isomorphism u↑ ≅ (D_u)↑ for every u.
@@ -221,22 +208,19 @@ def check_lifting(A: Algebra) -> CheckOutcome:
     for u, U in enumerate(derived.upsets):
         image = project[U]
         if not np.array_equal(np.sort(image), np.flatnonzero(leq_q[project[u]])):
-            return CheckOutcome(
-                False,
-                witness=(u,),
-                detail=f"projection does not restrict to a bijection u↑ ≅ (D_u)↑ at {A.names[u]}",
-            )
+            detail = f"projection does not restrict to a bijection u↑ ≅ (D_u)↑ at {A.names[u]}"
+            return CheckResult("lifting", False, (u,), 0, detail=detail)
         # meet/join are preserved because the projection is a homomorphism;
         # the Heyting structure must transfer along it too.
-        bad = project[derived.table[np.ix_(U, U)]] != lifted.table[np.ix_(image, image)]
-        if bad.any():
-            i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
-            witness = (u, int(U[i]), int(U[j]))
-            return CheckOutcome(False, witness=witness, detail="projection does not preserve the upset arrow")
-    return CheckOutcome(True)
+        bad = first_true(project[derived.table[np.ix_(U, U)]] != lifted.table[np.ix_(image, image)])
+        if bad is not None:
+            witness = (u, int(U[bad[0]]), int(U[bad[1]]))
+            detail = "projection does not preserve the upset arrow"
+            return CheckResult("lifting", False, witness, 0, detail=detail)
+    return CheckResult("lifting", True, None, 0)
 
 
-def check_arrow_congruences(A: Algebra, arrow) -> CheckOutcome:
+def check_arrow_congruences(A: Algebra, arrow) -> CheckResult:
     """D, L and R must be congruences for every operation including the
     arrow, and the arrows of A, A/L and A/R must derive (each derivation
     verifies itself and raises when it fails)."""
@@ -245,13 +229,13 @@ def check_arrow_congruences(A: Algebra, arrow) -> CheckOutcome:
     for label, part in (("D", D), ("L", L), ("R", R)):
         cong = is_congruence(enriched, part)
         if not cong:
-            return CheckOutcome(False, witness=cong.witness, detail=f"{label} fails")
+            return CheckResult("arrow-congruences", False, cong.witness, 0, detail=f"{label} fails")
     derive_arrow(A)
     for part in (L, R):
         # A/Δ has the tables of A itself, and A/D is the cached S/D
         if part.num_blocks != A.n:
             derive_arrow(lattice_image(A)[0] if part == D else quotient(A.drop_arrow(), part)[0])
-    return CheckOutcome(True)
+    return CheckResult("arrow-congruences", True, None, 0)
 
 
 def special_case_arrows(A: Algebra, arrow=None) -> PropertyReport:
@@ -270,11 +254,10 @@ def special_case_arrows(A: Algebra, arrow=None) -> PropertyReport:
 
     def compare(name: str, expected: np.ndarray) -> CheckResult:
         """R against ``expected``: the first differing (x, y), R's value, the expected one."""
-        mismatch = R != expected
-        if not mismatch.any():
+        at = first_true(R != expected)
+        if at is None:
             return CheckResult(name, True, None, A.n * A.n)
-        x, y = np.unravel_index(int(np.argmax(mismatch)), R.shape)
-        return CheckResult(name, False, (int(x), int(y)), A.n * A.n, int(R[x, y]), int(expected[x, y]))
+        return CheckResult(name, False, at, A.n * A.n, int(R[at]), int(expected[at]))
 
     leq_q = leq_matrix(lattice_image(A)[0])
     if (leq_q | leq_q.T).all():
@@ -295,4 +278,4 @@ def special_case_arrows(A: Algebra, arrow=None) -> PropertyReport:
                 f"dual difference unsolvable at pair {diff.offending}",
             )
         )
-    return PropertyReport(tuple(entries), A.names)
+    return PropertyReport(tuple(entries))

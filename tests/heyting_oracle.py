@@ -13,7 +13,7 @@ import numpy as np
 
 from skewbench.core import Algebra, greens, leq_matrix, quotient, subalgebra
 from skewbench.errors import AmbiguousDiff, CoherenceFailure, InconsistencyDetected
-from skewbench.heyting import ArrowResult, DiffResult
+from skewbench.heyting import ArrowResult
 from skewbench.models import Poset, SurjectionModel, partial_function_algebra, poset_sections_algebra
 
 
@@ -95,14 +95,14 @@ def lifting(A: Algebra, q_table: np.ndarray) -> tuple[bool, tuple, str]:
     Q, hom = quotient(A.drop_arrow(), D)
     leq_q = leq_matrix(Q)
     for u, (members, arrow) in enumerate(upsets):
-        q_members = [int(v) for v in np.flatnonzero(leq_q[hom(u)])]
-        image = [hom(g) for g in members]
+        q_members = [int(v) for v in np.flatnonzero(leq_q[hom.mapping[u]])]
+        image = [hom.mapping[g] for g in members]
         if sorted(image) != q_members or len(set(image)) != len(image):
             detail = f"projection does not restrict to a bijection u↑ ≅ (D_u)↑ at {A.names[u]}"
             return False, (u,), detail
         for i, gi in enumerate(members):
             for j, gj in enumerate(members):
-                if hom(int(arrow[i, j])) != int(q_table[hom(gi), hom(gj)]):
+                if hom.mapping[int(arrow[i, j])] != int(q_table[hom.mapping[gi], hom.mapping[gj]]):
                     return False, (u, gi, gj), "projection does not preserve the upset arrow"
     return True, (), ""
 
@@ -116,12 +116,12 @@ def first_difference(members, arrow: np.ndarray, oracle: np.ndarray) -> tuple[in
     return None
 
 
-def dual_gb_diff(L: Algebra) -> DiffResult:
+def dual_gb_diff(L: Algebra) -> ArrowResult:
     """The dual difference, one candidate scan per pair (y, x)."""
     n = L.n
     M, J, top = L.meet, L.join, L.top
     if top is None:
-        return DiffResult(None, (0, 0))
+        return ArrowResult(None, (0, 0))
     table = np.zeros((n, n), dtype=np.int16)
     for y in range(n):
         for x in range(n):
@@ -129,7 +129,7 @@ def dual_gb_diff(L: Algebra) -> DiffResult:
             cond = (J[s, :] == top) & (J[:, s] == top) & (M[s, :] == y) & (M[:, s] == y)
             cands = np.flatnonzero(cond)
             if len(cands) == 0:
-                return DiffResult(None, (y, x))
+                return ArrowResult(None, (y, x))
             if len(cands) > 1:
                 raise AmbiguousDiff(
                     f"two dual-difference candidates for ({L.names[y]} ∖∖ {L.names[x]}): "
@@ -138,7 +138,7 @@ def dual_gb_diff(L: Algebra) -> DiffResult:
                 )
             table[y, x] = int(cands[0])
     table.setflags(write=False)
-    return DiffResult(table)
+    return ArrowResult(table)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from skewbench.identities import Check, CheckResult
+from skewbench.core import CheckResult
+from skewbench.identities import Check
 
 _CHUNK_LIMIT = 2_000_000
 

@@ -124,7 +124,7 @@ def test_criterion_2_axiomatization_and_uniqueness():
             arrow = np.array(A.arrow)
             arrow[x, y] = v
             mutated = check_sh_axioms(A, arrow)
-            if mutated.all_hold() and check_sha(A, arrow).ok:
+            if mutated.all_hold() and check_sha(A, arrow).holds:
                 failures.append((nx, ny, f"undetected mutation at ({x},{y})->{v}"))
                 break
     _announce(2, "axiomatization and uniqueness", not failures)
@@ -146,9 +146,10 @@ def test_criterion_3_congruence_suite():
                 failures.append((nx, ny, f"A/{label} not derivable"))
                 continue
             # the projection must carry the arrow to the derived arrow below
+            proj = hom.mapping
             for a in range(A.n):
                 for b in range(A.n):
-                    if int(Q.arrow[hom(a), hom(b)]) != int(derived_q.table[hom(a), hom(b)]):
+                    if int(Q.arrow[proj[a], proj[b]]) != int(derived_q.table[proj[a], proj[b]]):
                         failures.append((nx, ny, f"arrow not preserved mod {label}"))
                         break
                 else:
@@ -338,9 +339,9 @@ def test_lifting_upset_isomorphism_detail():
     D, _, _ = greens(A)
     Q, hom = quotient(A.drop_arrow(), D)
     leq_q = leq_matrix(Q)
-    q_members = [int(v) for v in np.flatnonzero(leq_q[hom(u)])]
-    assert sorted(hom(g) for g in members) == q_members
-    qsub, _ = subalgebra(Q, q_members, bottom=q_members.index(hom(u)))
+    q_members = [int(v) for v in np.flatnonzero(leq_q[hom.mapping[u]])]
+    assert sorted(hom.mapping[g] for g in members) == q_members
+    qsub, _ = subalgebra(Q, q_members, bottom=q_members.index(hom.mapping[u]))
     up_arrow = _arrow_by_candidates(sub)
     q_arrow = _arrow_by_candidates(qsub)
     assert up_arrow and q_arrow

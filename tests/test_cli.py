@@ -2,6 +2,7 @@ import functools
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +94,14 @@ class TestAlgebraFile:
         with pytest.raises(errors.ParseError) as info:
             parse_algebra_file(doc)
         assert info.value.line == 8
+
+    def test_unknown_element_column_is_that_of_its_token(self):
+        # 'a' first occurs inside the earlier token 'ab'
+        doc = "elements: ab b\nmeet:\nab a\nb b\njoin:\nab b\nb b\n"
+        with pytest.raises(errors.ParseError) as info:
+            parse_algebra_file(doc)
+        assert str(info.value) == "line 3, col 4: unknown element 'a'"
+        assert (info.value.line, info.value.col) == (3, 4)
 
     def test_bad_constant_is_semantic_error(self):
         doc = CHAIN2_DOC.replace("top: 1", "top: 0")
@@ -323,6 +332,20 @@ class TestCommands:
         code, _ = run_command(["--bound", "5", "model", "pfn", "--x", "2", "--y", "2"])
         assert code == 2
 
+    def test_search_honours_the_bound(self):
+        search = ["search", "--family", "pfn", "--property", "symmetric", "--max-size"]
+        code, out = run_command(["--bound", "50", *search, "100"])
+        assert code == 2 and b"exceeds the size bound 50" in out
+        assert run_command(["--bound", "100", *search, "100"])[0] == 1  # found pfn(1,1)
+
+    def test_search_beyond_an_int16_carrier_is_refused_at_once(self):
+        search = ["search", "--family", "pfn", "--property", "symmetric", "--max-size", "2000000"]
+        start = time.perf_counter()
+        assert run_command(search)[0] == 2  # beyond the default bound
+        code, out = run_command(["--format", "machine", "--bound", "100000000", *search])
+        assert code == 2 and b"bound_is_32768" in out
+        assert time.perf_counter() - start < 1.0
+
     def test_model_upsets_honours_the_bound(self, tmp_path):
         path = tmp_path / "p.poset"
         path.write_text(POSET_DOC)  # a two-point chain: three upsets
@@ -541,6 +564,9 @@ REFUSED_BEFORE_NUMPY = {
     "search --property no-such": ["search", "--family", "pfn", "--max-size", "10", "--property", "no-such"],
     "search --max-size -3": ["search", "--family", "pfn", "--max-size", "-3", "--property", "symmetric"],
     "--bound -1": ["--bound", "-1", "model", "pfn", "--x", "2", "--y", "2"],
+    "search --max-size above --bound": [
+        "--bound", "50", "search", "--family", "pfn", "--max-size", "100", "--property", "symmetric"
+    ],
 }
 
 

@@ -17,6 +17,7 @@ from skewbench import (
     vertical_dual,
 )
 from skewbench import cli, core, skew_heyting
+from skewbench.core import CheckResult, first_true, skipped_result
 from skewbench.errors import (
     BadConstant,
     MalformedTable,
@@ -196,7 +197,7 @@ class TestQuotient:
         D, _, _ = greens(pf12)
         Q, hom = quotient(pf12.drop_arrow(), D)
         assert Q.n == 2
-        assert Q.top == hom(pf12.index("{}"))
+        assert Q.top == hom.mapping[pf12.index("{}")]
         assert find_isomorphism(Q, chain2.drop_arrow()) is not None
 
     def test_chain2_mod_d_identity(self, chain2):
@@ -208,7 +209,7 @@ class TestQuotient:
         D, _, _ = greens(pf22)
         Q, hom = quotient(pf22.drop_arrow(), D)
         assert Q.n == 4
-        assert Q.top == hom(pf22.index("{}"))
+        assert Q.top == hom.mapping[pf22.index("{}")]
         boolean4 = direct_product(chain2, chain2)
         assert find_isomorphism(Q, boolean4) is not None
 
@@ -267,6 +268,26 @@ class TestPullback:
 
     def test_rect2(self, rect2):
         assert pullback_check(rect2)
+
+
+class TestCheckResult:
+    def test_truth_is_the_verdict_holds(self):
+        results = (
+            CheckResult("x", True, None, 4),
+            CheckResult("x", False, (0, 1), 4),
+            CheckResult("x", False, None, 0, detail="no witness"),
+            skipped_result("x", "does not apply"),
+        )
+        assert [bool(r) for r in results] == [r.holds for r in results] == [True, False, False, True]
+
+    def test_first_true_is_row_major(self):
+        mask = np.zeros((3, 4, 5), dtype=bool)
+        assert first_true(mask) is None
+        assert first_true(np.zeros(0, dtype=bool)) is None
+        mask[2, 0, 0] = mask[1, 3, 4] = mask[1, 3, 2] = True
+        assert first_true(mask) == (1, 3, 2)
+        assert all(type(v) is int for v in first_true(mask))
+        assert first_true([False, True]) == (1,)
 
 
 class TestVerticalDual:

@@ -12,7 +12,6 @@ from test_heyting import DEEP_INSTANCES
 from skewbench import (
     binormal_factorization,
     check_costrong_equivalence,
-    check_skew_lattice,
     classify,
     identities,
 )
@@ -90,7 +89,7 @@ class TestPropertyCache:
         assert scanned > 0
         assert classify(A).entries == rep.entries
         check_costrong_equivalence(A)
-        check_skew_lattice(A)
+        property_result(A, "skew-lattice")
         binormal_factorization(A)
         assert len(scans) == scanned
 

@@ -355,10 +355,10 @@ class TestEnumeration:
         assert len(list(enumerate_skew_lattices(3))) == 7
 
     def test_all_outputs_are_skew_lattices(self):
-        from skewbench import check_skew_lattice
+        from skewbench.properties import property_result
 
         for A in enumerate_skew_lattices(3):
-            assert check_skew_lattice(A)
+            assert property_result(A, "skew-lattice")
 
     def test_pairwise_non_isomorphic(self):
         algebras = list(enumerate_skew_lattices(3))
@@ -420,6 +420,21 @@ class TestSearchStreams:
         code, out = run_command(SEARCH + ["sections", "--max-size", "40"])
         assert code == 0 and b"checked=50" in out
         assert calls == []
+
+    def test_instances_are_bounded_by_the_max_size(self, monkeypatch):
+        bounds = []
+        real = models.partial_function_algebra
+
+        def counting(x, y, bound=10000):
+            bounds.append(bound)
+            return real(x, y, bound)
+
+        monkeypatch.setattr(models, "partial_function_algebra", counting)
+        next(iter(models.search_family("pfn", 64)))
+        assert bounds == [64]
+        with pytest.raises(TooLarge):
+            next(iter(models.search_family("pfn", (1 << 15) + 1)))
+        assert bounds == [64]
 
     def test_stream_is_built_lazily(self, monkeypatch):
         built = []

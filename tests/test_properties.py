@@ -6,7 +6,6 @@ from skewbench import (
     check_costrong_equivalence,
     check_dual_skew_boolean,
     check_skew_boolean,
-    check_skew_lattice,
     classify,
     cover_in_class,
     direct_product,
@@ -19,6 +18,7 @@ from skewbench import (
 from skewbench.errors import NotUnique, PreconditionFailed
 from skewbench.heyting import dual_gb_diff
 from skewbench.models import partial_function_boolean
+from skewbench.properties import property_result
 
 
 class TestClassify:
@@ -66,7 +66,7 @@ class TestClassify:
         A = make_algebra(["a", "b"], [[0, 0], [0, 1]], [[0, 0], [0, 1]])
         rep = classify(A)
         assert not rep.holds("skew-lattice")
-        assert not check_skew_lattice(A)
+        assert not property_result(A, "skew-lattice")
 
     def test_non_conormal_witness(self, rect2_bottom):
         rep = classify(rect2_bottom)

@@ -8,26 +8,35 @@ from heyting_oracle import DEEP_INSTANCES, derive_by_upsets, generalized_arrow, 
 
 from skewbench import (
     Algebra,
+    CheckResult,
     check_arrow_congruences,
     check_imp_or,
     check_lifting,
     check_sh_axioms,
     check_sha,
     derive_arrow,
+    generalized_heyting_arrow,
     greens,
     heyting_arrow,
     lattice_image,
     leq_matrix,
     make_algebra,
     preceq_matrix,
+    pullback_check,
     quotient,
     special_case_arrows,
     subalgebra,
     upset_at,
 )
-from skewbench import core, skew_heyting
+from skewbench import core, heyting, skew_heyting
 from skewbench.cli import emit_algebra_file, run_command
-from skewbench.errors import BadConstant, CoherenceFailure, NoTop, NotCoStronglyDistributive
+from skewbench.errors import (
+    BadConstant,
+    CoherenceFailure,
+    InconsistencyDetected,
+    NoTop,
+    NotCoStronglyDistributive,
+)
 from skewbench.heyting import ArrowResult, adjunction_failure
 from skewbench.models import (
     Poset,
@@ -35,6 +44,7 @@ from skewbench.models import (
     all_posets,
     partial_function_algebra,
     poset_sections_algebra,
+    upset_heyting,
 )
 
 
@@ -124,14 +134,14 @@ class TestCoherence:
         for x, y, shift in itertools.product(range(A.n), range(A.n), range(1, A.n)):
             table = np.array(derived.table)
             table[x, y] = (table[x, y] + shift) % A.n
-            got = skew_heyting._coherence_failure(A, derived.upsets, table)
+            got = skew_heyting.coherence_failure(A, derived.upsets, table)
             assert got == self._scan_every_upset(A, derived.upsets, table), (x, y, shift)
             failures += got is not None
         assert failures > 0
 
     def test_a_failure_is_raised_with_the_in_order_witness(self, monkeypatch):
         A = partial_function_algebra(2, 2).drop_arrow()
-        real = skew_heyting._coherence_failure
+        real = skew_heyting.coherence_failure
         seen = []
 
         def wrong_cell(B, upsets, table):
@@ -140,10 +150,31 @@ class TestCoherence:
             seen.append(self._scan_every_upset(B, upsets, table))
             return real(B, upsets, table)
 
-        monkeypatch.setattr(skew_heyting, "_coherence_failure", wrong_cell)
+        monkeypatch.setattr(skew_heyting, "coherence_failure", wrong_cell)
         with pytest.raises(CoherenceFailure) as info:
             derive_arrow(A)
         assert seen[0] is not None and info.value.witness == seen[0]
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: lattice_image(partial_function_algebra(2, 2))[0],
+            lambda: upset_heyting(Poset(("p", "q", "r"), [[1, 0, 1], [0, 1, 0], [0, 0, 1]])).drop_arrow(),
+        ],
+        ids=["S/D of pf22", "upsets(p<r, q)"],
+    )
+    def test_a_mutated_kernel_fails_the_generalized_arrow_at_the_in_order_witness(self, build, monkeypatch):
+        L = build()
+        table = heyting_arrow(L).table
+        upsets = [np.flatnonzero(row) for row in leq_matrix(L)]
+        for a, b, shift in itertools.product(range(L.n), range(L.n), range(1, L.n)):
+            mutated = np.array(table)
+            mutated[a, b] = (mutated[a, b] + shift) % L.n
+            monkeypatch.setattr(heyting, "_arrow_by_candidates", lambda L: ArrowResult(mutated))
+            with pytest.raises(InconsistencyDetected) as info:
+                generalized_heyting_arrow(L)
+            # a lattice admits one arrow, so every mutation fails somewhere
+            assert info.value.witness == self._scan_every_upset(L, upsets, mutated), (a, b, shift)
 
 
 class TestUpset:
@@ -185,7 +216,7 @@ class TestShAxioms:
             arrow[x, y] = (arrow[x, y] + delta) % pf22.n
             rep = check_sh_axioms(pf22, arrow)
             sha = check_sha(pf22, arrow)
-            assert not (rep.all_hold() and sha.ok)
+            assert not (rep.all_hold() and sha.holds)
 
     def test_uniqueness_every_single_mutation_detected(self, pf12):
         # small enough to try every mutated table exhaustively
@@ -197,7 +228,7 @@ class TestShAxioms:
                     arrow = np.array(pf12.arrow)
                     arrow[x, y] = v
                     rep = check_sh_axioms(pf12, arrow)
-                    assert not (rep.all_hold() and check_sha(pf12, arrow).ok)
+                    assert not (rep.all_hold() and check_sha(pf12, arrow).holds)
 
 
 class TestSha:
@@ -253,6 +284,26 @@ class TestArrowCongruences:
     def test_chain2(self, chain2):
         arrow = heyting_arrow(chain2).table
         assert check_arrow_congruences(chain2.drop_arrow(), arrow)
+
+
+def test_each_verify_sub_suite_returns_a_result_named_after_its_report_entry(pf22, tmp_path):
+    wrong = np.array(pf22.arrow)
+    wrong[0, 1] = (wrong[0, 1] + 1) % pf22.n
+    suites = {
+        "SHA": lambda arrow: check_sha(pf22, arrow),
+        "imp-or": lambda arrow: check_imp_or(pf22, arrow),
+        "lifting": lambda arrow: check_lifting(pf22),
+        "arrow-congruences": lambda arrow: check_arrow_congruences(pf22, arrow),
+        "pullback": lambda arrow: pullback_check(pf22),
+    }
+    for name, suite in suites.items():
+        for arrow in (pf22.arrow, wrong):
+            res = suite(arrow)
+            assert type(res) is CheckResult and res.name == name and res.checked == 0
+    (tmp_path / "pf22.alg").write_text(emit_algebra_file(pf22))
+    _, out = run_command(["--format", "machine", "verify", str(tmp_path / "pf22.alg")])
+    entries = [line.split()[1][5:] for line in out.decode().splitlines() if line.startswith("CHECK:")]
+    assert [e for e in entries if e in suites] == list(suites)
 
 
 class TestSpecialCases:
@@ -390,7 +441,7 @@ ORACLE_INSTANCES = {
 
 def _lifting_outcome(A):
     out = check_lifting(A)
-    return out.ok, out.witness, out.detail
+    return out.holds, out.witness or (), out.detail
 
 
 def _q_arrow(A):
