@@ -11,18 +11,17 @@ across runs and across ``--jobs`` settings.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import os
 import re
 import sys
-import traceback
-from dataclasses import dataclass, field
 from functools import partial
-from numbers import Integral
+from itertools import repeat
 from typing import TYPE_CHECKING
 
-# Only the stdlib and ``errors`` load here: every refusal of a bad argument
-# or input happens before a command imports the numeric layers it runs.
+# Only light stdlib modules and ``errors`` load here: every refusal of a bad
+# argument or input, an oversized model included, happens before a command
+# imports the numeric layers it runs, and a module that only some paths use
+# (hashlib, traceback) is imported where it is used.
 from .errors import (
     BadConstant,
     BadPoset,
@@ -34,6 +33,7 @@ from .errors import (
     PreconditionFailed,
     SkewbenchError,
     TooLarge,
+    check_size,
 )
 
 if TYPE_CHECKING:
@@ -183,27 +183,42 @@ def parse_poset_file(text: str) -> Poset:
 # Reports
 
 
-@dataclass
+# Plain classes rather than dataclasses: importing ``dataclasses`` (and
+# ``inspect`` with it) would cost every refused request about 12 ms.
+
+
 class ReportEntry:
-    name: str
-    verdict: str
-    witness: tuple[str, ...] = ()
-    checked: int | None = None
-    lhs: str | None = None
-    rhs: str | None = None
-    detail: str = ""
-    unit: str = "tuples"
+    """One report line: a check's verdict, its witness and evaluated sides."""
+
+    def __init__(
+        self,
+        name: str,
+        verdict: str,
+        witness: tuple[str, ...] = (),
+        checked: int | None = None,
+        lhs: str | None = None,
+        rhs: str | None = None,
+        detail: str = "",
+        unit: str = "tuples",
+    ):
+        self.name, self.verdict, self.witness, self.checked = name, verdict, witness, checked
+        self.lhs, self.rhs, self.detail, self.unit = lhs, rhs, detail, unit
 
 
-@dataclass
 class Report:
     """Deterministic, diffable record of one command run."""
 
-    command: str
-    input_digest: str
-    entries: list[ReportEntry] = field(default_factory=list)
-    payload: str = ""
-    overall: str = "PASS"
+    def __init__(
+        self,
+        command: str,
+        input_digest: str,
+        entries: list[ReportEntry] | None = None,
+        payload: str = "",
+        overall: str = "PASS",
+    ):
+        self.command, self.input_digest = command, input_digest
+        self.entries = [] if entries is None else entries
+        self.payload, self.overall = payload, overall
 
     def add(self, entry: ReportEntry) -> None:
         self.entries.append(entry)
@@ -269,6 +284,8 @@ def emit_report(report: Report, fmt: str = "text") -> bytes:
 
 
 def _digest(data: bytes) -> str:
+    import hashlib
+
     return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
@@ -278,6 +295,8 @@ def _value_name(names, value) -> str | None:
         return None
     if isinstance(value, bool):
         return str(value)
+    from numbers import Integral  # numpy, which every caller has loaded, loads it
+
     if isinstance(value, Integral):
         return names[int(value)]
     return str(value)
@@ -385,21 +404,26 @@ def _check_fiber_count(fibers, points: int) -> None:
 
 
 def _cmd_model(args, report: Report) -> None:
-    if args.kind == "sections":
+    bound = args.bound
+    if args.kind == "pfn":
+        check_size("partial function algebra", [repeat(args.y + 1, args.x)], bound)
+    elif args.kind == "sections":
         _check_fiber_count(args.fibers, args.base)
-    elif args.kind != "pfn":
+        check_size("section algebra", [(f + 1 for f in args.fibers)], bound)
+    else:
         P = parse_poset_file(_read(args.posetfile, report))
         if args.kind == "poset-sections":
             _check_fiber_count(args.fibers, P.n)
     from . import models
 
-    bound = args.bound
     if args.kind == "pfn":
         A = models.partial_function_algebra(args.x, args.y, bound=bound)
     elif args.kind == "sections":
         base = models.default_point_names(args.base)
         A = models.sections_algebra(models.SurjectionModel.from_fiber_sizes(base, args.fibers), bound=bound)
     elif args.kind == "poset-sections":
+        # counted from the fiber sizes, before a name is made for each element
+        models.section_model_size(P, args.fibers, bound)
         model = models.SurjectionModel.from_fiber_sizes(P, args.fibers)
         A = models.poset_sections_algebra(model, bound=bound)
     else:  # upsets
@@ -470,8 +494,7 @@ def _cmd_search(args, report: Report) -> None:
         raise argparse.ArgumentTypeError(
             f"unknown property {args.property!r}; choose from {', '.join(PROPERTY_NAMES)}"
         )
-    if args.max_size > args.bound:
-        raise TooLarge(f"--max-size {args.max_size} exceeds the size bound {args.bound}")
+    check_size("the largest search instance", [[args.max_size]], args.bound)
     from .models import search_family
 
     seen: list[tuple[str, tuple[str, ...]]] = []  # (label, element names) per instance
@@ -643,6 +666,8 @@ def run_command(argv) -> tuple[int, bytes]:
         report.overall = "FAIL"
         return _EXIT_FAIL, emit_report(report, args.format)
     except Exception as exc:  # a workbench bug: status 3, never a traceback or status 1
+        import traceback
+
         where = traceback.extract_tb(exc.__traceback__)[-1]
         detail = f"{type(exc).__name__}: {exc} (in {where.name}, line {where.lineno})"
         report.add(ReportEntry("internal", "error", detail=" ".join(detail.split())))

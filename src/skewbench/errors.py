@@ -6,6 +6,10 @@ Three families matter for the CLI exit contract: malformed input
 status 1, and ``InconsistencyDetected`` subclasses map to status 3.  An
 inconsistency means a verified theorem failed on a concrete instance, which
 signals a bug in the workbench itself, never in the input.
+
+The size rule for generated models, :func:`check_size`, lives here too: this
+module imports nothing, so the CLI refuses an oversized request before it
+loads numpy.
 """
 
 
@@ -40,6 +44,33 @@ class ParseError(SkewbenchError):
 
 class TooLarge(SkewbenchError):
     """Requested instance exceeds the configured size bound."""
+
+
+# the largest carrier an int16 table can index
+MAX_CARRIER = 1 << 15
+
+
+def check_size(what: str, terms, bound: int) -> int:
+    """The element count of a carrier made of ``terms``, each an iterable of
+    positive factors whose product it adds: Σ_t Π t.
+
+    Raises TooLarge as soon as the running count passes ``bound`` or
+    MAX_CARRIER, so it reads no factor past that point and forms no product
+    beyond the limit times one factor: with every factor at least 2 it stops
+    within 16 factors.
+    """
+    limit = min(bound, MAX_CARRIER)
+    size = 0
+    for factors in terms:
+        term = 1
+        for factor in factors:
+            term *= factor
+            if size + term > limit:
+                break
+        size += term
+        if size > limit:
+            raise TooLarge(f"{what} has more than {limit} elements, bound is {limit}")
+    return size
 
 
 class CostaMismatch(SkewbenchError):

@@ -13,9 +13,9 @@ common domain, and the residue restricts g to the part of its domain that f
 does not cover.  A row's code is linear in its entries, so the codes of all
 three results come from one integer product per block of rows, and each
 result is found by its code; working memory beyond the output tables stays
-small.  The partial-function and section constructors refuse, before they
-build a row, a carrier larger than their bound or than an int16 table can
-index.
+small.  The partial-function and section constructors refuse, by
+:func:`errors.check_size` and before they build a row, a carrier larger
+than their bound or than an int16 table can index.
 
 An upset lattice's arrow is the complement-of-downset formula, verified
 by the Heyting adjunction; no arrow is searched for.
@@ -27,7 +27,6 @@ once, without its arrow, when the stream reaches it.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -43,7 +42,14 @@ from .core import (
     make_algebra,
     vertical_dual,
 )
-from .errors import BadPoset, InconsistencyDetected, EsakiaFormulaMismatch, PreconditionFailed, TooLarge
+from .errors import (
+    BadPoset,
+    EsakiaFormulaMismatch,
+    InconsistencyDetected,
+    PreconditionFailed,
+    TooLarge,
+    check_size,
+)
 from .heyting import adjunction_failure
 from .properties import PropertyReport, check_skew_boolean
 from .skew_heyting import check_sh_axioms, derive_arrow
@@ -243,18 +249,8 @@ class SurjectionModel:
 # ---------------------------------------------------------------------------
 # Partial maps and sections
 
-# the largest carrier an int16 table can index
-_MAX_CARRIER = 1 << 15
-
 # table cells computed per block of rows
 _BLOCK_CELLS = 1 << 18
-
-
-def _check_size(what: str, size: int, bound: int) -> None:
-    """Refuse a carrier of ``size`` elements beyond ``bound`` or _MAX_CARRIER."""
-    limit = min(bound, _MAX_CARRIER)
-    if size > limit:
-        raise TooLarge(f"{what} has {size} elements, bound is {limit}")
 
 
 class _Sections:
@@ -319,11 +315,14 @@ class _Sections:
 def partial_function_algebra(x, y, bound: int = 10000) -> Algebra:
     """The algebra of all partial functions X → Y with override meet,
     common-restriction join, residue arrow and the empty map on top."""
-    xnames = default_point_names(x) if isinstance(x, int) else tuple(str(v) for v in x)
-    ynames = tuple(str(v) for v in (range(y) if isinstance(y, int) else y))
-    if not xnames or not ynames:
+    xs = range(x) if isinstance(x, int) else tuple(x)
+    ys = range(y) if isinstance(y, int) else tuple(y)
+    if not xs or not ys:
         raise PreconditionFailed("X and Y must be nonempty")
-    _check_size("partial function algebra", (len(ynames) + 1) ** len(xnames), bound)
+    # counted before a point or a value is named
+    check_size("partial function algebra", [itertools.repeat(len(ys) + 1, len(xs))], bound)
+    xnames = default_point_names(len(xs)) if isinstance(x, int) else tuple(str(v) for v in xs)
+    ynames = tuple(str(v) for v in ys)
     labels = [[f"{p}:{v}" for v in ynames] for p in xnames]
     # the residue is the closed form of the implication over antichain bases
     return _Sections(labels, range(1 << len(xnames))).algebra(residue=True)
@@ -348,20 +347,16 @@ def sections_algebra(model: SurjectionModel, bound: int = 10000) -> Algebra:
     if isinstance(model.base, Poset):
         raise PreconditionFailed("use poset_sections_algebra for poset bases")
     labels = _fiber_labels(model)
-    _check_size("section algebra", math.prod(len(values) + 1 for values in labels), bound)
+    check_size("section algebra", [(len(values) + 1 for values in labels)], bound)
     return _Sections(labels, range(1 << len(labels))).algebra(residue=True)
 
 
-def _section_model_size(base: Poset, fibers, bound: int) -> int:
-    """The number of sections over the upsets of ``base``, refused with
-    TooLarge as soon as the running count passes ``bound`` or _MAX_CARRIER."""
-    limit = min(bound, _MAX_CARRIER)
-    size = 0
-    for mask in base._upsets():
-        size += math.prod(fibers[p] for p in range(base.n) if mask >> p & 1)
-        if size > limit:
-            raise TooLarge(f"section algebra has more than {limit} elements, bound is {limit}")
-    return size
+def section_model_size(base: Poset, fibers, bound: int) -> int:
+    """The number of sections over the upsets of ``base`` with fibers of the
+    given sizes, counted from the sizes alone and refused by
+    :func:`errors.check_size` as soon as the running count passes ``bound``."""
+    terms = ((fibers[p] for p in range(base.n) if mask >> p & 1) for mask in base._upsets())
+    return check_size("section algebra", terms, bound)
 
 
 def _poset_sections_reduct(model: SurjectionModel, bound: int = 10000) -> Algebra:
@@ -370,7 +365,7 @@ def _poset_sections_reduct(model: SurjectionModel, bound: int = 10000) -> Algebr
         raise PreconditionFailed("poset_sections_algebra needs a poset base")
     P = model.base
     labels = _fiber_labels(model)
-    _section_model_size(P, [len(values) for values in labels], bound)
+    section_model_size(P, [len(values) for values in labels], bound)
     return _Sections(labels, P.upset_masks).algebra(residue=False)
 
 
@@ -432,7 +427,7 @@ def upset_heyting(P: Poset, bound: int = 10000) -> Algebra:
     so it fails first where the table first differs from that arrow."""
     if P.n > 12:
         raise TooLarge("upset lattices are bounded at 12 poset points")
-    _check_size("upset lattice", len(P.upset_masks), bound)
+    check_size("upset lattice", [[len(P.upset_masks)]], bound)
     masks = np.array(P.upset_masks, dtype=np.int64)
     n, full = len(masks), (1 << P.n) - 1
     index = np.full(1 << P.n, -1, dtype=np.int64)  # mask -> element; upsets only
@@ -573,7 +568,7 @@ def _section_pool(max_size: int):
         for i, base in enumerate(all_posets(pts)):
             for fibers in itertools.product((1, 2), repeat=pts):
                 try:
-                    size = _section_model_size(base, fibers, max_size)
+                    size = section_model_size(base, fibers, max_size)
                 except TooLarge:
                     continue
                 # criterion 7 of the acceptance suite derives the arrow
@@ -608,7 +603,7 @@ def search_family(family: str, max_size: int):
     is compared by ``find_isomorphism`` only with those in its own bucket.
     ``max_size`` bounds every instance built; past the int16 carrier limit
     it is refused with TooLarge before any pool is built."""
-    _check_size("the largest search instance", max_size, max_size)
+    check_size("the largest search instance", [[max_size]], max_size)
     if family == "pfn":
         pool = _pfn_pool(max_size)
     elif family == "sections":

@@ -335,7 +335,7 @@ class TestCommands:
     def test_search_honours_the_bound(self):
         search = ["search", "--family", "pfn", "--property", "symmetric", "--max-size"]
         code, out = run_command(["--bound", "50", *search, "100"])
-        assert code == 2 and b"exceeds the size bound 50" in out
+        assert code == 2 and b"has more than 50 elements, bound is 50" in out
         assert run_command(["--bound", "100", *search, "100"])[0] == 1  # found pfn(1,1)
 
     def test_search_beyond_an_int16_carrier_is_refused_at_once(self):
@@ -520,17 +520,24 @@ def test_failing_sh2_witness_names_pair_and_sides(pf22):
     assert machine.rstrip().endswith("VERDICT: FAIL")
 
 
-def _run_python(*args, env=None):
+def _run_python(*args, env=None, timeout=60):
     """Run the interpreter on ``args`` with ``env`` (default: this
     process's environment) and the package on its path."""
     env = {**(os.environ if env is None else env), "PYTHONPATH": str(Path(skewbench.__file__).parents[1])}
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=60)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=timeout)
 
 
 def test_cli_import_loads_no_process_pool():
     code = "import sys, skewbench.cli; print('concurrent.futures.process' in sys.modules)"
     proc = _run_python("-c", code)
     assert (proc.returncode, proc.stdout) == (0, b"False\n")
+
+
+def test_cli_import_loads_nothing_a_refusal_does_not_use():
+    unused = ("dataclasses", "inspect", "hashlib", "traceback")
+    code = f"import sys, skewbench.cli; print([m for m in {unused!r} if m in sys.modules])"
+    proc = _run_python("-c", code)
+    assert (proc.returncode, proc.stdout) == (0, b"[]\n")
 
 
 def test_python_m_skewbench_runs_the_cli():
@@ -567,6 +574,11 @@ REFUSED_BEFORE_NUMPY = {
     "search --max-size above --bound": [
         "--bound", "50", "search", "--family", "pfn", "--max-size", "100", "--property", "symmetric"
     ],
+    "--bound 1e8 model pfn 3 400": ["--bound", "100000000", "model", "pfn", "--x", "3", "--y", "400"],
+    "model sections oversized": ["model", "sections", "--base", "3", "--fibers", "3000000,1,1"],
+    "search --max-size beyond an int16 carrier": [
+        "--bound", "100000", "search", "--family", "pfn", "--max-size", "40000", "--property", "symmetric"
+    ],
 }
 
 
@@ -579,6 +591,26 @@ def test_refused_input_exits_two_without_numpy(tmp_path, argv):
     proc = _run_python("-X", "importtime", "-m", "skewbench", *argv)
     assert proc.returncode == 2
     assert "numpy" not in _imported_modules(proc.stderr)
+
+
+OVERSIZED_MODELS = {
+    "pfn 2^20000": ["model", "pfn", "--x", "20000", "--y", "1"],
+    "pfn 3^1e9": ["model", "pfn", "--x", "1000000000", "--y", "2"],
+    "sections 1e26": ["model", "sections", "--base", "3", "--fibers", "99999999999999999999999999,1,1"],
+    "sections 3e6": ["model", "sections", "--base", "3", "--fibers", "3000000,1,1"],
+    "poset-sections 5e6": ["model", "poset-sections", "{chain2.pos}", "--fibers", "5000000,1"],
+}
+
+
+@pytest.mark.parametrize("argv", OVERSIZED_MODELS.values(), ids=OVERSIZED_MODELS.keys())
+def test_oversized_model_is_refused_at_once(tmp_path, argv):
+    """The size is counted from the arguments, stopping once it passes the
+    bound: no huge power is computed and no element is named first."""
+    (tmp_path / "chain2.pos").write_text(POSET_DOC)
+    argv = [str(tmp_path / a[1:-1]) if a.startswith("{") else a for a in argv]
+    proc = _run_python("-m", "skewbench", *argv, timeout=3)
+    assert proc.returncode == 2 and b"Traceback" not in proc.stderr
+    assert b"has more than 10000 elements, bound is 10000" in proc.stdout
 
 
 def test_a_model_command_imports_numpy():

@@ -145,6 +145,14 @@ class TestPartialFunctionAlgebra:
         with pytest.raises(TooLarge):
             partial_function_algebra(3, 400, bound=10**8)
 
+    def test_size_is_counted_before_a_point_is_named(self, monkeypatch):
+        def unexpected(k):
+            raise AssertionError(f"{k} points named")
+
+        monkeypatch.setattr(models, "default_point_names", unexpected)
+        with pytest.raises(TooLarge, match="has more than 10000 elements, bound is 10000"):
+            partial_function_algebra(10**9, 2)
+
 
 class TestSectionsAlgebra:
     def test_coordinate_projection_isomorphic_to_pfn(self, pf22):
