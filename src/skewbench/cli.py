@@ -11,6 +11,7 @@ across runs and across ``--jobs`` settings.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import re
 import sys
@@ -100,13 +101,16 @@ def parse_algebra_file(text: str) -> Algebra:
             if pos >= len(lines):
                 raise ParseError(lines[-1][0], 1, f"{section} table is missing rows")
             rowno, raw = lines[pos]
-            cells = list(re.finditer(r"\S+", raw))
+            cells = raw.split()
             if len(cells) != n:
                 raise ParseError(rowno, 1, f"row has {len(cells)} entries, expected {n}")
-            for cell in cells:
-                if cell[0] not in lookup:
-                    raise ParseError(rowno, cell.start() + 1, f"unknown element {cell[0]!r}")
-            rows.append([lookup[c[0]] for c in cells])
+            try:
+                rows.append([lookup[c] for c in cells])
+            except KeyError:
+                # str.split and \S+ cut at the same code points, so the
+                # unknown cell is found again with its column
+                cell = next(m for m in re.finditer(r"\S+", raw) if m[0] not in lookup)
+                raise ParseError(rowno, cell.start() + 1, f"unknown element {cell[0]!r}") from None
             pos += 1
         return rows
 
@@ -414,20 +418,29 @@ def _cmd_model(args, report: Report) -> None:
         P = parse_poset_file(_read(args.posetfile, report))
         if args.kind == "poset-sections":
             _check_fiber_count(args.fibers, P.n)
-    from . import models
+    # by name: ``python -X importtime`` logs no module loaded as ``from . import m``
+    from .models import (
+        SurjectionModel,
+        default_point_names,
+        partial_function_algebra,
+        poset_sections_algebra,
+        section_model_size,
+        sections_algebra,
+        upset_heyting,
+    )
 
     if args.kind == "pfn":
-        A = models.partial_function_algebra(args.x, args.y, bound=bound)
+        A = partial_function_algebra(args.x, args.y, bound=bound)
     elif args.kind == "sections":
-        base = models.default_point_names(args.base)
-        A = models.sections_algebra(models.SurjectionModel.from_fiber_sizes(base, args.fibers), bound=bound)
+        base = default_point_names(args.base)
+        A = sections_algebra(SurjectionModel.from_fiber_sizes(base, args.fibers), bound=bound)
     elif args.kind == "poset-sections":
         # counted from the fiber sizes, before a name is made for each element
-        models.section_model_size(P, args.fibers, bound)
-        model = models.SurjectionModel.from_fiber_sizes(P, args.fibers)
-        A = models.poset_sections_algebra(model, bound=bound)
+        section_model_size(P, args.fibers, bound)
+        model = SurjectionModel.from_fiber_sizes(P, args.fibers)
+        A = poset_sections_algebra(model, bound=bound)
     else:  # upsets
-        A = models.upset_heyting(P, bound=bound)
+        A = upset_heyting(P, bound=bound)
     report.payload = emit_algebra_file(A)
     report.settle()
 
@@ -690,6 +703,9 @@ def main() -> int:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     status, out = run_command(sys.argv[1:])
     sys.stdout.buffer.write(out)
+    # The exit-time collections skip frozen objects, which the OS reclaims anyway;
+    # frozen here, not in run_command, so that a host calling it keeps its collector.
+    gc.freeze()
     return status
 
 

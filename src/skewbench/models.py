@@ -43,6 +43,7 @@ from .core import (
     vertical_dual,
 )
 from .errors import (
+    MAX_CARRIER,
     BadPoset,
     EsakiaFormulaMismatch,
     InconsistencyDetected,
@@ -231,6 +232,10 @@ class SurjectionModel:
             raise PreconditionFailed("one fiber size per base point required")
         if any(s < 1 for s in sizes):
             raise PreconditionFailed("fibers must be nonempty")
+        # every section algebra over the model has the empty section and at
+        # least f sections over ↑p (or {p}) per fiber f: 1 + Σf, counted
+        # before a point is named
+        check_size("section algebra", [(), *([s] for s in sizes)], MAX_CARRIER)
         total, proj = [], []
         for b, (name, size) in enumerate(zip(names, sizes)):
             for i in range(size):

@@ -1,4 +1,5 @@
 import functools
+import gc
 import os
 import subprocess
 import sys
@@ -102,6 +103,14 @@ class TestAlgebraFile:
             parse_algebra_file(doc)
         assert str(info.value) == "line 3, col 4: unknown element 'a'"
         assert (info.value.line, info.value.col) == (3, 4)
+
+    @pytest.mark.parametrize("sep", ["\t", "\u00a0", " \t\u00a0 "], ids=["tab", "nbsp", "mixed"])
+    def test_cells_split_at_any_whitespace(self, pf22, sep):
+        assert parse_algebra_file(emit_algebra_file(pf22).replace(" ", sep)) == pf22
+        doc = f"elements: ab b\nmeet:\nab{sep}a\nb b\njoin:\nab b\nb b\n"
+        with pytest.raises(errors.ParseError) as info:
+            parse_algebra_file(doc)
+        assert (info.value.line, info.value.col) == (3, 3 + len(sep))
 
     def test_bad_constant_is_semantic_error(self):
         doc = CHAIN2_DOC.replace("top: 1", "top: 0")
@@ -527,6 +536,10 @@ def _run_python(*args, env=None, timeout=60):
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=timeout)
 
 
+def _with_paths(tmp_path, argv) -> list[str]:
+    return [str(tmp_path / a[1:-1]) if a.startswith("{") else a for a in argv]
+
+
 def test_cli_import_loads_no_process_pool():
     code = "import sys, skewbench.cli; print('concurrent.futures.process' in sys.modules)"
     proc = _run_python("-c", code)
@@ -551,6 +564,33 @@ def _imported_modules(importtime_log: bytes) -> set[str]:
     prefix = b"import time:"
     lines = (line for line in importtime_log.splitlines() if line.startswith(prefix))
     return {line.rsplit(b"|", 1)[-1].strip().decode() for line in lines}
+
+
+_CHECK_LAYERS = {"core", "identities", "property_names", "properties"}
+_DERIVE_LAYERS = _CHECK_LAYERS | {"heyting", "skew_heyting"}
+COMMAND_LAYERS = {
+    "check": (["check", "{pf22.alg}"], _CHECK_LAYERS),
+    "quotient": (["quotient", "{pf22.alg}", "--rel", "D"], {"core"}),
+    "derive": (["derive", "{pf22.alg}"], _DERIVE_LAYERS),
+    "verify": (["verify", "{pf22.alg}"], _DERIVE_LAYERS),
+    "model": (["model", "pfn", "--x", "2", "--y", "2"], _DERIVE_LAYERS | {"models"}),
+    "search": (
+        ["search", "--family", "pfn", "--max-size", "10", "--property", "symmetric", "--negate"],
+        _DERIVE_LAYERS | {"models"},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_LAYERS)
+def test_each_command_loads_only_its_layers(tmp_path, pf22, command):
+    """Every module a command loads is compiled in each process, so a layer
+    it never calls is start-up cost; the sets are the README's."""
+    (tmp_path / "pf22.alg").write_text(emit_algebra_file(pf22))
+    argv, layers = COMMAND_LAYERS[command]
+    proc = _run_python("-X", "importtime", "-m", "skewbench", *_with_paths(tmp_path, argv))
+    assert proc.returncode == 0, proc.stdout
+    loaded = {m.split(".", 1)[1] for m in _imported_modules(proc.stderr) if m.startswith("skewbench.")}
+    assert loaded == {"cli", "errors"} | layers
 
 
 @pytest.mark.parametrize("module", ["skewbench", "skewbench.cli"])
@@ -587,7 +627,7 @@ def test_refused_input_exits_two_without_numpy(tmp_path, argv):
     (tmp_path / "chain2.alg").write_text(CHAIN2_DOC)
     (tmp_path / "latin1.alg").write_bytes(b"# caf\xe9\n" + CHAIN2_DOC.encode())
     (tmp_path / "unknown.alg").write_text(CHAIN2_DOC.replace("0 0\n0 1\njoin", "0 0\n0 nosuch\njoin"))
-    argv = [str(tmp_path / a[1:-1]) if a.startswith("{") else a for a in argv]
+    argv = _with_paths(tmp_path, argv)
     proc = _run_python("-X", "importtime", "-m", "skewbench", *argv)
     assert proc.returncode == 2
     assert "numpy" not in _imported_modules(proc.stderr)
@@ -607,7 +647,7 @@ def test_oversized_model_is_refused_at_once(tmp_path, argv):
     """The size is counted from the arguments, stopping once it passes the
     bound: no huge power is computed and no element is named first."""
     (tmp_path / "chain2.pos").write_text(POSET_DOC)
-    argv = [str(tmp_path / a[1:-1]) if a.startswith("{") else a for a in argv]
+    argv = _with_paths(tmp_path, argv)
     proc = _run_python("-m", "skewbench", *argv, timeout=3)
     assert proc.returncode == 2 and b"Traceback" not in proc.stderr
     assert b"has more than 10000 elements, bound is 10000" in proc.stdout
@@ -680,6 +720,64 @@ print(dict(os.environ) == before)
 """
     proc = _run_python("-c", code, env=_unpinned_env())
     assert (proc.returncode, proc.stdout) == (0, b"True\n")
+
+
+_MAIN_THEN_FREEZE_COUNT = """\
+import gc, sys
+from skewbench import cli
+sys.argv = ["skewbench", "model", "pfn", "--x", "2", "--y", "2"]
+before = gc.get_freeze_count()
+status = cli.main()
+print(status, before, gc.get_freeze_count())
+"""
+
+
+def test_main_freezes_the_heap_for_the_exit():
+    proc = _run_python("-c", _MAIN_THEN_FREEZE_COUNT)
+    assert proc.returncode == 0, proc.stderr
+    status, before, after = map(int, proc.stdout.splitlines()[-1].split())
+    assert (status, before) == (0, 0) and after > 0
+
+
+def _write_inputs(tmp_path, pf22, n5) -> None:
+    (tmp_path / "pf22.alg").write_text(emit_algebra_file(pf22))
+    (tmp_path / "n5.alg").write_text(emit_algebra_file(n5))
+    (tmp_path / "bad.alg").write_text(NON_SKEW_DOC)
+
+
+@pytest.mark.parametrize(
+    "argv,status",
+    [(["check", "{pf22.alg}"], 0), (["derive", "{n5.alg}"], 1), (["quotient"], 2)],
+    ids=["check", "derive n5", "usage"],
+)
+def test_run_command_leaves_the_collector_alone(tmp_path, pf22, n5, argv, status):
+    _write_inputs(tmp_path, pf22, n5)
+    before = (gc.get_freeze_count(), gc.isenabled())
+    assert run_command(_with_paths(tmp_path, argv))[0] == status
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+ENTRY_POINT_CASES = {
+    "check passes": (["check", "{pf22.alg}"], 0),
+    "check fails": (["--format", "machine", "check", "{bad.alg}"], 1),
+    "derive n5": (["derive", "{n5.alg}"], 1),
+    "usage error": (["quotient", "{pf22.alg}"], 2),
+    "parse error": (["check", "{missing.alg}"], 2),
+    "model pfn": (["model", "pfn", "--x", "2", "--y", "2"], 0),
+    "--jobs 2 search": (
+        ["--jobs", "2", "search", "--family", "pfn", "--max-size", "16", "--property", "symmetric", "--negate"],
+        0,
+    ),
+}
+
+
+@pytest.mark.parametrize("argv,status", ENTRY_POINT_CASES.values(), ids=ENTRY_POINT_CASES.keys())
+def test_entry_point_writes_what_run_command_returns(tmp_path, pf22, n5, argv, status):
+    _write_inputs(tmp_path, pf22, n5)
+    argv = _with_paths(tmp_path, argv)
+    proc = _run_python("-m", "skewbench", *argv, env=_unpinned_env())
+    assert (proc.returncode, proc.stdout) == run_command(argv)
+    assert proc.returncode == status
 
 
 def test_search_jobs_through_the_entry_point():

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -14,7 +15,13 @@ from skewbench import (
     vertical_dual,
 )
 from skewbench.cli import emit_algebra_file, run_command
-from skewbench.errors import EsakiaFormulaMismatch, InconsistencyDetected, PreconditionFailed, TooLarge
+from skewbench.errors import (
+    MAX_CARRIER,
+    EsakiaFormulaMismatch,
+    InconsistencyDetected,
+    PreconditionFailed,
+    TooLarge,
+)
 from skewbench.models import (
     Poset,
     SurjectionModel,
@@ -164,6 +171,18 @@ class TestSectionsAlgebra:
         model = SurjectionModel.from_fiber_sizes(("x",), (2,))
         S = sections_algebra(model)
         assert find_isomorphism(S, pf12) is not None
+
+    def test_oversized_fibers_are_refused_before_a_point_is_named(self):
+        start = time.perf_counter()
+        with pytest.raises(TooLarge, match="has more than 32768 elements"):
+            sections_algebra(SurjectionModel.from_fiber_sizes(("p", "q", "r"), (3000000, 1, 1)))
+        assert time.perf_counter() - start < 0.5
+
+    def test_fibers_are_refused_once_one_plus_their_sum_passes_the_carrier_limit(self):
+        # the empty section and a section per value over {p}: 1 + Σf elements at least
+        assert len(SurjectionModel.from_fiber_sizes(("p", "q"), (MAX_CARRIER - 2, 1)).total) == MAX_CARRIER - 1
+        with pytest.raises(TooLarge):
+            SurjectionModel.from_fiber_sizes(("p", "q"), (MAX_CARRIER - 1, 1))
 
     def test_identity_projection_commutative(self):
         model = SurjectionModel.from_fiber_sizes(("p", "q", "r"), (1, 1, 1))
