@@ -381,6 +381,30 @@ class TestEnumeration:
         # two rectangular bands, and four mixed two-class algebras
         assert len(list(enumerate_skew_lattices(3))) == 7
 
+    def test_tables_in_order(self):
+        # each class is represented by its least (meet, join) relabeling,
+        # and the classes come in the order of those representatives
+        expected = {
+            1: [([[0]], [[0]])],
+            2: [
+                ([[0, 0], [0, 1]], [[0, 1], [1, 1]]),
+                ([[0, 0], [1, 1]], [[0, 1], [0, 1]]),
+                ([[0, 1], [0, 1]], [[0, 0], [1, 1]]),
+            ],
+            3: [
+                ([[0, 0, 0], [0, 1, 1], [0, 1, 2]], [[0, 1, 2], [1, 1, 2], [2, 2, 2]]),
+                ([[0, 0, 0], [0, 1, 1], [0, 2, 2]], [[0, 1, 2], [1, 1, 2], [2, 1, 2]]),
+                ([[0, 0, 0], [0, 1, 2], [0, 1, 2]], [[0, 1, 2], [1, 1, 1], [2, 2, 2]]),
+                ([[0, 0, 0], [0, 1, 2], [2, 2, 2]], [[0, 1, 2], [1, 1, 1], [0, 1, 2]]),
+                ([[0, 0, 0], [1, 1, 1], [2, 2, 2]], [[0, 1, 2], [0, 1, 2], [0, 1, 2]]),
+                ([[0, 0, 2], [0, 1, 2], [0, 2, 2]], [[0, 1, 0], [1, 1, 1], [2, 1, 2]]),
+                ([[0, 1, 2], [0, 1, 2], [0, 1, 2]], [[0, 0, 0], [1, 1, 1], [2, 2, 2]]),
+            ],
+        }
+        for n, tables in expected.items():
+            found = [(A.meet.tolist(), A.join.tolist()) for A in enumerate_skew_lattices(n)]
+            assert found == tables
+
     def test_all_outputs_are_skew_lattices(self):
         from skewbench.properties import property_result
 
