@@ -167,8 +167,12 @@ def parse_poset_file(text: str) -> Poset:
     points = rest.split()
     if not points:
         raise ParseError(lineno, 1, "no points declared")
+    if len(set(points)) != len(points):
+        raise ParseError(lineno, 1, "point names are not unique")
     if len(lines) < 2 or lines[1][1].partition(":")[0].strip() != "leq":
         raise ParseError(lineno, 1, "expected 'leq:' section")
+    if lines[1][1].partition(":")[2].strip():
+        raise ParseError(lines[1][0], 1, "leq: rows must start on the following line")
     rows = []
     k = len(points)
     if len(lines) != 2 + k:

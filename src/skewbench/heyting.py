@@ -1,12 +1,12 @@
 """Heyting and generalized Heyting structure on finite commutative lattices.
 
 :func:`heyting_arrow` takes y→z as the maximum of the candidate set
-{x : x∧y ≤ z}.  Its kernel computes the maximal candidates of all z at once
-with one integer matrix count per y, so that a failed pair yields
-counterexample data (the pair and all its maximal candidates) for free.  The
-scalar candidate loop it replaced stays in the tests as the reference
-oracle, and the kernel must agree with it on tables and failure data.
-``verify`` calls it once, on S/D, for the lifting check.
+{x : x∧y ≤ z}: its kernel takes, for all z at once, the candidate with the
+most elements below it, as ``derive_arrow`` does in an upset, and a failed
+pair comes with counterexample data (the pair and its maximal candidates).
+The scalar candidate loop stays in the tests as the reference oracle, and
+the kernel must agree with it on tables and failure data.  ``verify`` calls
+it once, on S/D, for the lifting check.
 
 :func:`adjunction_failure` verifies a table on a sublattice such as an upset
 through c∧a ≤ b ⇔ c ≤ a→b, which in a lattice admits one arrow only, and
@@ -40,26 +40,27 @@ class ArrowResult:
 
 
 def _arrow_by_candidates(L: Algebra) -> ArrowResult:
-    """The arrow kernel, one matrix count per y.
+    """The arrow kernel, O(n²) cells per y.
 
-    For fixed y, ``cand[z, x]`` says x∧y ≤ z, and ``(cand @ above)[z, c]``
-    counts the candidates strictly above c, so the maximal candidates of
-    each z are the candidates with count zero.  Integer counts over n×n
-    matrices keep the working memory at O(n²) and stay off the float BLAS
-    path.
+    For fixed y, ``cand[z, x]`` says x∧y ≤ z.  A maximum candidate has the
+    most elements below it (the rule of ``derive_arrow``), so a pair fails
+    iff it has no candidate or some candidate is not below the one with the
+    most.  Only the first failing pair has its maximal candidates listed.
     """
     n = L.n
     leq = leq_matrix(L)
-    above = (leq & ~np.eye(n, dtype=bool)).T.astype(np.int32)  # [d, c] iff c < d
+    below = leq.sum(axis=0)  # |↓x| at x
     table = np.zeros((n, n), dtype=np.int16)
     for y in range(n):
         cand = leq[L.meet[:, y], :].T  # [z, x] iff x∧y ≤ z
-        maximal = cand & ((cand.astype(np.int32) @ above) == 0)
-        counts = maximal.sum(axis=1)
-        if (counts != 1).any():
-            z = int(np.argmax(counts != 1))
-            return ArrowResult(None, (y, z), tuple(int(c) for c in np.flatnonzero(maximal[z])))
-        table[y] = maximal.argmax(axis=1)
+        best = np.where(cand, below, -1).argmax(axis=1)
+        bad = ~cand.any(axis=1) | (cand & ~leq[:, best].T).any(axis=1)
+        if bad.any():
+            z = int(bad.argmax())
+            c = np.flatnonzero(cand[z])
+            lt = leq[np.ix_(c, c)] & (c[:, None] != c)  # [a, b] iff a < b
+            return ArrowResult(None, (y, z), tuple(int(x) for x in c[~lt.any(axis=1)]))
+        table[y] = best
     table.setflags(write=False)
     return ArrowResult(table)
 

@@ -218,22 +218,6 @@ def bind(A, **ops) -> dict:
     return tables
 
 
-def _eval(term, tables, varr):
-    if isinstance(term, int):
-        return varr[term]
-    op = term[0]
-    if op == "c":
-        return tables[term[1]]
-    a = _eval(term[1], tables, varr)
-    b = _eval(term[2], tables, varr)
-    return a == b if op == "eq" else tables[op][a, b]
-
-
-def values_at(check: Check, tables, point) -> tuple:
-    """The values of both sides of ``check`` at one tuple of elements."""
-    return _plain(_eval(check.lhs, tables, point)), _plain(_eval(check.rhs, tables, point))
-
-
 @dataclass(frozen=True)
 class _Plan:
     """The nodes of ``lhs != rhs``, each distinct subterm once, children
@@ -279,6 +263,18 @@ def _plan(check: Check) -> _Plan:
         tuple(i for i in sorted(read) if nodes[i][0] != "c" and not nodes[i][3] & 1),
         tuple(rest),
     )
+
+
+def values_at(check: Check, tables, point) -> tuple:
+    """The values of both sides of ``check`` at one tuple of elements, as
+    plain ints or bools."""
+    plan = _plan(check)
+    vals = [tables[node[1]] if node[0] == "c" else None for node in plan.nodes]
+    for i, value in zip(plan.variables, point):
+        vals[i] = value
+    _evaluate(plan, plan.free + plan.rest, vals, tables, None)
+    _, lhs, rhs, _ = plan.nodes[-1]
+    return tuple(v.item() if isinstance(v, np.generic) else v for v in (vals[lhs], vals[rhs]))
 
 
 def _gather(table, a, b, a_last: bool, b_last: bool):
@@ -462,11 +458,3 @@ def run_identity(name: str, tables) -> CheckResult:
         if not res.holds:
             return replace(res, name=name, checked=checked, detail=formula, evaluated=evaluated)
     return CheckResult(name, True, None, checked, evaluated=evaluated)
-
-
-def _plain(value):
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    return value

@@ -22,6 +22,10 @@ by the Heyting adjunction; no arrow is searched for.
 
 ``search_family`` streams (label, algebra) pairs: each instance is built
 once, without its arrow, when the stream reaches it.
+
+The verifying layers (``heyting``, ``properties``, ``skew_heyting``) are
+imported by the constructors that call them, so building partial functions
+or sections loads none of them.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, partial
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -51,9 +56,9 @@ from .errors import (
     TooLarge,
     check_size,
 )
-from .heyting import adjunction_failure
-from .properties import PropertyReport, check_skew_boolean
-from .skew_heyting import check_sh_axioms, derive_arrow
+
+if TYPE_CHECKING:
+    from .properties import PropertyReport
 
 _POINT_NAMES = "pqrstuvwxyz"
 
@@ -379,6 +384,8 @@ def poset_sections_algebra(model: SurjectionModel, bound: int = 10000) -> Algebr
     common domain, meet overrides, the top is the empty section, and the
     arrow is derived from the upset structure (the printed closed forms are
     compared against it separately, see section_arrow_resolution)."""
+    from .skew_heyting import derive_arrow
+
     base = _poset_sections_reduct(model, bound)
     return base.with_arrow(derive_arrow(base).table)
 
@@ -393,6 +400,8 @@ def section_arrow_resolution(model: SurjectionModel, bound: int = 10000) -> Prop
     up-closure.  A candidate whose domain is not an upset cannot be a
     section and is recorded as failing on that pair.
     """
+    from .properties import PropertyReport
+
     A = poset_sections_algebra(model, bound)
     P = model.base
     S = _Sections(_fiber_labels(model), P.upset_masks)
@@ -430,6 +439,8 @@ def upset_heyting(P: Poset, bound: int = 10000) -> Algebra:
     union, and the implication U→V = X ∖ ↓(U∖V), verified by the exhaustive
     adjunction W∩U ⊆ V ⇔ W ⊆ U→V, which in a lattice admits one arrow only,
     so it fails first where the table first differs from that arrow."""
+    from .heyting import adjunction_failure
+
     if P.n > 12:
         raise TooLarge("upset lattices are bounded at 12 poset points")
     check_size("upset lattice", [[len(P.upset_masks)]], bound)
@@ -463,6 +474,9 @@ def from_skew_boolean(A_sba: Algebra, diff_table) -> Algebra:
     The result is verified to satisfy the skew Heyting axioms and to agree
     with the derived arrow.
     """
+    from .properties import check_skew_boolean
+    from .skew_heyting import check_sh_axioms, derive_arrow
+
     outcome = check_skew_boolean(A_sba, diff_table)
     if not outcome:
         raise PreconditionFailed(f"not a skew Boolean algebra: {outcome.detail}", outcome.witness or ())
@@ -503,51 +517,45 @@ def _idempotent_associative_tables(n: int) -> list[tuple[tuple[int, ...], ...]]:
     return found
 
 
-def _relabel(table, perm):
-    n = len(table)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            out[perm[i]][perm[j]] = perm[table[i][j]]
-    return tuple(tuple(row) for row in out)
-
-
-def _canonical_pair(meet, join, n):
-    best = None
-    for perm in itertools.permutations(range(n)):
-        key = (_relabel(meet, perm), _relabel(join, perm))
-        if best is None or key < best:
-            best = key
-    return best
+def _new_class(buckets: dict[tuple, list[Algebra]], A: Algebra) -> bool:
+    """Whether ``A`` is isomorphic to none of the algebras kept in
+    ``buckets``; a new one is kept.  The kept algebras are bucketed by
+    :func:`isomorphism_key`, and ``find_isomorphism`` compares ``A`` only
+    with those in its own bucket."""
+    kept = buckets.setdefault(isomorphism_key(A), [])
+    if any(find_isomorphism(A, B) is not None for B in kept):
+        return False
+    kept.append(A)
+    return True
 
 
 def enumerate_skew_lattices(n: int):
     """All skew lattices on an n-element carrier up to isomorphism, by raw
-    table enumeration; a generator in canonical order.  Bounded at n = 3,
-    beyond which the model constructors, products and duals are the search
-    substrate."""
+    table enumeration; a generator in canonical order.  The bands run in
+    lexicographic order, so the first (meet, join) pair of a class in
+    product order is its least relabeling, and the one kept.  Bounded at
+    n = 3, beyond which the model constructors, products and duals are the
+    search substrate."""
     if n < 1:
         raise TooLarge("carrier must be nonempty")
     if n > 3:
         raise TooLarge("raw table enumeration is bounded at 3 elements")
     names = tuple("abc"[:n])
     bands = _idempotent_associative_tables(n)
-    seen = set()
-    for meet in bands:
-        for join in bands:
-            ok = all(
-                meet[x][join[x][y]] == x
-                and join[x][meet[x][y]] == x
-                and join[meet[x][y]][y] == y
-                and meet[join[x][y]][y] == y
-                for x in range(n)
-                for y in range(n)
-            )
-            if not ok:
-                continue
-            seen.add(_canonical_pair(meet, join, n))
-    for meet, join in sorted(seen):
-        yield make_algebra(names, meet, join)
+    buckets: dict[tuple, list[Algebra]] = {}
+    for meet, join in itertools.product(bands, bands):
+        ok = all(
+            meet[x][join[x][y]] == x
+            and join[x][meet[x][y]] == x
+            and join[meet[x][y]][y] == y
+            and meet[join[x][y]][y] == y
+            for x in range(n)
+            for y in range(n)
+        )
+        if ok:
+            A = make_algebra(names, meet, join)
+            if _new_class(buckets, A):
+                yield A
 
 
 # ---------------------------------------------------------------------------
@@ -603,9 +611,8 @@ def search_family(family: str, max_size: int):
     """The (label, algebra) stream of a search family in (size, label)
     order.  Each algebra is an arrowless reduct, built once, when the stream
     reaches it; the 'enum' family skips an instance isomorphic to an earlier
-    one, up to 12 elements.  Kept instances are bucketed by
-    :func:`isomorphism_key`, which is cached per algebra, and a new instance
-    is compared by ``find_isomorphism`` only with those in its own bucket.
+    one, up to 12 elements, by the bucketed comparison of
+    :func:`_new_class`; the key is cached per algebra.
     ``max_size`` bounds every instance built; past the int16 carrier limit
     it is refused with TooLarge before any pool is built."""
     check_size("the largest search instance", [[max_size]], max_size)
@@ -621,9 +628,5 @@ def search_family(family: str, max_size: int):
     buckets: dict[tuple, list[Algebra]] = {}
     for size, label, build in pool:
         alg = build().drop_arrow()
-        if family == "enum" and size <= 12:
-            kept = buckets.setdefault(isomorphism_key(alg), [])
-            if any(find_isomorphism(alg, B) is not None for B in kept):
-                continue
-            kept.append(alg)
-        yield label, alg
+        if family != "enum" or size > 12 or _new_class(buckets, alg):
+            yield label, alg

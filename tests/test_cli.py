@@ -137,6 +137,16 @@ class TestPosetFile:
         with pytest.raises(errors.ParseError):
             parse_poset_file(POSET_DOC.replace("0 1", "0 2"))
 
+    @pytest.mark.parametrize(
+        "doc, line",
+        [(POSET_DOC.replace("leq:", "leq: 1 1 junk"), 2), (POSET_DOC.replace("a b", "p p"), 1)],
+        ids=["text after leq:", "repeated point"],
+    )
+    def test_malformed_header_rejected_at_its_line(self, doc, line):
+        with pytest.raises(errors.ParseError) as info:
+            parse_poset_file(doc)
+        assert info.value.line == line
+
 
 class TestExitStatuses:
     def test_verify_pass_is_zero(self, pf22_file):
@@ -573,10 +583,10 @@ COMMAND_LAYERS = {
     "quotient": (["quotient", "{pf22.alg}", "--rel", "D"], {"core"}),
     "derive": (["derive", "{pf22.alg}"], _DERIVE_LAYERS),
     "verify": (["verify", "{pf22.alg}"], _DERIVE_LAYERS),
-    "model": (["model", "pfn", "--x", "2", "--y", "2"], _DERIVE_LAYERS | {"models"}),
+    "model": (["model", "pfn", "--x", "2", "--y", "2"], {"core", "models"}),
     "search": (
         ["search", "--family", "pfn", "--max-size", "10", "--property", "symmetric", "--negate"],
-        _DERIVE_LAYERS | {"models"},
+        _CHECK_LAYERS | {"models"},
     ),
 }
 
@@ -616,6 +626,8 @@ REFUSED_BEFORE_NUMPY = {
     ],
     "--bound 1e8 model pfn 3 400": ["--bound", "100000000", "model", "pfn", "--x", "3", "--y", "400"],
     "model sections oversized": ["model", "sections", "--base", "3", "--fibers", "3000000,1,1"],
+    "poset text after leq:": ["model", "poset-sections", "{junk_leq.pos}", "--fibers", "1,1"],
+    "poset repeated point": ["model", "poset-sections", "{repeated.pos}", "--fibers", "1,1"],
     "search --max-size beyond an int16 carrier": [
         "--bound", "100000", "search", "--family", "pfn", "--max-size", "40000", "--property", "symmetric"
     ],
@@ -627,6 +639,8 @@ def test_refused_input_exits_two_without_numpy(tmp_path, argv):
     (tmp_path / "chain2.alg").write_text(CHAIN2_DOC)
     (tmp_path / "latin1.alg").write_bytes(b"# caf\xe9\n" + CHAIN2_DOC.encode())
     (tmp_path / "unknown.alg").write_text(CHAIN2_DOC.replace("0 0\n0 1\njoin", "0 0\n0 nosuch\njoin"))
+    (tmp_path / "junk_leq.pos").write_text(POSET_DOC.replace("leq:", "leq: 1 1 junk"))
+    (tmp_path / "repeated.pos").write_text(POSET_DOC.replace("a b", "p p"))
     argv = _with_paths(tmp_path, argv)
     proc = _run_python("-X", "importtime", "-m", "skewbench", *argv)
     assert proc.returncode == 2

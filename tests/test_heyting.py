@@ -204,7 +204,7 @@ def _m3():
 
 
 class TestKernelAgreesWithOracle:
-    """The matrix-count kernel returns exactly what the candidate loop in
+    """The kernel returns exactly what the candidate loop in
     ``heyting_oracle`` returns: the table, or the first failing pair in
     row-major order together with its maximal candidates."""
 
@@ -213,12 +213,21 @@ class TestKernelAgreesWithOracle:
             for P in all_posets(pts):
                 _assert_kernel_agrees(upset_heyting(P).drop_arrow())
 
-    @pytest.mark.parametrize("name", ["n5", "m3"])
+    @pytest.mark.parametrize("name", ["n5", "m3", "n5*chain2", "n5*chain3", "m3*chain2", "m3*chain3"])
     def test_failure_data_on_non_distributive_lattices(self, name, request):
-        L = _m3() if name == "m3" else request.getfixturevalue(name)
+        # in a product with a chain the first failing pair is not the factor's
+        factor, *chain = name.split("*")
+        L = _m3() if factor == "m3" else request.getfixturevalue(factor)
+        if chain:
+            L = direct_product(L, request.getfixturevalue(chain[0]))
         res = _arrow_by_candidates(L)
         assert not res and len(res.maximal) >= 2
         _assert_kernel_agrees(L)
+
+    def test_boolean_lattice_of_256_elements(self):
+        L = upset_heyting(Poset.antichain(8))
+        res = heyting_arrow(L.drop_arrow())
+        assert res and np.array_equal(res.table, L.arrow)
 
     @pytest.mark.parametrize("fixture", ["rect2", "t3", "rect2_bottom", "pf22"])
     def test_agrees_off_lattices(self, fixture, request):
