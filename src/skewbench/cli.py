@@ -1,6 +1,12 @@
-"""Batch interface: the algebra file format, subcommands for checking,
-deriving, quotienting, model generation and counterexample search, and a
-deterministic report format.
+"""Batch interface: the algebra and poset file formats, subcommands for
+checking, deriving, quotienting, model generation and counterexample search,
+and a deterministic report format.
+
+Both file formats are read by one section reader, so they share one set of
+rules: sections in a fixed order, declared names unique, and every refusal
+at a line and, for a table cell, a column.  ``verify`` and ``derive`` decide
+whether the arrow can be derived by the one precondition of ``derive_arrow``
+and report a failure with the same entry.
 
 Exit statuses: 0 all verdicts hold, 1 a checked property fails (witness in
 the report), 2 usage or parse error, 3 internal inconsistency (a verified
@@ -52,102 +58,115 @@ _EXIT_PASS, _EXIT_FAIL, _EXIT_USAGE, _EXIT_INCONSISTENT = 0, 1, 2, 3
 # Algebra and poset documents
 
 
-def _significant_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        yield lineno, raw
+class _Sections:
+    """The significant lines of a sectioned document (blank and ``#`` lines
+    skipped), read front to back.  Every refusal is a ParseError at a line
+    and, for a table cell, at its column."""
+
+    def __init__(self, text: str):
+        lines = enumerate(text.splitlines(), start=1)
+        self.lines = [(lineno, raw) for lineno, raw in lines if raw.strip()[:1] not in ("", "#")]
+        self.pos = 0
+
+    def _last_line(self) -> int:
+        return self.lines[-1][0] if self.lines else 1
+
+    def peek(self) -> str | None:
+        """The name of the next section, or None at the end."""
+        if self.pos >= len(self.lines):
+            return None
+        return self.lines[self.pos][1].partition(":")[0].strip()
+
+    def header(self, section: str) -> tuple[int, list[str]]:
+        """The line of the ``section:`` header and the words after its colon."""
+        found = self.peek()
+        if found is None:
+            raise ParseError(self._last_line(), 1, f"missing section {section + ':'!r}")
+        lineno, raw = self.lines[self.pos]
+        if found != section:
+            raise ParseError(lineno, 1, f"expected section {section + ':'!r}, found {found!r}")
+        self.pos += 1
+        return lineno, raw.partition(":")[2].split()
+
+    def names(self, section: str) -> list[str]:
+        """The header's names: at least one, each once, and none starting
+        with ``#``, which would make a table row it leads a comment."""
+        lineno, names = self.header(section)
+        if not names:
+            raise ParseError(lineno, 1, f"no {section} declared")
+        seen: set[str] = set()
+        for name in names:
+            if name in seen or name.startswith("#"):
+                why = "is declared twice" if name in seen else "starts with '#'"
+                raise ParseError(lineno, 1, f"name {name!r} {why}")
+            seen.add(name)
+        return names
+
+    def table(self, section: str, n: int, cells: dict, what: str) -> list[list]:
+        """The ``n`` rows of ``n`` words under a bare ``section:`` header,
+        each word replaced by its value in ``cells``."""
+        lineno, inline = self.header(section)
+        if inline:
+            raise ParseError(lineno, 1, f"{section}: rows must start on the following line")
+        rows = []
+        for rowno, raw in self.lines[self.pos : self.pos + n]:
+            words = raw.split()
+            if len(words) != n:
+                raise ParseError(rowno, 1, f"row has {len(words)} entries, expected {n}")
+            try:
+                rows.append([cells[w] for w in words])
+            except KeyError:
+                # str.split and \S+ cut at the same code points, so the
+                # unknown word is found again with its column
+                word = next(m for m in re.finditer(r"\S+", raw) if m[0] not in cells)
+                raise ParseError(rowno, word.start() + 1, f"unknown {what} {word[0]!r}") from None
+        if len(rows) < n:
+            raise ParseError(self._last_line(), 1, f"{section}: table is missing rows")
+        self.pos += n
+        return rows
+
+    def end(self) -> None:
+        """Refuse any line after the last section."""
+        if self.pos < len(self.lines):
+            lineno, raw = self.lines[self.pos]
+            raise ParseError(lineno, 1, f"unexpected content {raw.strip()!r}")
 
 
 def parse_algebra_file(text: str) -> Algebra:
     """Parse the sectioned algebra document: ``elements:``, ``meet:``,
     ``join:``, then optional ``arrow:``, ``top:``, ``bottom:``."""
-    lines = list(_significant_lines(text))
-    pos = 0
-
-    def take(expected: str, inline: bool):
-        nonlocal pos
-        if pos >= len(lines):
-            last = lines[-1][0] if lines else 1
-            raise ParseError(last, 1, f"missing section {expected!r}")
-        lineno, raw = lines[pos]
-        head, _, rest = raw.partition(":")
-        if head.strip() != expected.rstrip(":"):
-            raise ParseError(lineno, 1, f"expected section {expected!r}, found {head.strip()!r}")
-        pos += 1
-        if inline:
-            return lineno, rest.split()
-        return lineno, rest.strip()
-
-    def peek() -> str | None:
-        if pos >= len(lines):
-            return None
-        return lines[pos][1].partition(":")[0].strip()
-
-    _, names = take("elements:", inline=True)
-    if not names:
-        raise ParseError(lines[0][0], 1, "no elements declared")
-    n = len(names)
+    doc = _Sections(text)
+    names = doc.names("elements")
     lookup = {name: i for i, name in enumerate(names)}
+    meet, join = (doc.table(section, len(names), lookup, "element") for section in ("meet", "join"))
+    arrow = doc.table("arrow", len(names), lookup, "element") if doc.peek() == "arrow" else None
 
-    def table(section: str):
-        nonlocal pos
-        lineno, rest = take(section, inline=False)
-        if rest:
-            raise ParseError(lineno, 1, f"{section} rows must start on the following line")
-        rows = []
-        for _ in range(n):
-            if pos >= len(lines):
-                raise ParseError(lines[-1][0], 1, f"{section} table is missing rows")
-            rowno, raw = lines[pos]
-            cells = raw.split()
-            if len(cells) != n:
-                raise ParseError(rowno, 1, f"row has {len(cells)} entries, expected {n}")
-            try:
-                rows.append([lookup[c] for c in cells])
-            except KeyError:
-                # str.split and \S+ cut at the same code points, so the
-                # unknown cell is found again with its column
-                cell = next(m for m in re.finditer(r"\S+", raw) if m[0] not in lookup)
-                raise ParseError(rowno, cell.start() + 1, f"unknown element {cell[0]!r}") from None
-            pos += 1
-        return rows
+    def constant(section: str) -> str:
+        lineno, words = doc.header(section)
+        if len(words) != 1:
+            raise ParseError(lineno, 1, f"{section}: wants exactly one element name")
+        if words[0] not in lookup:
+            raise ParseError(lineno, 1, f"unknown element {words[0]!r}")
+        return words[0]
 
-    meet = table("meet:")
-    join = table("join:")
-    arrow = table("arrow:") if peek() == "arrow" else None
-
-    def constant(section: str):
-        lineno, rest = take(section, inline=True)
-        if len(rest) != 1:
-            raise ParseError(lineno, 1, f"{section} wants exactly one element name")
-        if rest[0] not in lookup:
-            raise ParseError(lineno, 1, f"unknown element {rest[0]!r}")
-        return rest[0]
-
-    top = constant("top:") if peek() == "top" else None
-    bottom = constant("bottom:") if peek() == "bottom" else None
-    if pos < len(lines):
-        lineno, raw = lines[pos]
-        raise ParseError(lineno, 1, f"unexpected content {raw.strip()!r}")
+    top = constant("top") if doc.peek() == "top" else None
+    bottom = constant("bottom") if doc.peek() == "bottom" else None
+    doc.end()
     from .core import make_algebra
 
     return make_algebra(names, meet, join, top=top, bottom=bottom, arrow=arrow)
 
 
+def _table_lines(A: Algebra, label: str, table: np.ndarray) -> list[str]:
+    """A ``label`` line, then one line of element names per table row."""
+    return [label, *(" ".join(A.names[int(v)] for v in row) for row in table)]
+
+
 def emit_algebra_file(A: Algebra) -> str:
     out = ["elements: " + " ".join(A.names)]
-
-    def block(label: str, table: np.ndarray):
-        out.append(label)
-        for row in table:
-            out.append(" ".join(A.names[int(v)] for v in row))
-
-    block("meet:", A.meet)
-    block("join:", A.join)
+    out += _table_lines(A, "meet:", A.meet) + _table_lines(A, "join:", A.join)
     if A.arrow is not None:
-        block("arrow:", A.arrow)
+        out += _table_lines(A, "arrow:", A.arrow)
     if A.top is not None:
         out.append(f"top: {A.names[A.top]}")
     if A.bottom is not None:
@@ -157,31 +176,10 @@ def emit_algebra_file(A: Algebra) -> str:
 
 def parse_poset_file(text: str) -> Poset:
     """Parse ``points:`` followed by ``leq:`` rows of 0/1."""
-    lines = list(_significant_lines(text))
-    if not lines:
-        raise ParseError(1, 1, "empty poset document")
-    lineno, raw = lines[0]
-    head, _, rest = raw.partition(":")
-    if head.strip() != "points":
-        raise ParseError(lineno, 1, "expected 'points:' section")
-    points = rest.split()
-    if not points:
-        raise ParseError(lineno, 1, "no points declared")
-    if len(set(points)) != len(points):
-        raise ParseError(lineno, 1, "point names are not unique")
-    if len(lines) < 2 or lines[1][1].partition(":")[0].strip() != "leq":
-        raise ParseError(lineno, 1, "expected 'leq:' section")
-    if lines[1][1].partition(":")[2].strip():
-        raise ParseError(lines[1][0], 1, "leq: rows must start on the following line")
-    rows = []
-    k = len(points)
-    if len(lines) != 2 + k:
-        raise ParseError(lines[-1][0], 1, f"expected {k} relation rows")
-    for rowno, raw in lines[2:]:
-        cells = raw.split()
-        if len(cells) != k or any(c not in ("0", "1") for c in cells):
-            raise ParseError(rowno, 1, f"expected {k} entries of 0/1")
-        rows.append([c == "1" for c in cells])
+    doc = _Sections(text)
+    points = doc.names("points")
+    rows = doc.table("leq", len(points), {"0": False, "1": True}, "relation entry")
+    doc.end()
     from .models import Poset
 
     return Poset(tuple(points), rows)
@@ -355,15 +353,13 @@ def _cmd_check(args, report: Report) -> None:
 
 
 def _arrow_payload(A: Algebra, table: np.ndarray) -> str:
-    lines = ["arrow:"]
-    for row in table:
-        lines.append(" ".join(A.names[int(v)] for v in row))
-    return "\n".join(lines) + "\n"
+    return "\n".join(_table_lines(A, "arrow:", table)) + "\n"
 
 
 def _add_derived_arrow(report: Report, A: Algebra) -> np.ndarray | None:
     """Derive the arrow of ``A`` and add the ``arrow-derivable`` entry;
-    returns the arrow table, or None when the entry fails."""
+    returns the arrow table, or None when the entry fails.  The failure is
+    that of ``derive_arrow``'s precondition, whose properties are cached."""
     from .core import CheckResult
     from .skew_heyting import derive_arrow
 
@@ -412,38 +408,33 @@ def _check_fiber_count(fibers, points: int) -> None:
 
 
 def _cmd_model(args, report: Report) -> None:
+    # Each kind is sized before it imports what builds it, by name:
+    # ``python -X importtime`` logs no module loaded as ``from . import m``.
     bound = args.bound
     if args.kind == "pfn":
         check_size("partial function algebra", [repeat(args.y + 1, args.x)], bound)
+        from .models import partial_function_algebra
+
+        A = partial_function_algebra(args.x, args.y, bound=bound)
     elif args.kind == "sections":
         _check_fiber_count(args.fibers, args.base)
         check_size("section algebra", [(f + 1 for f in args.fibers)], bound)
-    else:
-        P = parse_poset_file(_read(args.posetfile, report))
-        if args.kind == "poset-sections":
-            _check_fiber_count(args.fibers, P.n)
-    # by name: ``python -X importtime`` logs no module loaded as ``from . import m``
-    from .models import (
-        SurjectionModel,
-        default_point_names,
-        partial_function_algebra,
-        poset_sections_algebra,
-        section_model_size,
-        sections_algebra,
-        upset_heyting,
-    )
+        from .models import SurjectionModel, default_point_names, sections_algebra
 
-    if args.kind == "pfn":
-        A = partial_function_algebra(args.x, args.y, bound=bound)
-    elif args.kind == "sections":
         base = default_point_names(args.base)
         A = sections_algebra(SurjectionModel.from_fiber_sizes(base, args.fibers), bound=bound)
     elif args.kind == "poset-sections":
+        P = parse_poset_file(_read(args.posetfile, report))
+        _check_fiber_count(args.fibers, P.n)
+        from .models import SurjectionModel, poset_sections_algebra, section_model_size
+
         # counted from the fiber sizes, before a name is made for each element
         section_model_size(P, args.fibers, bound)
-        model = SurjectionModel.from_fiber_sizes(P, args.fibers)
-        A = poset_sections_algebra(model, bound=bound)
+        A = poset_sections_algebra(SurjectionModel.from_fiber_sizes(P, args.fibers), bound=bound)
     else:  # upsets
+        P = parse_poset_file(_read(args.posetfile, report))
+        from .models import upset_heyting
+
         A = upset_heyting(P, bound=bound)
     report.payload = emit_algebra_file(A)
     report.settle()
@@ -476,20 +467,11 @@ def _cmd_verify(args, report: Report) -> None:
     from .properties import property_result
 
     names = ("skew-lattice", "co-strongly-distributive", "symmetric", "conormal", "quasi-distributive")
-    if not _add_classification(report, A, [property_result(A, name) for name in names]):
-        report.settle()
-        return
-    if A.top is None or not property_result(A, "co-strongly-distributive").holds:
-        detail = "needs a co-strongly distributive skew lattice with top"
-        report.add(ReportEntry("arrow-derivable", "fails", detail=detail))
-        arrow = None
-    else:
+    if _add_classification(report, A, [property_result(A, name) for name in names]):
         arrow = _add_derived_arrow(report, A)
-    if arrow is None:
-        report.settle()
-        return
-    _add_declared_match(report, A, arrow)
-    _add_checks(report, _verify_suites(A, arrow), A.names)
+        if arrow is not None:
+            _add_declared_match(report, A, arrow)
+            _add_checks(report, _verify_suites(A, arrow), A.names)
     report.settle()
 
 
@@ -531,29 +513,13 @@ def _cmd_search(args, report: Report) -> None:
     else:
         found = _first_hit(map(evaluate, instances()))
     target = f"not:{args.property}" if args.negate else args.property
+    scope = f"family={args.family} target={target}"
     if found is None:
-        report.add(
-            ReportEntry(
-                "search",
-                "holds",
-                checked=len(seen),
-                detail=f"family={args.family} target={target} exhausted",
-                unit="instances",
-            )
-        )
+        report.add(ReportEntry("search", "holds", (), len(seen), detail=scope + " exhausted", unit="instances"))
     else:
         index, (_, witness, detail) = found
         label, names = seen[index]
-        report.add(
-            ReportEntry(
-                "search",
-                "fails",
-                witness=(label,),
-                checked=index + 1,
-                detail=f"family={args.family} target={target}",
-                unit="instances",
-            )
-        )
+        report.add(ReportEntry("search", "fails", (label,), index + 1, detail=scope, unit="instances"))
         from .core import CheckResult
 
         hit = CheckResult(args.property, not args.negate, witness, 0, detail=detail or f"on instance {label}")
@@ -677,9 +643,7 @@ def run_command(argv) -> tuple[int, bytes]:
         report.overall = "INCONSISTENT"
         return _EXIT_INCONSISTENT, emit_report(report, args.format)
     except SkewbenchError as exc:
-        report.add(
-            ReportEntry(type(exc).__name__, "fails", detail=str(exc))
-        )
+        report.add(ReportEntry(type(exc).__name__, "fails", detail=str(exc)))
         report.overall = "FAIL"
         return _EXIT_FAIL, emit_report(report, args.format)
     except Exception as exc:  # a workbench bug: status 3, never a traceback or status 1

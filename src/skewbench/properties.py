@@ -10,7 +10,7 @@ arrow derivation share their scans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -87,6 +87,16 @@ def _property(A: Algebra, name: str) -> CheckResult:
     return CheckResult(
         name, False, fail.witness, checked, fail.lhs_value, fail.rhs_value, detail=fail.name
     )
+
+
+def failing_skew_axiom(A: Algebra) -> CheckResult | None:
+    """None on a skew lattice; otherwise the verdict of the first failing
+    skew lattice axiom, detailed as ``<axiom>: <formula>``."""
+    skew = property_result(A, "skew-lattice")
+    if skew:
+        return None
+    axiom = property_result(A, skew.detail)
+    return replace(axiom, detail=f"{axiom.name}: {axiom.detail}")
 
 
 def _quasi_distributive(A: Algebra) -> CheckResult:
@@ -211,10 +221,9 @@ def check_skew_boolean(A: Algebra, diff_table) -> CheckResult:
     name = "skew-boolean"
     if A.bottom is None:
         return CheckResult(name, False, None, 0, detail="no bottom")
-    skew = property_result(A, "skew-lattice")
-    if not skew:  # detailed by the failing axiom and its formula
-        formula = property_result(A, skew.detail).detail
-        return CheckResult(name, False, skew.witness, 0, detail=f"{skew.detail}: {formula}")
+    axiom = failing_skew_axiom(A)
+    if axiom is not None:
+        return CheckResult(name, False, axiom.witness, 0, detail=axiom.detail)
     strong = property_result(A, "strongly-distributive")
     if not strong:
         return CheckResult(name, False, strong.witness, 0, detail="not strongly distributive")
@@ -241,10 +250,9 @@ def check_dual_skew_boolean(A: Algebra, ddiff_table) -> CheckResult:
     name = "dual-skew-boolean"
     if A.top is None:
         return CheckResult(name, False, None, 0, detail="no top")
-    skew = property_result(A, "skew-lattice")
-    if not skew:  # detailed by the failing axiom and its formula
-        formula = property_result(A, skew.detail).detail
-        return CheckResult(name, False, skew.witness, 0, detail=f"{skew.detail}: {formula}")
+    axiom = failing_skew_axiom(A)
+    if axiom is not None:
+        return CheckResult(name, False, axiom.witness, 0, detail=axiom.detail)
     costrong = property_result(A, "co-strongly-distributive")
     if not costrong:
         return CheckResult(name, False, costrong.witness, 0, detail="not co-strongly distributive")

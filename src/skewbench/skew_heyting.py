@@ -43,7 +43,7 @@ from .errors import (
 )
 from .heyting import coherence_failure, dual_gb_diff, generalized_heyting_arrow
 from .identities import bind, run_identity
-from .properties import PropertyReport, property_result
+from .properties import PropertyReport, failing_skew_axiom, property_result
 
 
 def upset_at(A: Algebra, u: int) -> np.ndarray:
@@ -86,10 +86,9 @@ class DeriveResult:
 def _require_costrong_with_top(A: Algebra) -> None:
     if A.top is None:
         raise NoTop("arrow derivation requires a declared top")
-    skew = property_result(A, "skew-lattice")
-    if not skew:
-        formula = property_result(A, skew.detail).detail
-        raise PreconditionFailed(f"not a skew lattice ({skew.detail}: {formula})", witness=skew.witness)
+    axiom = failing_skew_axiom(A)
+    if axiom is not None:
+        raise PreconditionFailed(f"not a skew lattice ({axiom.detail})", witness=axiom.witness)
     if not ((A.join[:, A.top] == A.top) & (A.join[A.top] == A.top)).all():  # x∧top = x by absorption
         raise BadConstant(f"top {A.names[A.top]!r} fails x∨top = top = top∨x")
     res = property_result(A, "co-strongly-distributive")

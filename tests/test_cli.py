@@ -49,6 +49,9 @@ a a
 a b
 """
 
+# every cell is 'a', so only the declared names can be at fault
+TWO_NAMES_DOC = "elements: {}\nmeet:\na a\na a\njoin:\na a\na a\n"
+
 POSET_DOC = """\
 points: a b
 leq:
@@ -121,6 +124,16 @@ class TestAlgebraFile:
         doc = "# leading\n\n" + CHAIN2_DOC + "\n# trailing\n"
         assert parse_algebra_file(doc).n == 2
 
+    @pytest.mark.parametrize(
+        "names, message",
+        [("a a", "name 'a' is declared twice"), ("a #b", "name '#b' starts with '#'")],
+        ids=["repeated", "hash"],
+    )
+    def test_bad_name_rejected_at_the_elements_line(self, names, message):
+        with pytest.raises(errors.ParseError) as info:
+            parse_algebra_file(TWO_NAMES_DOC.format(names))
+        assert str(info.value) == f"line 1, col 1: {message}"
+
 
 class TestPosetFile:
     def test_parse(self):
@@ -138,14 +151,20 @@ class TestPosetFile:
             parse_poset_file(POSET_DOC.replace("0 1", "0 2"))
 
     @pytest.mark.parametrize(
-        "doc, line",
-        [(POSET_DOC.replace("leq:", "leq: 1 1 junk"), 2), (POSET_DOC.replace("a b", "p p"), 1)],
-        ids=["text after leq:", "repeated point"],
+        "doc, line, col",
+        [
+            (POSET_DOC.replace("leq:", "leq: 1 1 junk"), 2, 1),
+            (POSET_DOC.replace("a b", "p p"), 1, 1),
+            (POSET_DOC + "0 1\n1 1\n", 5, 1),
+            (POSET_DOC.replace("0 1", "0 2"), 4, 3),
+            (POSET_DOC.replace("0 1\n", ""), 3, 1),
+        ],
+        ids=["text after leq:", "repeated point", "surplus row", "bad cell", "missing row"],
     )
-    def test_malformed_header_rejected_at_its_line(self, doc, line):
+    def test_malformed_header_rejected_at_its_line(self, doc, line, col):
         with pytest.raises(errors.ParseError) as info:
             parse_poset_file(doc)
-        assert info.value.line == line
+        assert (info.value.line, info.value.col) == (line, col)
 
 
 class TestExitStatuses:
@@ -301,6 +320,20 @@ class TestCommands:
         code, out = run_command(["derive", str(path)])
         assert code == 1
         assert b"arrow-derivable" in out
+
+    @pytest.mark.parametrize("fixture", ["rect2", "n5"], ids=["no top", "not co-strongly distributive"])
+    def test_verify_and_derive_give_the_same_arrow_entry(self, tmp_path, request, fixture):
+        path = tmp_path / "a.alg"
+        path.write_text(emit_algebra_file(request.getfixturevalue(fixture)))
+
+        def arrow_entry(command):
+            code, out = run_command(["--format", "machine", command, str(path)])
+            entries = [line for line in out.decode().splitlines() if "name=arrow-derivable " in line]
+            assert code == 1 and len(entries) == 1
+            return entries[0]
+
+        assert arrow_entry("verify") == arrow_entry("derive")
+        assert "verdict=fails" in arrow_entry("verify") and "detail=" in arrow_entry("verify")
 
     def test_quotient_emits_parseable_file(self, pf22_file, pf22):
         code, out = run_command(["quotient", pf22_file, "--rel", "D"])
@@ -628,6 +661,8 @@ REFUSED_BEFORE_NUMPY = {
     "model sections oversized": ["model", "sections", "--base", "3", "--fibers", "3000000,1,1"],
     "poset text after leq:": ["model", "poset-sections", "{junk_leq.pos}", "--fibers", "1,1"],
     "poset repeated point": ["model", "poset-sections", "{repeated.pos}", "--fibers", "1,1"],
+    "check repeated element": ["check", "{repeated.alg}"],
+    "check element named #b": ["check", "{hash.alg}"],
     "search --max-size beyond an int16 carrier": [
         "--bound", "100000", "search", "--family", "pfn", "--max-size", "40000", "--property", "symmetric"
     ],
@@ -641,6 +676,8 @@ def test_refused_input_exits_two_without_numpy(tmp_path, argv):
     (tmp_path / "unknown.alg").write_text(CHAIN2_DOC.replace("0 0\n0 1\njoin", "0 0\n0 nosuch\njoin"))
     (tmp_path / "junk_leq.pos").write_text(POSET_DOC.replace("leq:", "leq: 1 1 junk"))
     (tmp_path / "repeated.pos").write_text(POSET_DOC.replace("a b", "p p"))
+    (tmp_path / "repeated.alg").write_text(TWO_NAMES_DOC.format("a a"))
+    (tmp_path / "hash.alg").write_text(TWO_NAMES_DOC.format("a #b"))
     argv = _with_paths(tmp_path, argv)
     proc = _run_python("-X", "importtime", "-m", "skewbench", *argv)
     assert proc.returncode == 2
