@@ -279,7 +279,7 @@ def emit_report(report: Report, fmt: str = "text") -> bytes:
                 extra.append(f"lhs={e.lhs} rhs={e.rhs}")
             if e.detail:
                 extra.append(e.detail)
-            if e.checked:
+            if e.checked is not None:
                 extra.append(f"{e.checked} {e.unit}")
             suffix = ("  [" + "; ".join(extra) + "]") if extra else ""
             lines.append(f"  [{mark.get(e.verdict, '??')}] {e.name}{suffix}")

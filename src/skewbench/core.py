@@ -41,7 +41,11 @@ class CheckResult:
     """The verdict of one universally quantified check: whether it holds,
     the first failing witness (element indices, after an operation name for
     a congruence) or None, the tuples covered, and for an identity both
-    sides' values at the witness.  True iff the check holds."""
+    sides' values at the witness.  True iff the check holds.
+
+    ``evaluated`` counts the work behind the verdict: the tuples the
+    identity engine computed, or the table cells a decider compared.  It is
+    left out of equality and of reports."""
 
     name: str
     holds: bool

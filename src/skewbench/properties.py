@@ -1,11 +1,15 @@
 """Classification of finite algebras against the named identities and
 structural conditions of skew lattice theory, with witnesses for failures.
 
-Every check is exhaustive over element tuples; nothing is randomized.  At
-desk scale (n up to about 100) arity-4 scans are exact and cheap.  Each
-named property is scanned at most once per algebra (:func:`property_result`),
+Every verdict is exact; nothing is sampled or randomized.  An identity is
+scanned over all element tuples, except that on a skew lattice normal,
+conormal and the halves of regular go first to their deciders
+(:data:`identities.DECIDERS`), which prove a holding law on the local
+lattices ↓x and ↑x in at most n³ cells; a law they cannot prove is
+scanned, so every witness is the scan's first failing tuple.  Each named
+property is computed at most once per algebra (:func:`property_result`),
 so classification, the co-strong equivalence and the preconditions of the
-arrow derivation share their scans.
+arrow derivation share their verdicts.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from .errors import (
     PreconditionFailed,
     SkewbenchError,
 )
-from .identities import GROUPS, bind, run_identity
+from .identities import DECIDERS, GROUPS, bind, run_identity
 from .property_names import PROPERTY_NAMES, SKEW_AXIOMS
 
 
@@ -78,7 +82,10 @@ def _property(A: Algebra, name: str) -> CheckResult:
     if name == "quasi-distributive":
         return _quasi_distributive(A)
     if name != "skew-lattice":
-        return run_identity(name, bind(A))
+        # a decider is consulted only on a skew lattice (identities.DECIDERS)
+        decidable = any(formula in DECIDERS for formula in GROUPS[name])
+        lattice = A if decidable and property_result(A, "skew-lattice") else None
+        return run_identity(name, bind(A), lattice)
     axioms = [property_result(A, axiom) for axiom in SKEW_AXIOMS]
     checked = sum(e.checked for e in axioms)
     fail = next((e for e in axioms if not e.holds), None)

@@ -23,6 +23,7 @@ from skewbench.cli import (
     ReportEntry,
 )
 from skewbench.models import search_family
+from skewbench.property_names import PROPERTY_NAMES
 
 from conftest import shuffle_algebra
 
@@ -439,6 +440,15 @@ class TestCommands:
         assert code == 0
         assert out.decode().rstrip().endswith("VERDICT: PASS")
 
+    def test_an_empty_search_counts_zero_instances_in_both_formats(self):
+        # pfn has no instance of at most one element
+        argv = ["search", "--family", "pfn", "--max-size", "1", "--property", "normal"]
+        code, machine = run_command(["--format", "machine", *argv])
+        assert code == 0 and b"name=search verdict=holds checked=0 " in machine
+        code, text = run_command(["--format", "text", *argv])
+        assert code == 0
+        assert "  [ok] search  [family=pfn target=normal exhausted; 0 instances]\n" in text.decode()
+
 
 class TestDeterminism:
     def test_reports_byte_stable_across_runs(self, pf22_file):
@@ -461,6 +471,20 @@ class TestDeterminism:
         base = run_command(["--jobs", "1"] + argv)
         for jobs in ("2", "3"):
             assert run_command(["--jobs", jobs] + argv) == base
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        family=st.sampled_from(["enum", "pfn", "sections"]),
+        max_size=st.integers(1, 12),
+        prop=st.sampled_from(PROPERTY_NAMES),
+        negate=st.booleans(),
+    )
+    def test_search_bytes_equal_for_every_jobs_setting(self, family, max_size, prop, negate):
+        argv = ["search", "--family", family, "--max-size", str(max_size), "--property", prop]
+        argv += ["--negate"] * negate
+        base = run_command(["--format", "machine", "--jobs", "1", *argv])
+        for jobs in ("2", "3"):
+            assert run_command(["--format", "machine", "--jobs", jobs, *argv]) == base
 
 
 _FILE_COMMANDS = {

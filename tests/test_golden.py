@@ -13,6 +13,7 @@ import pytest
 from skewbench import classify, greens, quotient
 from skewbench.cli import emit_algebra_file, run_command
 from skewbench.identities import GROUPS, bind, named_check, values_at
+from skewbench.models import partial_function_algebra
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -94,6 +95,18 @@ def test_report_bytes(golden, argv, status, fmt):
     assert out == (GOLDEN / f"{golden}.{fmt}").read_bytes()
 
 
+def _check_pf42(tmp_dir: Path) -> tuple[int, bytes]:
+    # pfn(4,2) is built, not kept as a file: its 81-element tables are large
+    path = tmp_dir / "pf42.alg"
+    path.write_bytes(emit_algebra_file(partial_function_algebra(4, 2)).encode())
+    return run_command(["--format", "machine", "check", str(path)])
+
+
+def test_check_report_bytes_of_pfn42(tmp_path):
+    # conormal and the join half of regular hold there, and are decided
+    assert _check_pf42(tmp_path) == (0, (GOLDEN / "check-pf42.machine").read_bytes())
+
+
 @pytest.mark.parametrize("stem", [argv[1][:-4] for _, argv, _ in CASES if argv[0] == "check"])
 def test_failing_classify_entries_reevaluate(stem, request):
     # every failing entry of a golden ``check`` names a registry formula
@@ -130,3 +143,9 @@ if __name__ == "__main__":
             code, out = _run(argv, fmt)
             assert code == status, (golden, fmt, code)
             (GOLDEN / f"{golden}.{fmt}").write_bytes(out)
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        code, out = _check_pf42(Path(tmp))
+    assert code == 0, ("check-pf42", code)
+    (GOLDEN / "check-pf42.machine").write_bytes(out)
