@@ -4,18 +4,18 @@ posets, upset lattices with the complement-of-downset implication, algebras
 induced by skew Boolean structure, and brute-force enumeration of tiny skew
 lattices up to isomorphism.
 
-Partial functions and sections share one table builder.  A section is an
-int row over the base points: the index of its value in the fiber over each
-point, or -1 off its domain.  Rows run by domain mask ascending, then by
-values lexicographically, so the empty section comes first; it is the top.
-Meet overrides (f, then g off the domain of f), join restricts g to the
-common domain, and the residue restricts g to the part of its domain that f
-does not cover.  A row's code is linear in its entries, so the codes of all
-three results come from one integer product per block of rows, and each
-result is found by its code; working memory beyond the output tables stays
-small.  The partial-function and section constructors refuse, by
-:func:`errors.check_size` and before they build a row, a carrier larger
-than their bound or than an int16 table can index.
+Partial functions and sections, over a set or a poset, share one table
+builder.  A section is an int row over the base points: the index of its
+value in the fiber over each point, or -1 off its domain.  Rows run by
+domain mask ascending, then by values lexicographically, so the empty
+section comes first; it is the top.  Meet overrides (f, then g off the
+domain of f), join restricts g to the common domain, and f→g restricts g
+to ↑(dom g ∖ dom f), the residue g off dom f on a set base.  A row's code
+is linear in its entries, so the codes of all three results come from one
+integer product per block of rows, and each result is found by its code;
+working memory beyond the output tables stays small.  The constructors
+refuse, before they build a row, a carrier larger than their bound or than
+an int16 table can index (:func:`errors.check_size`) and 64-bit codes.
 
 An upset lattice's arrow is the complement-of-downset formula, verified
 by the Heyting adjunction; no arrow is searched for.
@@ -24,8 +24,8 @@ by the Heyting adjunction; no arrow is searched for.
 once, without its arrow, when the stream reaches it.
 
 The verifying layers (``heyting``, ``properties``, ``skew_heyting``) are
-imported by the constructors that call them, so building partial functions
-or sections loads none of them.
+imported by the functions that call them, so no section builder loads them;
+``derive_arrow`` is the oracle of the section implication.
 """
 
 from __future__ import annotations
@@ -106,13 +106,14 @@ class Poset:
             and np.array_equal(self.leq, other.leq)
         )
 
+    # masks are Python ints: a shift by a numpy int64 loses bits 63 and up
     @cached_property
     def _up_of_point(self) -> tuple[int, ...]:
-        return tuple(int(sum(1 << j for j in np.flatnonzero(self.leq[i]))) for i in range(self.n))
+        return tuple(sum(1 << j for j in np.flatnonzero(row).tolist()) for row in self.leq)
 
     @cached_property
     def _down_of_point(self) -> tuple[int, ...]:
-        return tuple(int(sum(1 << j for j in np.flatnonzero(self.leq[:, i]))) for i in range(self.n))
+        return tuple(sum(1 << j for j in np.flatnonzero(col).tolist()) for col in self.leq.T)
 
     def up(self, mask: int) -> int:
         out = 0
@@ -129,21 +130,20 @@ class Poset:
         return out
 
     def _upsets(self):
-        """The upsets in ascending mask order, by backtracking from the last
-        point down: a point must be in when a point below it is in and out
-        when a point above it is out, and every branch ends in an upset."""
+        """The upsets in ascending mask order, by backtracking on a stack from
+        the last point down, out before in: a point is in if one below it is,
+        out if one above it is, and every branch ends in an upset."""
         up, down = self._up_of_point, self._down_of_point
-
-        def extend(p: int, inside: int, outside: int):
+        stack = [(self.n - 1, 0, 0)]
+        while stack:
+            p, inside, outside = stack.pop()
             if p < 0:
                 yield inside
-                return
-            if not down[p] & inside:
-                yield from extend(p - 1, inside, outside | 1 << p)
+                continue
             if not up[p] & outside:
-                yield from extend(p - 1, inside | 1 << p, outside)
-
-        return extend(self.n - 1, 0, 0)
+                stack.append((p - 1, inside | 1 << p, outside))
+            if not down[p] & inside:
+                stack.append((p - 1, inside, outside | 1 << p))
 
     @cached_property
     def upset_masks(self) -> tuple[int, ...]:
@@ -265,15 +265,19 @@ _BLOCK_CELLS = 1 << 18
 
 class _Sections:
     """The sections over ``domains`` (masks over the base points, the empty
-    one first), where point p takes the values named by ``labels[p]``.
+    one first), where point p takes the values named by ``labels[p]`` and
+    ``below[p]`` masks the points strictly below p (none on a set base).
 
     A row's code is the sum over its domain of (value + 1) * radix[p]; its
     ``weight`` holds those terms, so the code of its restriction to a set of
-    points is the sum of its weights over that set.
-    """
+    points is the sum of its weights over that set.  Codes and masks are
+    int64, so labels with Π(len + 1) ≥ 2^63 are refused."""
 
-    def __init__(self, labels, domains):
+    def __init__(self, labels, domains, below=()):
         k = len(labels)
+        radix = list(itertools.accumulate((len(v) + 1 for v in labels), lambda a, b: a * b, initial=1))
+        if radix[k] >> 63:
+            raise TooLarge(f"sections over {k} base points need codes of 64 bits or more")
         rows, names = [], []
         for mask in domains:
             points = [p for p in range(k) if mask >> p & 1]
@@ -284,10 +288,11 @@ class _Sections:
                 rows.append(row)
                 names.append("{" + ",".join(labels[p][v] for p, v in zip(points, values)) + "}")
         rows = np.array(rows, dtype=np.int64).reshape(len(rows), k)
-        radix = np.cumprod([1] + [len(values) + 1 for values in labels], dtype=np.int64)[:k]
         self.names = tuple(names)
+        self.lifted = [(p, mask) for p, mask in enumerate(below) if mask]
         self.inside = (rows >= 0).astype(np.int64)
-        self.weight = (rows + 1) * radix
+        self.mask = self.inside @ (1 << np.arange(k, dtype=np.int64))
+        self.weight = (rows + 1) * np.array(radix[:k], dtype=np.int64)
         self.code = self.weight.sum(axis=1)
         self._order = np.argsort(self.code)
         self._sorted = self.code[self._order]
@@ -303,13 +308,11 @@ class _Sections:
             raise InconsistencyDetected(f"the {op} of two sections is not a section")
         return found
 
-    def algebra(self, residue: bool) -> Algebra:
+    def algebra(self) -> Algebra:
         """Override meet, common-restriction join, the empty section on top
-        and, with ``residue``, the residue as the arrow."""
+        and the implication f→g = g restricted to ↑(dom g ∖ dom f)."""
         n = len(self.names)
-        meet = np.empty((n, n), dtype=np.int16)
-        join = np.empty((n, n), dtype=np.int16)
-        arrow = np.empty((n, n), dtype=np.int16) if residue else None
+        meet, join, arrow = (np.empty((n, n), dtype=np.int16) for _ in range(3))
         step = max(1, _BLOCK_CELLS // n)
         for lo in range(0, n, step):
             f = slice(lo, lo + step)
@@ -317,8 +320,12 @@ class _Sections:
             rest = self.code - common  # g off the domain of f
             join[f] = self._lookup(common, "join")
             meet[f] = self._lookup(self.code[f, None] + rest, "meet")
-            if residue:
-                arrow[f] = self._lookup(rest, "residue")
+            if self.lifted:
+                # ↑(dom g ∖ dom f) adds g at each p above a point of that gap, not in it
+                gap = self.mask[None, :] & ~self.mask[f, None]
+                for p, below in self.lifted:
+                    rest += np.where((gap & below != 0) & (gap >> p & 1 == 0), self.weight[:, p], 0)
+            arrow[f] = self._lookup(rest, "implication")
         return make_algebra(self.names, meet, join, top=0, arrow=arrow)
 
 
@@ -334,8 +341,7 @@ def partial_function_algebra(x, y, bound: int = 10000) -> Algebra:
     xnames = default_point_names(len(xs)) if isinstance(x, int) else tuple(str(v) for v in xs)
     ynames = tuple(str(v) for v in ys)
     labels = [[f"{p}:{v}" for v in ynames] for p in xnames]
-    # the residue is the closed form of the implication over antichain bases
-    return _Sections(labels, range(1 << len(xnames))).algebra(residue=True)
+    return _Sections(labels, range(1 << len(xnames))).algebra()
 
 
 def partial_function_boolean(x, y, bound: int = 10000) -> tuple[Algebra, np.ndarray]:
@@ -358,7 +364,7 @@ def sections_algebra(model: SurjectionModel, bound: int = 10000) -> Algebra:
         raise PreconditionFailed("use poset_sections_algebra for poset bases")
     labels = _fiber_labels(model)
     check_size("section algebra", [(len(values) + 1 for values in labels)], bound)
-    return _Sections(labels, range(1 << len(labels))).algebra(residue=True)
+    return _Sections(labels, range(1 << len(labels))).algebra()
 
 
 def section_model_size(base: Poset, fibers, bound: int) -> int:
@@ -369,30 +375,24 @@ def section_model_size(base: Poset, fibers, bound: int) -> int:
     return check_size("section algebra", terms, bound)
 
 
-def _poset_sections_reduct(model: SurjectionModel, bound: int = 10000) -> Algebra:
-    """The arrowless algebra of sections over the upsets of a poset base."""
+def poset_sections_algebra(model: SurjectionModel, bound: int = 10000) -> Algebra:
+    """Sections over the upsets of a poset base under the partial-function
+    meet, join and top, with the arrow r→s = s|↑(dom s ∖ dom r).  That is
+    derive_arrow's (s∨r∨s)→s in s↑: s∨r∨s = s|(dom r ∩ dom s), and among the
+    restrictions of s to upsets the pseudocomplement of s|T is s restricted
+    to the least upset holding dom s ∖ T (see section_arrow_resolution)."""
     if not isinstance(model.base, Poset):
         raise PreconditionFailed("poset_sections_algebra needs a poset base")
     P = model.base
     labels = _fiber_labels(model)
     section_model_size(P, [len(values) for values in labels], bound)
-    return _Sections(labels, P.upset_masks).algebra(residue=False)
-
-
-def poset_sections_algebra(model: SurjectionModel, bound: int = 10000) -> Algebra:
-    """Sections over the upsets of a poset base: join restricts to the
-    common domain, meet overrides, the top is the empty section, and the
-    arrow is derived from the upset structure (the printed closed forms are
-    compared against it separately, see section_arrow_resolution)."""
-    from .skew_heyting import derive_arrow
-
-    base = _poset_sections_reduct(model, bound)
-    return base.with_arrow(derive_arrow(base).table)
+    below = [down & ~(1 << p) for p, down in enumerate(P._down_of_point)]
+    return _Sections(labels, P.upset_masks, below).algebra()
 
 
 def section_arrow_resolution(model: SurjectionModel, bound: int = 10000) -> PropertyReport:
     """Compare candidate closed forms of the section implication against the
-    derived arrow.
+    arrow that derive_arrow derives on the arrowless algebra.
 
     Candidates: restricting the first argument to the up-closure of
     dom s ∖ dom r (as printed in the duality literature), restricting the
@@ -401,12 +401,12 @@ def section_arrow_resolution(model: SurjectionModel, bound: int = 10000) -> Prop
     section and is recorded as failing on that pair.
     """
     from .properties import PropertyReport
+    from .skew_heyting import derive_arrow
 
-    A = poset_sections_algebra(model, bound)
+    derived = derive_arrow(poset_sections_algebra(model, bound).drop_arrow()).table
     P = model.base
     S = _Sections(_fiber_labels(model), P.upset_masks)
-    mask = S.inside @ (1 << np.arange(P.n))
-    gap = mask[None, :] & ~mask[:, None]  # dom s ∖ dom r at [r, s]
+    gap = S.mask[None, :] & ~S.mask[:, None]  # dom s ∖ dom r at [r, s]
     upclosed = np.zeros_like(gap)
     for p, up in enumerate(P._up_of_point):
         upclosed |= np.where(gap >> p & 1, up, 0)
@@ -418,15 +418,13 @@ def section_arrow_resolution(model: SurjectionModel, bound: int = 10000) -> Prop
         "second-arg-plain": (second, gap),
     }
     entries = []
-    total = A.n**2
     for name, (arg, keep) in candidates.items():
         value = S.find(sum((keep >> p & 1) * arg[..., p] for p in range(P.n)))
-        wrong = first_true(value != A.arrow)
-        if wrong is None:
-            entries.append(CheckResult(name, True, None, total))
-            continue
-        detail = "formula leaves the section carrier" if value[wrong] < 0 else "disagrees with derived arrow"
-        entries.append(CheckResult(name, False, wrong, total, detail=detail))
+        wrong = first_true(value != derived)
+        detail = "" if wrong is None else "disagrees with derived arrow"
+        if wrong is not None and value[wrong] < 0:
+            detail = "formula leaves the section carrier"
+        entries.append(CheckResult(name, wrong is None, wrong, derived.size, detail=detail))
     return PropertyReport(tuple(entries))
 
 
@@ -584,11 +582,9 @@ def _section_pool(max_size: int):
                     size = section_model_size(base, fibers, max_size)
                 except TooLarge:
                     continue
-                # criterion 7 of the acceptance suite derives the arrow
-                # of every one of these models; the search needs none
                 model = SurjectionModel.from_fiber_sizes(base, fibers)
                 label = f"sections(P{pts}#{i};{','.join(map(str, fibers))})"
-                out.append((size, label, partial(_poset_sections_reduct, model, bound=max_size)))
+                out.append((size, label, partial(poset_sections_algebra, model, bound=max_size)))
     return out
 
 

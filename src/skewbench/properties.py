@@ -114,12 +114,16 @@ def _quasi_distributive(A: Algebra) -> CheckResult:
         return CheckResult(name, False, exc.witness[1:], 0, detail="D is not a congruence")
     except SkewbenchError as exc:
         return CheckResult(name, False, exc.witness, 0, detail=str(exc))
-    # S/D is a lattice: both of its distributive laws, in their lattice form
-    res = run_identity("lattice-distributive", bind(Q))
+    # a skew lattice's S/D is a lattice; elsewhere S/D is shown to be one first
+    axiom = None if property_result(A, "skew-lattice") else failing_skew_axiom(Q)
+    if axiom is not None:
+        res, detail = property_result(Q, "skew-lattice"), f"S/D is not a lattice ({axiom.detail})"
+    else:  # both distributive laws of the lattice S/D, in their lattice form
+        res, detail = run_identity("lattice-distributive", bind(Q)), "evaluated in S/D on class representatives"
     if res.holds:
         return CheckResult(name, True, None, res.checked)
     reps = tuple(int(np.argmax(project == b)) for b in res.witness)
-    return CheckResult(name, False, reps, res.checked, detail="evaluated in S/D on class representatives")
+    return CheckResult(name, False, reps, res.checked, detail=detail)
 
 
 def classify(A: Algebra) -> PropertyReport:

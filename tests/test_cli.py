@@ -641,6 +641,7 @@ COMMAND_LAYERS = {
     "derive": (["derive", "{pf22.alg}"], _DERIVE_LAYERS),
     "verify": (["verify", "{pf22.alg}"], _DERIVE_LAYERS),
     "model": (["model", "pfn", "--x", "2", "--y", "2"], {"core", "models"}),
+    "model poset-sections": (["model", "poset-sections", "{chain2.pos}", "--fibers", "2,1"], {"core", "models"}),
     "search": (
         ["search", "--family", "pfn", "--max-size", "10", "--property", "symmetric", "--negate"],
         _CHECK_LAYERS | {"models"},
@@ -653,6 +654,7 @@ def test_each_command_loads_only_its_layers(tmp_path, pf22, command):
     """Every module a command loads is compiled in each process, so a layer
     it never calls is start-up cost; the sets are the README's."""
     (tmp_path / "pf22.alg").write_text(emit_algebra_file(pf22))
+    (tmp_path / "chain2.pos").write_text("points: p q\nleq:\n1 1\n0 1\n")
     argv, layers = COMMAND_LAYERS[command]
     proc = _run_python("-X", "importtime", "-m", "skewbench", *_with_paths(tmp_path, argv))
     assert proc.returncode == 0, proc.stdout

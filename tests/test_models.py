@@ -38,10 +38,11 @@ from skewbench.models import (
 )
 
 
-def reference_sections(fibers, domains, label):
+def reference_sections(fibers, domains, label, up=lambda mask: mask):
     """Sections as dicts, built one table cell at a time: the reference for
     the table builder.  Returns names, override meet, common-restriction
-    join and residue tables, in (domain mask, values) order."""
+    join and implication tables, in (domain mask, values) order; f→g is g
+    restricted to up(dom g ∖ dom f), the residue when ``up`` is the identity."""
     maps = []
     for mask in domains:
         dom = [p for p in range(len(fibers)) if mask >> p & 1]
@@ -54,15 +55,26 @@ def reference_sections(fibers, domains, label):
     names = tuple("{" + ",".join(label(p, v) for p, v in sorted(f.items())) + "}" for f in maps)
     meet = table(lambda f, g: {**g, **f})
     join = table(lambda f, g: {p: v for p, v in g.items() if p in f})
-    residue = table(lambda f, g: {p: v for p, v in g.items() if p not in f})
-    return names, meet, join, residue
+
+    def arrow(f, g):
+        keep = up(sum(1 << p for p in g if p not in f))
+        return {p: v for p, v in g.items() if keep >> p & 1}
+
+    return names, meet, join, table(arrow)
 
 
-def resolution_by_subset_table(model, A):
-    """The four candidate verdicts of ``section_arrow_resolution`` on the
-    poset-section algebra ``A`` of ``model``, with the up-closure of every
-    gap read from a table of ``Poset.up`` over all subsets of the base: the
-    reference for the vectorized up-closure."""
+def write_poset(path, P) -> str:
+    """Write ``P`` as a poset document at ``path``; returns the path."""
+    rows = (" ".join("1" if c else "0" for c in row) for row in P.leq)
+    path.write_text("points: " + " ".join(P.points) + "\nleq:\n" + "\n".join(rows) + "\n")
+    return str(path)
+
+
+def resolution_by_subset_table(model, derived):
+    """The four candidate verdicts of ``section_arrow_resolution`` against
+    the ``derived`` arrow of the poset sections of ``model``, with the
+    up-closure of every gap read from a table of ``Poset.up`` over all
+    subsets of the base: the reference for the vectorized up-closure."""
     P = model.base
     S = models._Sections(models._fiber_labels(model), P.upset_masks)
     mask = S.inside @ (1 << np.arange(P.n))
@@ -72,7 +84,7 @@ def resolution_by_subset_table(model, A):
     verdicts = []
     for arg, keep in ((first, upclosed), (second, upclosed), (first, gap), (second, gap)):
         value = S.find(sum((keep >> p & 1) * arg[..., p] for p in range(P.n)))
-        wrong = np.argwhere(value != A.arrow)
+        wrong = np.argwhere(value != derived)
         verdicts.append(tuple(int(v) for v in wrong[0]) if len(wrong) else None)
     return verdicts
 
@@ -102,17 +114,37 @@ class TestSectionTables:
             for P in all_posets(pts):
                 for fibers in itertools.product((1, 2), repeat=pts):
                     model = SurjectionModel.from_fiber_sizes(P, fibers)
-                    names, meet, join, _ = reference_sections(
-                        fibers, P.upset_masks, lambda p, v: f"{P.points[p]}:{P.points[p]}{v}"
+                    names, meet, join, arrow = reference_sections(
+                        fibers, P.upset_masks, lambda p, v: f"{P.points[p]}:{P.points[p]}{v}", P.up
                     )
                     A = poset_sections_algebra(model)
                     assert (A.names, A.top) == (names, 0)
-                    assert np.array_equal(A.meet, meet) and np.array_equal(A.join, join)
+                    for got, want in ((A.meet, meet), (A.join, join), (A.arrow, arrow)):
+                        assert np.array_equal(got, want)
+
+    def test_poset_section_arrow_is_the_derived_arrow(self):
+        # derive_arrow on the arrowless algebra is the oracle of the closed form
+        count = 0
+        for pts in range(1, 5):
+            for P in all_posets(pts):
+                for fibers in itertools.product((1, 2), repeat=pts):
+                    A = poset_sections_algebra(SurjectionModel.from_fiber_sizes(P, fibers))
+                    assert np.array_equal(A.arrow, derive_arrow(A.drop_arrow()).table), (P.leq, fibers)
+                    count += 1
+        assert count == 2 + 2 * 4 + 5 * 8 + 16 * 16
+
+    def test_building_sections_derives_no_arrow(self, monkeypatch):
+        def unexpected(A):
+            raise AssertionError("derive_arrow called")
+
+        monkeypatch.setattr(skew_heyting, "derive_arrow", unexpected)
+        poset_sections_algebra(SurjectionModel.from_fiber_sizes(Poset.chain(3), (2, 1, 2)))
+        assert len(list(models.search_family("sections", 20))) > 10
 
     def test_result_outside_the_carrier_is_an_inconsistency(self):
         # {p} overridden by {q} has domain {p,q}, which is not listed
-        with pytest.raises(InconsistencyDetected):
-            models._Sections([["p:0"], ["q:0"]], (0, 1, 2)).algebra(residue=False)
+        with pytest.raises(InconsistencyDetected, match="the meet of two sections"):
+            models._Sections([["p:0"], ["q:0"]], (0, 1, 2)).algebra()
 
     def test_difference_is_the_transposed_arrow(self, pf22):
         _, diff = partial_function_boolean(2, 2)
@@ -249,10 +281,7 @@ class TestUpsetHeyting:
                 bottom=index[0],
                 arrow=[[index[full & ~P.down(a & ~b)] for b in masks] for a in masks],
             )
-            path = tmp_path / f"p{i}.poset"
-            rows = (" ".join("1" if c else "0" for c in row) for row in P.leq)
-            path.write_text("points: " + " ".join(P.points) + "\nleq:\n" + "\n".join(rows) + "\n")
-            code, out = run_command(["model", "upsets", str(path)])
+            code, out = run_command(["model", "upsets", write_poset(tmp_path / f"p{i}.poset", P)])
             assert code == 0
             assert out == emit_algebra_file(reference).encode(), P.points
 
@@ -301,16 +330,29 @@ class TestPosetSections:
         rep = section_arrow_resolution(model)
         assert not rep.holds("printed-first-arg-upclosed")
 
-    def test_resolution_matches_the_subset_table(self, monkeypatch):
+    def test_resolution_matches_the_subset_table(self):
         for pts in range(1, 5):
             for base in all_posets(pts):
                 for fibers in itertools.product((1, 2), repeat=pts):
                     model = SurjectionModel.from_fiber_sizes(base, fibers)
-                    A = poset_sections_algebra(model)
-                    # hand the resolution the same algebra, to derive its arrow once
-                    monkeypatch.setattr(models, "poset_sections_algebra", lambda m, bound, A=A: A)
+                    derived = derive_arrow(poset_sections_algebra(model).drop_arrow()).table
                     rep = section_arrow_resolution(model)
-                    assert [e.witness for e in rep.entries] == resolution_by_subset_table(model, A)
+                    assert [e.witness for e in rep.entries] == resolution_by_subset_table(model, derived)
+
+    def test_resolution_compares_against_the_derived_arrow(self, monkeypatch):
+        # the built arrow is the second candidate itself, so a wrong build
+        # must not make that candidate hold
+        model = SurjectionModel.from_fiber_sizes(Poset.chain(2), (2, 2))
+        real = models._Sections.algebra
+
+        def wrong_arrow(self):
+            A = real(self)
+            return A.with_arrow(np.full_like(A.arrow, A.top))
+
+        monkeypatch.setattr(models._Sections, "algebra", wrong_arrow)
+        rep = section_arrow_resolution(model)
+        assert rep.holds("second-arg-upclosed")
+        assert not rep.holds("printed-first-arg-upclosed")
 
     def test_resolution_reads_no_subset_table(self, monkeypatch):
         calls = []
@@ -324,6 +366,28 @@ class TestPosetSections:
         rep = section_arrow_resolution(SurjectionModel.from_fiber_sizes(Poset.chain(12), [1] * 12))
         assert rep.holds("second-arg-upclosed")
         assert calls == []
+
+
+class TestPosetsPastSixtyThreePoints:
+    def test_upset_masks_are_every_upset_in_ascending_order(self):
+        for pts in range(1, 5):
+            for P in all_posets(pts):
+                assert list(P.upset_masks) == [m for m in range(1 << P.n) if P.up(m) == m]
+
+    def test_chain_of_seventy_has_seventy_one_upsets(self):
+        full = (1 << 70) - 1
+        assert Poset.chain(70).upset_masks == tuple(sorted(full & ~((1 << k) - 1) for k in range(71)))
+
+    def test_sections_whose_codes_need_64_bits_are_refused(self, tmp_path):
+        # 71 sections, but the radix codes need 70 bits
+        path = write_poset(tmp_path / "chain70.poset", Poset.chain(70))
+        code, out = run_command(["model", "poset-sections", path, "--fibers", ",".join(["1"] * 70)])
+        assert code == 2 and b"need codes of 64 bits or more" in out
+
+    def test_antichain_of_1100_points_is_refused_by_size(self, tmp_path):
+        path = write_poset(tmp_path / "antichain1100.poset", Poset.antichain(1100))
+        code, out = run_command(["model", "poset-sections", path, "--fibers", ",".join(["1"] * 1100)])
+        assert code == 2 and b"section algebra has more than 10000 elements" in out
 
 
 class TestFromSkewBoolean:
