@@ -137,6 +137,10 @@ class Algebra:
             self._facts.setdefault(key, compute())
         return self._facts[key]
 
+    def known(self, key: str):
+        """The derived fact ``key`` where it has been computed, else None."""
+        return self._facts.get(key)
+
     def drop_arrow(self) -> "Algebra":
         if self.arrow is None:
             return self
@@ -278,6 +282,11 @@ def leq_matrix(A: Algebra) -> np.ndarray:
     """Natural partial order: x ≤ y iff x∨y = y = y∨x.  Cached, read-only."""
     J, col = A.join, np.arange(A.n)[None, :]
     return A.cached("leq", lambda: _freeze((J == col) & (J.T == col), bool))
+
+
+def minimal_elements(A: Algebra) -> np.ndarray:
+    """The ≤-minimal elements, ascending: every u↑ lies in the upset of one."""
+    return np.flatnonzero(leq_matrix(A).sum(axis=0) == 1)
 
 
 def preceq_matrix(A: Algebra) -> np.ndarray:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Algebra, first_true, leq_matrix, skipped_result
+from .core import Algebra, first_true, leq_matrix, minimal_elements, skipped_result
 from .errors import AmbiguousDiff, InconsistencyDetected
 from .identities import bind, run_identity
 from .properties import PropertyReport
@@ -103,8 +103,7 @@ def coherence_failure(L: Algebra, upsets, table) -> tuple[int, int, int] | None:
     which ``table`` fails the adjunction on u↑, or None.  v ≤ u gives
     u↑ ⊆ v↑, so only the upsets of ≤-minimal elements are checked until one
     of them fails."""
-    minimal = np.flatnonzero(leq_matrix(L).sum(axis=0) == 1)
-    if all(adjunction_failure(L, upsets[u], table) is None for u in minimal):
+    if all(adjunction_failure(L, upsets[u], table) is None for u in minimal_elements(L)):
         return None
     for u, U in enumerate(upsets):
         bad = adjunction_failure(L, U, table)

@@ -20,20 +20,33 @@ under a short name (SH0, HA, imp-or, ...) maps to its formula in
 identity, add its formula to the group it belongs to, or a new group or
 name, and ask for it with :func:`run_identity` by that name.
 
-Deciders.  Four formulas have a decider, a decision procedure with a
-theorem behind it, registered in :data:`DECIDERS` and consulted only for
-an algebra the caller knows to be a skew lattice (:func:`run_identity`).
-A band is normal iff every local submonoid eSe is a semilattice (Howie,
-*Fundamentals of Semigroup Theory*, 1995), and in a skew lattice x∧S∧x is
-↓x in the natural order (Leech, *Normal skew lattices*, Semigroup Forum 44,
-1992).  So normal (x∧y∧z∧w=x∧z∧y∧w) holds iff every ↓x commutes under ∧,
-and conormal iff every ↑x commutes under ∨, which compares Σ|↓x|² ≤ n³
-cells instead of scanning n⁴ tuples.  Normal at (x, u, x, v∧x) gives the
-meet half of regular, and conormal the join half.  A decider only proves
-that a formula holds, and then gives the scan's verdict: ``checked`` is
-n^k and ``evaluated`` the cells compared.  Where it cannot, the formula is
-scanned, so every failing verdict and witness is the scan's.  The formula
-stays the definition, and its scan the oracle for the decider.
+Deciders.  Five formulas have a decider, a decision procedure with a
+theorem behind it, registered in :data:`DECIDERS` with the properties it
+needs, and consulted only where the cached verdicts of the algebra the
+tables are bound from hold for each of them (:func:`decide`).
+
+On a skew lattice: a band is normal iff every local submonoid eSe is a
+semilattice (Howie, *Fundamentals of Semigroup Theory*, 1995), and in a
+skew lattice x∧S∧x is ↓x in the natural order (Leech, *Normal skew
+lattices*, Semigroup Forum 44, 1992).  So normal (x∧y∧z∧w=x∧z∧y∧w) holds
+iff every ↓x commutes under ∧, and conormal iff every ↑x commutes under ∨,
+which compares Σ|↓x|² ≤ n³ cells instead of scanning n⁴ tuples.  Normal at
+(x, u, x, v∧x) gives the meet half of regular, and conormal the join half.
+These four read only meet and join, so each decider runs once per algebra.
+
+On a co-strongly distributive skew lattice, for any arrow table: the two
+co-strong laws give y∨(z∧w)∨y = (y∨z∨y)∧(y∨w∨y), and y∨S∨y = ↑y, so
+SH4-prime says u→(a∧b) = (u→a)∧(u→b) for u, a, b each over ↑y.  Since
+m ≤ y gives ↑y ⊆ ↑m, it holds iff it holds on (↑m)³ for every ≤-minimal m,
+which compares Σ|↑m|³ cells in boxes of at most 2^16.  This decider reads
+the arrow, so it runs on every call and is never cached on the algebra,
+whose facts its copies with other arrows share.
+
+A decider only proves that a formula holds, and then gives the scan's
+verdict: ``checked`` is n^k and ``evaluated`` the cells compared.  Where it
+cannot, the formula is scanned, so every failing verdict and witness is the
+scan's.  The formula stays the definition, and its scan the oracle for the
+decider.
 
 Evaluation.  A term parses to nested tuples over variable positions: an
 ``int`` is a variable, ``("c", k)`` the constant ``k``, ``(op, s, t)``
@@ -89,7 +102,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import CheckResult, leq_matrix
+from .core import CheckResult, leq_matrix, minimal_elements
 
 _BOX = 1 << 16  # tuples per evaluation box
 
@@ -474,58 +487,90 @@ def _blocks_commute(table, rows) -> int | None:
     return cells
 
 
-def _downsets_commute(A) -> int | None:
-    """Σ|↓x|² where every ↓x is commutative under ∧, else None."""
-    return _blocks_commute(A.meet, leq_matrix(A).T)
+def _downsets_commute(A, tables) -> int | None:
+    """Σ|↓x|² where every ↓x is commutative under ∧, else None; computed
+    once per algebra, since it reads only the meet."""
+    return A.cached("decider:downsets", lambda: _blocks_commute(A.meet, leq_matrix(A).T))
 
 
-def _upsets_commute(A) -> int | None:
-    """Σ|↑x|² where every ↑x is commutative under ∨, else None."""
-    return _blocks_commute(A.join, leq_matrix(A))
+def _upsets_commute(A, tables) -> int | None:
+    """Σ|↑x|² where every ↑x is commutative under ∨, else None; computed
+    once per algebra, since it reads only the join."""
+    return A.cached("decider:upsets", lambda: _blocks_commute(A.join, leq_matrix(A)))
 
 
-# formula -> its decider on a skew lattice: normal and conormal hold iff
-# every ↓x (↑x) commutes, and imply the meet (join) half of regular
+def _arrow_meets_on_minimal_upsets(A, tables) -> int | None:
+    """Σ|↑m|³ over the ≤-minimal m where u→(a∧b) = (u→a)∧(u→b) for all u,
+    a, b in every ↑m, else None.  It reads the arrow ``tables["r"]``, so it
+    is computed afresh on every call.  Each ↑m is compared in boxes of at
+    most _BOX cells: a range of pairs (u, a) with every b."""
+    leq, meet, arrow = leq_matrix(A), tables["m"], tables["r"]
+    n, cells = A.n, 0
+    for m in minimal_elements(A):
+        U = np.flatnonzero(leq[m])
+        s = U.size
+        meets = meet[np.ix_(U, U)]  # [a, b] = a∧b
+        into = arrow[np.ix_(U, U)]  # [u, a] = u→a
+        step = max(1, _BOX // s)
+        for lo in range(0, s * s, step):
+            u, a = np.divmod(np.arange(lo, min(lo + step, s * s)), s)
+            lhs = arrow[U[u, None], meets[a]]  # [(u, a), b] = u→(a∧b)
+            rhs = meet.reshape(-1).take(into[u, a, None].astype(np.intp) * n + into[u])  # (u→a)∧(u→b)
+            if not np.array_equal(lhs, rhs):
+                return None
+        cells += s**3
+    return cells
+
+
+_SKEW_LATTICE = ("skew-lattice",)
+_DOWNSETS = (_SKEW_LATTICE, _downsets_commute)
+_UPSETS = (_SKEW_LATTICE, _upsets_commute)
+
+# formula -> (the properties its algebra must have, its decider); normal and
+# conormal hold iff every ↓x (↑x) commutes, and imply the meet (join) half
+# of regular; SH4-prime holds iff the arrow preserves meets on every ↑m
 DECIDERS = {
-    GROUPS["normal"][0]: _downsets_commute,
-    GROUPS["regular"][0]: _downsets_commute,
-    GROUPS["conormal"][0]: _upsets_commute,
-    GROUPS["regular"][1]: _upsets_commute,
+    GROUPS["normal"][0]: _DOWNSETS,
+    GROUPS["regular"][0]: _DOWNSETS,
+    GROUPS["conormal"][0]: _UPSETS,
+    GROUPS["regular"][1]: _UPSETS,
+    NAMED["SH4-prime"]: (_SKEW_LATTICE + ("co-strongly-distributive",), _arrow_meets_on_minimal_upsets),
 }
 
 
-def decide(formula: str, A) -> CheckResult | None:
-    """The verdict the scan gives ``formula`` on the skew lattice ``A`` where
-    the formula's decider proves that it holds, with ``evaluated`` the cells
-    the decider compared; else None.  A decider runs once per algebra."""
-    decider = DECIDERS.get(formula)
-    if decider is None:
+def decide(name: str, A, tables) -> CheckResult | None:
+    """The verdict the scan gives the check reported as ``name`` (as in
+    :func:`named_check`) on ``tables``, bound from ``A``, where ``A``'s
+    cached verdicts hold for every property the formula's decider needs and
+    the decider proves that the formula holds, with ``evaluated`` the cells
+    the decider compared; else None."""
+    needs, decider = DECIDERS.get(NAMED.get(name, name), ((), None))
+    if decider is None or not all(A.known(f"property:{need}") for need in needs):
         return None
-    cells = A.cached(f"decider:{decider.__name__}", lambda: decider(A))
+    cells = decider(A, tables)
     if cells is None:
         return None
-    check = named_check(formula)
+    check = named_check(name)
     return CheckResult(check.name, True, None, A.n**check.arity, evaluated=cells)
 
 
-def _run_formula(name: str, tables, skew_lattice) -> CheckResult:
-    decided = None if skew_lattice is None else decide(name, skew_lattice)
+def _run_formula(name: str, tables, algebra) -> CheckResult:
+    decided = None if algebra is None else decide(name, algebra, tables)
     return run_check(named_check(name), tables) if decided is None else decided
 
 
-def run_identity(name: str, tables, skew_lattice=None) -> CheckResult:
+def run_identity(name: str, tables, algebra=None) -> CheckResult:
     """Evaluate the group or the check reported as ``name``.  A group stops
     at its first failing formula and names it in the detail field.
 
-    ``skew_lattice`` is the algebra ``tables`` are bound from, given only
-    where it is known to be a skew lattice; then a formula of
-    :data:`DECIDERS` is decided where its decider proves it, and scanned
-    otherwise."""
+    ``algebra`` is the algebra ``tables`` are bound from; where it is given,
+    a formula of :data:`DECIDERS` is decided where :func:`decide` proves it,
+    and scanned otherwise."""
     if name not in GROUPS:
-        return _run_formula(name, tables, skew_lattice)
+        return _run_formula(name, tables, algebra)
     checked = evaluated = 0
     for formula in GROUPS[name]:
-        res = _run_formula(formula, tables, skew_lattice)
+        res = _run_formula(formula, tables, algebra)
         checked += res.checked
         evaluated += res.evaluated
         if not res.holds:

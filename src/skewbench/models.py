@@ -69,6 +69,28 @@ def default_point_names(k: int) -> tuple[str, ...]:
     return tuple(f"x{i}" for i in range(k))
 
 
+def _bits(mask: int):
+    """The positions of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _union(masks, mask: int) -> int:
+    """The union of ``masks[i]`` over the set bits i of ``mask``."""
+    out = 0
+    for i in _bits(mask):
+        out |= masks[i]
+    return out
+
+
+def _row_masks(rel) -> tuple[int, ...]:
+    """Each row of a boolean matrix as a Python int, bit j for column j."""
+    rows = np.packbits(rel, axis=1, bitorder="little")
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in rows)
+
+
 # ---------------------------------------------------------------------------
 # Domain types
 
@@ -91,8 +113,9 @@ class Poset:
             raise BadPoset("relation is not reflexive")
         if (rel & rel.T & ~np.eye(n, dtype=bool)).any():
             raise BadPoset("relation is not antisymmetric")
-        closed = (rel.astype(np.uint8) @ rel.astype(np.uint8)) > 0
-        if (closed & ~rel).any():
+        # transitive iff the up-set of each point holds the up-sets of its points
+        up = self._up_of_point
+        if any(_union(up, mask) != mask for mask in up):
             raise BadPoset("relation is not transitive")
 
     @property
@@ -109,25 +132,17 @@ class Poset:
     # masks are Python ints: a shift by a numpy int64 loses bits 63 and up
     @cached_property
     def _up_of_point(self) -> tuple[int, ...]:
-        return tuple(sum(1 << j for j in np.flatnonzero(row).tolist()) for row in self.leq)
+        return _row_masks(self.leq)
 
     @cached_property
     def _down_of_point(self) -> tuple[int, ...]:
-        return tuple(sum(1 << j for j in np.flatnonzero(col).tolist()) for col in self.leq.T)
+        return _row_masks(self.leq.T)
 
     def up(self, mask: int) -> int:
-        out = 0
-        for i in range(self.n):
-            if mask >> i & 1:
-                out |= self._up_of_point[i]
-        return out
+        return _union(self._up_of_point, mask)
 
     def down(self, mask: int) -> int:
-        out = 0
-        for i in range(self.n):
-            if mask >> i & 1:
-                out |= self._down_of_point[i]
-        return out
+        return _union(self._down_of_point, mask)
 
     def _upsets(self):
         """The upsets in ascending mask order, by backtracking on a stack from
@@ -156,7 +171,7 @@ class Poset:
         return tuple(full ^ m for m in reversed(self.upset_masks))
 
     def subset_name(self, mask: int) -> str:
-        return "{" + ",".join(self.points[i] for i in range(self.n) if mask >> i & 1) + "}"
+        return "{" + ",".join(self.points[i] for i in _bits(mask)) + "}"
 
     @classmethod
     def chain(cls, n: int, names=None) -> "Poset":
@@ -192,9 +207,7 @@ def all_posets(n: int) -> list[Poset]:
         for ideal in P.downset_masks:
             leq = np.eye(n, dtype=bool)
             leq[: n - 1, : n - 1] = P.leq
-            for i in range(n - 1):
-                if ideal >> i & 1:
-                    leq[i, n - 1] = True
+            leq[list(_bits(ideal)), n - 1] = True
             Q = Poset(default_point_names(n), leq)
             key = Q.canonical_key()
             if key not in seen:
@@ -280,7 +293,7 @@ class _Sections:
             raise TooLarge(f"sections over {k} base points need codes of 64 bits or more")
         rows, names = [], []
         for mask in domains:
-            points = [p for p in range(k) if mask >> p & 1]
+            points = list(_bits(mask))
             for values in itertools.product(*(range(len(labels[p])) for p in points)):
                 row = [-1] * k
                 for p, v in zip(points, values):
@@ -371,7 +384,7 @@ def section_model_size(base: Poset, fibers, bound: int) -> int:
     """The number of sections over the upsets of ``base`` with fibers of the
     given sizes, counted from the sizes alone and refused by
     :func:`errors.check_size` as soon as the running count passes ``bound``."""
-    terms = ((fibers[p] for p in range(base.n) if mask >> p & 1) for mask in base._upsets())
+    terms = ((fibers[p] for p in _bits(mask)) for mask in base._upsets())
     return check_size("section algebra", terms, bound)
 
 

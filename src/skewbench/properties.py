@@ -82,10 +82,10 @@ def _property(A: Algebra, name: str) -> CheckResult:
     if name == "quasi-distributive":
         return _quasi_distributive(A)
     if name != "skew-lattice":
-        # a decider is consulted only on a skew lattice (identities.DECIDERS)
-        decidable = any(formula in DECIDERS for formula in GROUPS[name])
-        lattice = A if decidable and property_result(A, "skew-lattice") else None
-        return run_identity(name, bind(A), lattice)
+        if any(formula in DECIDERS for formula in GROUPS[name]):
+            # the verdict a decider needs cached (identities.DECIDERS)
+            property_result(A, "skew-lattice")
+        return run_identity(name, bind(A), A)
     axioms = [property_result(A, axiom) for axiom in SKEW_AXIOMS]
     checked = sum(e.checked for e in axioms)
     fail = next((e for e in axioms if not e.holds), None)

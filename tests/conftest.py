@@ -19,6 +19,15 @@ def chain3():
 
 
 @pytest.fixture(scope="session")
+def chain12():
+    # a 12-element chain with a declared top and no declared bottom
+    n = 12
+    meet = [[min(i, j) for j in range(n)] for i in range(n)]
+    join = [[max(i, j) for j in range(n)] for i in range(n)]
+    return make_algebra([f"c{i}" for i in range(n)], meet, join, top=n - 1)
+
+
+@pytest.fixture(scope="session")
 def rect2():
     # left-handed: x∧y = x, x∨y = y
     return make_algebra(["a", "b"], [[0, 0], [1, 1]], [[0, 1], [0, 1]])

@@ -18,7 +18,7 @@ from skewbench.models import partial_function_algebra
 GOLDEN = Path(__file__).parent / "golden"
 
 # conftest fixtures written to tests/golden/<stem>.alg
-INPUTS = ("pf22", "pf12", "n5", "rect2_bottom", "semilattice2", "left_zero_top")
+INPUTS = ("pf22", "pf12", "n5", "rect2_bottom", "semilattice2", "left_zero_top", "chain12")
 
 # (golden stem, command line after --format, expected exit status); an
 # argument ending in ``.alg`` or ``.pos`` names a file under tests/golden/
@@ -28,6 +28,8 @@ CASES = (
     ("derive-pf22", ("derive", "pf22.alg"), 0),
     ("derive-pf12", ("derive", "pf12.alg"), 0),
     ("derive-n5", ("derive", "n5.alg"), 1),
+    # SH4-prime on a chain is decided on the one upset of its least element
+    ("derive-chain12", ("derive", "chain12.alg"), 0),
     ("derive-left_zero_top", ("derive", "left_zero_top.alg"), 1),
     ("check-pf22", ("check", "pf22.alg"), 0),
     ("check-n5", ("check", "n5.alg"), 0),

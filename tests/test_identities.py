@@ -15,10 +15,13 @@ from test_heyting import DEEP_INSTANCES
 from skewbench import (
     binormal_factorization,
     check_costrong_equivalence,
+    check_sh_axioms,
     classify,
+    derive_arrow,
     direct_product,
     identities,
     leq_matrix,
+    make_algebra,
     vertical_dual,
 )
 from skewbench.cli import emit_algebra_file, run_command
@@ -150,16 +153,18 @@ def _skew_lattices(draw):
 
 # the decided laws that hold iff their decider proves them
 _IFF = (GROUPS["normal"][0], GROUPS["conormal"][0])
+# the decided laws of meet and join alone
+_LATTICE_LAWS = sorted(set(DECIDERS) - {NAMED["SH4-prime"]})
 
 
 class TestDeciders:
     @settings(max_examples=100, deadline=None)
-    @given(A=_skew_lattices(), formula=st.sampled_from(sorted(DECIDERS)))
+    @given(A=_skew_lattices(), formula=st.sampled_from(_LATTICE_LAWS))
     def test_a_decider_agrees_with_the_scan(self, A, formula):
         assert property_result(A, "skew-lattice")
         check, tables = named_check(formula), bind(A)
         scan = run_check(check, tables)
-        decided = decide(formula, A)
+        decided = decide(formula, A, tables)
         if decided is not None:
             assert decided == scan and decided.holds
         else:
@@ -205,6 +210,120 @@ class TestDeciders:
         search = ["search", "--family", "enum", "--max-size", "3", "--property", "conormal", "--negate"]
         code, out = run_command(["--format", "machine", *search])
         assert code == 1 and b"witness=dual(enum3#3)" in out and b"witness=b,a,c,a" in out
+
+
+def _chain(n: int):
+    """The n-element chain with its top declared."""
+    i = np.arange(n)
+    return make_algebra([f"c{k}" for k in i], np.minimum.outer(i, i), np.maximum.outer(i, i), top=n - 1)
+
+
+@functools.cache
+def _costrong_members() -> list:
+    return [
+        A
+        for A in _family_members()
+        if A.top is not None and property_result(A, "skew-lattice") and property_result(A, "co-strongly-distributive")
+    ]
+
+
+@st.composite
+def _costrong_with_arrow(draw):
+    """A co-strongly distributive skew lattice with top (a search family
+    member, the product of two with at most 60 elements, or a chain) and
+    its derived arrow, with a few cells changed in some draws."""
+    members = _costrong_members()
+    kind = draw(st.sampled_from(["member", "product", "chain"]))
+    if kind == "chain":
+        A = _chain(draw(st.integers(2, 24)))
+    elif kind == "member":
+        A = draw(st.sampled_from(members))
+    else:
+        A = draw(st.sampled_from([B for B in members if B.n <= 30]))
+        A = direct_product(A, draw(st.sampled_from([B for B in members if A.n * B.n <= 60])))
+    arrow = np.array(derive_arrow(A.drop_arrow()).table)
+    for _ in range(draw(st.sampled_from([0, 1, 1, 3]))):
+        a, b, v = (draw(st.integers(0, A.n - 1)) for _ in range(3))
+        arrow[a, b] = v
+    return A, arrow
+
+
+def _cubes_of_minimal_upsets(A) -> int:
+    """Σ|↑m|³ over the ≤-minimal m of A."""
+    leq = leq_matrix(A)
+    return int((leq[leq.sum(axis=0) == 1].sum(axis=1) ** 3).sum())
+
+
+class TestArrowMeetDecider:
+    """SH4-prime is decided on the upsets ↑m of the ≤-minimal elements m of
+    a co-strongly distributive skew lattice, as u→(a∧b) = (u→a)∧(u→b) for
+    u, a, b in ↑m, whatever the arrow table."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(drawn=_costrong_with_arrow())
+    def test_decided_exactly_where_the_scan_holds(self, drawn):
+        A, arrow = drawn
+        check, tables = named_check("SH4-prime"), bind(A, r=arrow)
+        scan = run_check(check, tables)
+        decided = decide("SH4-prime", A, tables)
+        assert (decided is not None) == scan.holds
+        assert run_identity("SH4-prime", tables, A) == scan
+        if decided is not None:
+            assert decided == scan and decided.evaluated == _cubes_of_minimal_upsets(A)
+        else:
+            _assert_failure_confirmed(scan, check, tables)
+
+    @pytest.mark.parametrize("x,y,cells", [(4, 2, 65_536), (6, 1, 262_144)])
+    def test_cells_compared_on_partial_function_algebras(self, x, y, cells):
+        A = partial_function_algebra(x, y)
+        res = check_sh_axioms(A, derive_arrow(A.drop_arrow()).table)["SH4-prime"]
+        assert res.holds and res.checked == A.n**4 and res.evaluated == cells
+
+    def test_a_mutated_arrow_after_a_good_one_fails(self):
+        # nothing the decider proves for one arrow is kept for the next
+        A = partial_function_algebra(2, 2)
+        good = derive_arrow(A.drop_arrow()).table
+        assert check_sh_axioms(A, good)["SH4-prime"].holds
+        arrow = np.array(good)
+        arrow[A.top, A.top] = A.index("{p:0}")
+        res = check_sh_axioms(A, arrow)["SH4-prime"]
+        assert not res.holds and res.checked == A.n**4
+        _assert_failure_confirmed(res, named_check("SH4-prime"), bind(A, r=arrow))
+        assert res == run_check(named_check("SH4-prime"), bind(A, r=arrow))
+
+    def test_needs_the_cached_costrong_verdict(self):
+        A = partial_function_algebra(2, 2)
+        tables = bind(A, r=A.arrow)
+        assert decide("SH4-prime", A, tables) is None
+        property_result(A, "skew-lattice")
+        assert decide("SH4-prime", A, tables) is None
+        property_result(A, "co-strongly-distributive")
+        # four total functions are minimal, each below three more elements
+        assert decide("SH4-prime", A, tables).evaluated == _cubes_of_minimal_upsets(A) == 4 * 4**3
+
+    def test_peak_memory_on_a_chain_of_160(self):
+        A = _chain(160)
+        tables = bind(A, r=derive_arrow(A).table)
+        tracemalloc.start()
+        try:
+            res = decide("SH4-prime", A, tables)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.holds and res.evaluated == 160**3
+        assert peak <= 2 * 2**20
+
+    @pytest.mark.parametrize("command", ["verify", "derive"])
+    def test_sh4_is_still_scanned_where_sh4_prime_is_decided(self, command, scans, tmp_path):
+        # bench/test_bench.py asserts identities.arity4_tuples > 0 on verify
+        # pfn(5,1), where SH4 and SH4-prime are the only four-variable scans
+        path = tmp_path / "in.alg"
+        for x in (5, 6):
+            scans.clear()
+            path.write_text(emit_algebra_file(partial_function_algebra(x, 1)))
+            assert run_command([command, str(path)])[0] == 0
+            assert "SH4" in scans, f"{command} on pfn({x},1) scans no four-variable identity any more"
+            assert "SH4-prime" not in scans, f"{command} on pfn({x},1) scans SH4-prime instead of deciding it"
 
 
 def _near_lattice(n: int, seed: int):

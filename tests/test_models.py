@@ -17,6 +17,7 @@ from skewbench import (
 from skewbench.cli import emit_algebra_file, run_command
 from skewbench.errors import (
     MAX_CARRIER,
+    BadPoset,
     EsakiaFormulaMismatch,
     InconsistencyDetected,
     PreconditionFailed,
@@ -63,9 +64,10 @@ def reference_sections(fibers, domains, label, up=lambda mask: mask):
     return names, meet, join, table(arrow)
 
 
-def write_poset(path, P) -> str:
-    """Write ``P`` as a poset document at ``path``; returns the path."""
-    rows = (" ".join("1" if c else "0" for c in row) for row in P.leq)
+def write_poset(path, P, leq=None) -> str:
+    """Write ``P`` as a poset document at ``path``, or the relation ``leq``
+    on its points where given; returns the path."""
+    rows = (" ".join("1" if c else "0" for c in row) for row in (P.leq if leq is None else leq))
     path.write_text("points: " + " ".join(P.points) + "\nleq:\n" + "\n".join(rows) + "\n")
     return str(path)
 
@@ -383,6 +385,19 @@ class TestPosetsPastSixtyThreePoints:
         path = write_poset(tmp_path / "chain70.poset", Poset.chain(70))
         code, out = run_command(["model", "poset-sections", path, "--fibers", ",".join(["1"] * 70)])
         assert code == 2 and b"need codes of 64 bits or more" in out
+
+    @pytest.mark.parametrize("middle", [1, 256])
+    def test_a_relation_missing_one_composite_is_not_transitive(self, middle, tmp_path):
+        # p0 < each middle point < the last point, without p0 ≤ the last:
+        # 256 two-step paths once wrapped a uint8 count of them to zero
+        n = middle + 2
+        leq = np.eye(n, dtype=bool)
+        leq[0, 1 : n - 1] = leq[1 : n - 1, n - 1] = True
+        with pytest.raises(BadPoset, match="relation is not transitive"):
+            Poset(default_point_names(n), leq)
+        path = write_poset(tmp_path / "gap.poset", Poset.antichain(n), leq)
+        code, out = run_command(["model", "upsets", path])
+        assert code == 2 and b"[relation is not transitive]" in out
 
     def test_antichain_of_1100_points_is_refused_by_size(self, tmp_path):
         path = write_poset(tmp_path / "antichain1100.poset", Poset.antichain(1100))
