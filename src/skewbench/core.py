@@ -137,10 +137,6 @@ class Algebra:
             self._facts.setdefault(key, compute())
         return self._facts[key]
 
-    def known(self, key: str):
-        """The derived fact ``key`` where it has been computed, else None."""
-        return self._facts.get(key)
-
     def drop_arrow(self) -> "Algebra":
         if self.arrow is None:
             return self
@@ -289,6 +285,11 @@ def minimal_elements(A: Algebra) -> np.ndarray:
     return np.flatnonzero(leq_matrix(A).sum(axis=0) == 1)
 
 
+def maximal_elements(A: Algebra) -> np.ndarray:
+    """The ≤-maximal elements, ascending: every u↓ lies in the downset of one."""
+    return np.flatnonzero(leq_matrix(A).sum(axis=1) == 1)
+
+
 def preceq_matrix(A: Algebra) -> np.ndarray:
     """Natural preorder: x ⪯ y iff y∨x∨y = y.  Cached, read-only."""
     J, col = A.join, np.arange(A.n)[None, :]
@@ -359,7 +360,7 @@ class Partition:
             raise ValueError(f"relation not reflexive at {x}")
         if not np.array_equal(rel, rel.T):
             raise ValueError("relation not symmetric")
-        bad = first_true(_bool_compose(rel, rel) & ~rel)
+        bad = first_true((rel @ rel) & ~rel)
         if bad is not None:
             raise ValueError(f"relation not transitive at ({bad[0]}, {bad[1]})")
         blocks = []
@@ -378,10 +379,6 @@ class Partition:
 
     def same(self, x: int, y: int) -> bool:
         return self.block_of[x] == self.block_of[y]
-
-
-def _bool_compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (a.astype(np.uint8) @ b.astype(np.uint8)) > 0
 
 
 def d_partition(A: Algebra) -> Partition:
@@ -431,7 +428,7 @@ def _greens(A: Algebra) -> tuple[Partition, Partition, Partition]:
         raise NotComposable(f"Green's relation is not an equivalence: {exc}") from exc
     bof = np.array(D.block_of)
     Drel = bof[:, None] == bof[None, :]
-    bad = first_true((_bool_compose(Lrel, Rrel) != Drel) | (_bool_compose(Rrel, Lrel) != Drel))
+    bad = first_true((Lrel @ Rrel != Drel) | (Rrel @ Lrel != Drel))
     if bad is not None:
         x, y = bad
         raise NotComposable(f"L∘R = R∘L = D fails at ({A.names[x]}, {A.names[y]})", witness=bad)

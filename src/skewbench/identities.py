@@ -22,25 +22,26 @@ name, and ask for it with :func:`run_identity` by that name.
 
 Deciders.  Five formulas have a decider, a decision procedure with a
 theorem behind it, registered in :data:`DECIDERS` with the properties it
-needs, and consulted only where the cached verdicts of the algebra the
-tables are bound from hold for each of them (:func:`decide`).
+needs, which :func:`decide` asks :func:`properties.property_result` for.
+A decider is a pure function of the algebra and the tables, and reads only
+the maximal local lattices: ↑m for each ≤-minimal m and ↓M for each
+≤-maximal M.  Every ↑x lies inside some ↑m and every ↓x inside some ↓M, and
+a law that holds on a block holds on its sub-blocks.
 
 On a skew lattice: a band is normal iff every local submonoid eSe is a
 semilattice (Howie, *Fundamentals of Semigroup Theory*, 1995), and in a
 skew lattice x∧S∧x is ↓x in the natural order (Leech, *Normal skew
 lattices*, Semigroup Forum 44, 1992).  So normal (x∧y∧z∧w=x∧z∧y∧w) holds
-iff every ↓x commutes under ∧, and conormal iff every ↑x commutes under ∨,
-which compares Σ|↓x|² ≤ n³ cells instead of scanning n⁴ tuples.  Normal at
-(x, u, x, v∧x) gives the meet half of regular, and conormal the join half.
-These four read only meet and join, so each decider runs once per algebra.
+iff every ↓M commutes under ∧, and conormal iff every ↑m commutes under ∨,
+which compares Σ|↓M|² (Σ|↑m|²) ≤ n³ cells instead of scanning n⁴ tuples.
+Normal at (x, u, x, v∧x) gives the meet half of regular, and conormal the
+join half.
 
 On a co-strongly distributive skew lattice, for any arrow table: the two
 co-strong laws give y∨(z∧w)∨y = (y∨z∨y)∧(y∨w∨y), and y∨S∨y = ↑y, so
-SH4-prime says u→(a∧b) = (u→a)∧(u→b) for u, a, b each over ↑y.  Since
-m ≤ y gives ↑y ⊆ ↑m, it holds iff it holds on (↑m)³ for every ≤-minimal m,
-which compares Σ|↑m|³ cells in boxes of at most 2^16.  This decider reads
-the arrow, so it runs on every call and is never cached on the algebra,
-whose facts its copies with other arrows share.
+SH4-prime says u→(a∧b) = (u→a)∧(u→b) for u, a, b each over ↑y, and it
+holds iff it holds on (↑m)³ for every ≤-minimal m, which compares Σ|↑m|³
+cells in boxes of at most 2^16.
 
 A decider only proves that a formula holds, and then gives the scan's
 verdict: ``checked`` is n^k and ``evaluated`` the cells compared.  Where it
@@ -102,7 +103,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import CheckResult, leq_matrix, minimal_elements
+from .core import CheckResult, leq_matrix, maximal_elements, minimal_elements
 
 _BOX = 1 << 16  # tuples per evaluation box
 
@@ -488,22 +489,19 @@ def _blocks_commute(table, rows) -> int | None:
 
 
 def _downsets_commute(A, tables) -> int | None:
-    """Σ|↓x|² where every ↓x is commutative under ∧, else None; computed
-    once per algebra, since it reads only the meet."""
-    return A.cached("decider:downsets", lambda: _blocks_commute(A.meet, leq_matrix(A).T))
+    """Σ|↓M|² over the ≤-maximal M where every ↓M commutes under ∧, else None."""
+    return _blocks_commute(A.meet, leq_matrix(A).T[maximal_elements(A)])
 
 
 def _upsets_commute(A, tables) -> int | None:
-    """Σ|↑x|² where every ↑x is commutative under ∨, else None; computed
-    once per algebra, since it reads only the join."""
-    return A.cached("decider:upsets", lambda: _blocks_commute(A.join, leq_matrix(A)))
+    """Σ|↑m|² over the ≤-minimal m where every ↑m commutes under ∨, else None."""
+    return _blocks_commute(A.join, leq_matrix(A)[minimal_elements(A)])
 
 
 def _arrow_meets_on_minimal_upsets(A, tables) -> int | None:
     """Σ|↑m|³ over the ≤-minimal m where u→(a∧b) = (u→a)∧(u→b) for all u,
-    a, b in every ↑m, else None.  It reads the arrow ``tables["r"]``, so it
-    is computed afresh on every call.  Each ↑m is compared in boxes of at
-    most _BOX cells: a range of pairs (u, a) with every b."""
+    a, b in every ↑m, else None.  Each ↑m is compared in boxes of at most
+    _BOX cells: a range of pairs (u, a) with every b."""
     leq, meet, arrow = leq_matrix(A), tables["m"], tables["r"]
     n, cells = A.n, 0
     for m in minimal_elements(A):
@@ -527,7 +525,7 @@ _DOWNSETS = (_SKEW_LATTICE, _downsets_commute)
 _UPSETS = (_SKEW_LATTICE, _upsets_commute)
 
 # formula -> (the properties its algebra must have, its decider); normal and
-# conormal hold iff every ↓x (↑x) commutes, and imply the meet (join) half
+# conormal hold iff every ↓M (↑m) commutes, and imply the meet (join) half
 # of regular; SH4-prime holds iff the arrow preserves meets on every ↑m
 DECIDERS = {
     GROUPS["normal"][0]: _DOWNSETS,
@@ -540,12 +538,14 @@ DECIDERS = {
 
 def decide(name: str, A, tables) -> CheckResult | None:
     """The verdict the scan gives the check reported as ``name`` (as in
-    :func:`named_check`) on ``tables``, bound from ``A``, where ``A``'s
-    cached verdicts hold for every property the formula's decider needs and
-    the decider proves that the formula holds, with ``evaluated`` the cells
-    the decider compared; else None."""
+    :func:`named_check`) on ``tables``, bound from ``A``, where ``A`` has
+    every property the formula's decider needs and the decider proves that
+    the formula holds, with ``evaluated`` the cells the decider compared;
+    else None."""
+    from .properties import property_result
+
     needs, decider = DECIDERS.get(NAMED.get(name, name), ((), None))
-    if decider is None or not all(A.known(f"property:{need}") for need in needs):
+    if decider is None or not all(property_result(A, need) for need in needs):
         return None
     cells = decider(A, tables)
     if cells is None:

@@ -33,15 +33,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import (
     Algebra,
-    CheckResult,
     direct_product,
-    first_true,
     find_isomorphism,
     isomorphism_key,
     make_algebra,
@@ -56,9 +53,6 @@ from .errors import (
     TooLarge,
     check_size,
 )
-
-if TYPE_CHECKING:
-    from .properties import PropertyReport
 
 _POINT_NAMES = "pqrstuvwxyz"
 
@@ -393,7 +387,7 @@ def poset_sections_algebra(model: SurjectionModel, bound: int = 10000) -> Algebr
     meet, join and top, with the arrow r→s = s|↑(dom s ∖ dom r).  That is
     derive_arrow's (s∨r∨s)→s in s↑: s∨r∨s = s|(dom r ∩ dom s), and among the
     restrictions of s to upsets the pseudocomplement of s|T is s restricted
-    to the least upset holding dom s ∖ T (see section_arrow_resolution)."""
+    to the least upset holding dom s ∖ T; ``derive_arrow`` is its oracle."""
     if not isinstance(model.base, Poset):
         raise PreconditionFailed("poset_sections_algebra needs a poset base")
     P = model.base
@@ -401,44 +395,6 @@ def poset_sections_algebra(model: SurjectionModel, bound: int = 10000) -> Algebr
     section_model_size(P, [len(values) for values in labels], bound)
     below = [down & ~(1 << p) for p, down in enumerate(P._down_of_point)]
     return _Sections(labels, P.upset_masks, below).algebra()
-
-
-def section_arrow_resolution(model: SurjectionModel, bound: int = 10000) -> PropertyReport:
-    """Compare candidate closed forms of the section implication against the
-    arrow that derive_arrow derives on the arrowless algebra.
-
-    Candidates: restricting the first argument to the up-closure of
-    dom s ∖ dom r (as printed in the duality literature), restricting the
-    second argument to that up-closure, and both variants without the
-    up-closure.  A candidate whose domain is not an upset cannot be a
-    section and is recorded as failing on that pair.
-    """
-    from .properties import PropertyReport
-    from .skew_heyting import derive_arrow
-
-    derived = derive_arrow(poset_sections_algebra(model, bound).drop_arrow()).table
-    P = model.base
-    S = _Sections(_fiber_labels(model), P.upset_masks)
-    gap = S.mask[None, :] & ~S.mask[:, None]  # dom s ∖ dom r at [r, s]
-    upclosed = np.zeros_like(gap)
-    for p, up in enumerate(P._up_of_point):
-        upclosed |= np.where(gap >> p & 1, up, 0)
-    first, second = S.weight[:, None, :], S.weight[None, :, :]
-    candidates = {
-        "printed-first-arg-upclosed": (first, upclosed),
-        "second-arg-upclosed": (second, upclosed),
-        "first-arg-plain": (first, gap),
-        "second-arg-plain": (second, gap),
-    }
-    entries = []
-    for name, (arg, keep) in candidates.items():
-        value = S.find(sum((keep >> p & 1) * arg[..., p] for p in range(P.n)))
-        wrong = first_true(value != derived)
-        detail = "" if wrong is None else "disagrees with derived arrow"
-        if wrong is not None and value[wrong] < 0:
-            detail = "formula leaves the section carrier"
-        entries.append(CheckResult(name, wrong is None, wrong, derived.size, detail=detail))
-    return PropertyReport(tuple(entries))
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,12 @@ structural conditions of skew lattice theory, with witnesses for failures.
 Every verdict is exact; nothing is sampled or randomized.  An identity is
 scanned over all element tuples, except that on a skew lattice normal,
 conormal and the halves of regular go first to their deciders
-(:data:`identities.DECIDERS`), which prove a holding law on the local
-lattices ↓x and ↑x in at most n³ cells; a law they cannot prove is
+(:data:`identities.DECIDERS`), which prove a holding law on the maximal
+local lattices ↓M and ↑m in at most n³ cells; a law they cannot prove is
 scanned, so every witness is the scan's first failing tuple.  Each named
 property is computed at most once per algebra (:func:`property_result`),
-so classification, the co-strong equivalence and the preconditions of the
-arrow derivation share their verdicts.
+the one cache of verdicts: classification, the co-strong equivalence, the
+preconditions of the arrow derivation and those of the deciders share it.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .errors import (
     PreconditionFailed,
     SkewbenchError,
 )
-from .identities import DECIDERS, GROUPS, bind, run_identity
+from .identities import GROUPS, bind, run_identity
 from .property_names import PROPERTY_NAMES, SKEW_AXIOMS
 
 
@@ -82,9 +82,6 @@ def _property(A: Algebra, name: str) -> CheckResult:
     if name == "quasi-distributive":
         return _quasi_distributive(A)
     if name != "skew-lattice":
-        if any(formula in DECIDERS for formula in GROUPS[name]):
-            # the verdict a decider needs cached (identities.DECIDERS)
-            property_result(A, "skew-lattice")
         return run_identity(name, bind(A), A)
     axioms = [property_result(A, axiom) for axiom in SKEW_AXIOMS]
     checked = sum(e.checked for e in axioms)

@@ -140,10 +140,10 @@ def check_sh_axioms(A: Algebra, arrow) -> PropertyReport:
     The quadruple axiom SH4 is scanned in full, without exploiting its
     sandwiched reduction; the reduction SH4-prime is then checked
     separately, making the equivalence of the two an executable assertion.
-    Where the cached verdicts of ``A`` show a co-strongly distributive skew
-    lattice, as after ``derive_arrow``, SH4-prime is decided on the upsets
-    of the ≤-minimal elements (``identities.DECIDERS``); where the decider
-    cannot prove it, it is scanned, so a failure carries the scan's witness.
+    Where ``A`` is a co-strongly distributive skew lattice, SH4-prime is
+    decided on the upsets of the ≤-minimal elements
+    (``identities.DECIDERS``); where the decider cannot prove it, it is
+    scanned, so a failure carries the scan's witness.
     """
     if A.top is None:
         raise NoTop("skew Heyting axioms need a top")

@@ -14,6 +14,7 @@ import numpy as np
 from skewbench.core import Algebra, greens, leq_matrix, quotient, subalgebra
 from skewbench.errors import AmbiguousDiff, CoherenceFailure, InconsistencyDetected
 from skewbench.heyting import ArrowResult
+from skewbench import models
 from skewbench.models import Poset, SurjectionModel, partial_function_algebra, poset_sections_algebra
 
 
@@ -139,6 +140,36 @@ def dual_gb_diff(L: Algebra) -> ArrowResult:
             table[y, x] = int(cands[0])
     table.setflags(write=False)
     return ArrowResult(table)
+
+
+def section_arrow_candidates(model: SurjectionModel, derived: np.ndarray) -> dict:
+    """Four candidate closed forms of the section implication r→s, each
+    named, with the first pair (r, s) where it differs from the ``derived``
+    arrow of the poset sections of ``model``, or None where it matches.
+
+    The candidates restrict the first argument r (as printed in the duality
+    literature) or the second argument s to the up-closure of
+    dom s ∖ dom r, or to that gap without the up-closure.  The up-closure of
+    every gap is read from a table of ``Poset.up`` over all subsets of the
+    base.  A candidate that leaves the section carrier differs there."""
+    P = model.base
+    S = models._Sections(models._fiber_labels(model), P.upset_masks)
+    mask = S.inside @ (1 << np.arange(P.n))
+    gap = mask[None, :] & ~mask[:, None]  # dom s ∖ dom r at [r, s]
+    upclosed = np.array([P.up(m) for m in range(1 << P.n)])[gap]
+    first, second = S.weight[:, None, :], S.weight[None, :, :]
+    candidates = {
+        "printed-first-arg-upclosed": (first, upclosed),
+        "second-arg-upclosed": (second, upclosed),
+        "first-arg-plain": (first, gap),
+        "second-arg-plain": (second, gap),
+    }
+    verdicts = {}
+    for name, (arg, keep) in candidates.items():
+        value = S.find(sum((keep >> p & 1) * arg[..., p] for p in range(P.n)))
+        wrong = np.argwhere(value != derived)
+        verdicts[name] = tuple(int(v) for v in wrong[0]) if len(wrong) else None
+    return verdicts
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,18 @@ class TestGreens:
         assert all(len(b) == 1 for b in R.blocks)
 
 
+class TestPartition:
+    def test_transitivity_counts_no_paths(self):
+        # 0 ~ y ~ 257 for the 256 points y of one block, without 0 ~ 257:
+        # 256 two-step paths join 0 to 257, a count that wraps to 0 in eight
+        # bits, and every other pair is transitive
+        rel = np.eye(258, dtype=bool)
+        rel[1:257, 1:257] = True
+        rel[0, 1:257] = rel[1:257, 0] = rel[257, 1:257] = rel[1:257, 257] = True
+        with pytest.raises(ValueError, match=r"^relation not transitive at \(0, 257\)$"):
+            Partition.from_relation(rel)
+
+
 class TestFactsCache:
     """≤, ⪯, Green's relations, D and S/D are built once per algebra and
     shared by its copies that keep meet, join and the constants."""

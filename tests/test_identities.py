@@ -15,13 +15,17 @@ from test_heyting import DEEP_INSTANCES
 from skewbench import (
     binormal_factorization,
     check_costrong_equivalence,
+    check_imp_or,
     check_sh_axioms,
+    check_sha,
     classify,
     derive_arrow,
     direct_product,
     identities,
+    lattice_image,
     leq_matrix,
     make_algebra,
+    preceq_matrix,
     vertical_dual,
 )
 from skewbench.cli import emit_algebra_file, run_command
@@ -186,12 +190,39 @@ class TestDeciders:
                 assert at == values_at(named_check(half), tables, (x, u, v))
 
     def test_a_decided_verdict_counts_the_cells_compared(self):
+        # Σ|↑m|² over the ≤-minimal m, and Σ|↓M|² over the ≤-maximal M
         A = partial_function_algebra(4, 1)
         leq = leq_matrix(A)
-        for name, sizes in (("conormal", leq.sum(axis=1)), ("normal", leq.sum(axis=0))):
+        upsets, downsets = leq.sum(axis=1), leq.sum(axis=0)
+        blocks = {"conormal": upsets[downsets == 1], "normal": downsets[upsets == 1]}
+        for name, sizes in blocks.items():
             res = property_result(A, name)
             assert res.holds and res.checked == A.n**4
             assert res.evaluated == int((sizes**2).sum()) <= A.n**3
+
+    def test_no_precondition_asks_for_a_decided_formula(self):
+        # decide asks property_result for each need; a need scanned through
+        # a decided formula would ask for itself again
+        for needs, _ in DECIDERS.values():
+            for need in needs:
+                groups = SKEW_AXIOMS if need == "skew-lattice" else (need,)
+                formulas = {f for group in groups for f in GROUPS[group]}
+                assert not formulas & set(DECIDERS), need
+
+    def test_the_deciders_store_nothing_on_the_algebra(self):
+        A = partial_function_algebra(3, 2)
+        classify(A)
+        check_sh_axioms(A, A.arrow)
+        assert not [key for key in A._facts if key.startswith("decider:")]
+
+    @pytest.mark.parametrize("formula,dual", [(GROUPS["conormal"][0], False), (GROUPS["normal"][0], True)])
+    def test_decided_in_any_call_order(self, formula, dual):
+        # on a fresh algebra the decider asks for the skew lattice verdict;
+        # pfn(3,2) is conormal, so its vertical dual is normal
+        A = partial_function_algebra(3, 2)
+        A = vertical_dual(A) if dual else A
+        decided = decide(formula, A, bind(A))
+        assert decided is not None and decided == run_check(named_check(formula), bind(A))
 
     def test_check_and_verify_scan_no_decided_join_law(self, scans, tmp_path):
         decided = {GROUPS["conormal"][0], GROUPS["regular"][1]}
@@ -291,15 +322,23 @@ class TestArrowMeetDecider:
         _assert_failure_confirmed(res, named_check("SH4-prime"), bind(A, r=arrow))
         assert res == run_check(named_check("SH4-prime"), bind(A, r=arrow))
 
-    def test_needs_the_cached_costrong_verdict(self):
-        A = partial_function_algebra(2, 2)
-        tables = bind(A, r=A.arrow)
-        assert decide("SH4-prime", A, tables) is None
-        property_result(A, "skew-lattice")
-        assert decide("SH4-prime", A, tables) is None
-        property_result(A, "co-strongly-distributive")
-        # four total functions are minimal, each below three more elements
-        assert decide("SH4-prime", A, tables).evaluated == _cubes_of_minimal_upsets(A) == 4 * 4**3
+    def test_not_decided_where_not_co_strongly_distributive(self, n5):
+        # N5 is a lattice but not distributive; SH4-prime holds for the
+        # constant arrow, and the scan must say so, not the decider
+        arrow = np.full((n5.n, n5.n), n5.top, dtype=np.int16)
+        tables = bind(n5, r=arrow)
+        assert property_result(n5, "skew-lattice")
+        assert not property_result(n5, "co-strongly-distributive")
+        assert decide("SH4-prime", n5, tables) is None
+        assert run_identity("SH4-prime", tables, n5) == run_check(named_check("SH4-prime"), tables)
+        assert run_identity("SH4-prime", tables, n5).holds
+
+    @pytest.mark.parametrize("x,y,cells", [(4, 2, 65_536), (6, 1, 262_144)])
+    def test_decided_on_a_fresh_algebra(self, x, y, cells):
+        # no verdict cached beforehand: the decider asks for its own
+        A = partial_function_algebra(x, y)
+        res = check_sh_axioms(A, A.arrow)["SH4-prime"]
+        assert res.holds and res.checked == A.n**4 and res.evaluated == cells
 
     def test_peak_memory_on_a_chain_of_160(self):
         A = _chain(160)
@@ -324,6 +363,54 @@ class TestArrowMeetDecider:
             assert run_command([command, str(path)])[0] == 0
             assert "SH4" in scans, f"{command} on pfn({x},1) scans no four-variable identity any more"
             assert "SH4-prime" not in scans, f"{command} on pfn({x},1) scans SH4-prime instead of deciding it"
+
+
+@st.composite
+def _mutated_arrows(draw):
+    """A co-strongly distributive search family member with top and its
+    derived arrow with one to three cells changed."""
+    A = draw(st.sampled_from(_costrong_members()))
+    arrow = np.array(derive_arrow(A.drop_arrow()).table)
+    for _ in range(draw(st.integers(1, 3))):
+        a, b, v = (draw(st.integers(0, A.n - 1)) for _ in range(3))
+        arrow[a, b] = v
+    return A, arrow
+
+
+# the formula whose witness a failing check_sha entry gives, by its detail
+_SHA_FORMULAS = {"adjunction fails": "SHA", "x→y=1 iff x⪯y fails": "x→y=1 ⇔ x⪯y"}
+
+
+def _assert_violated(formulas, tables, point):
+    sides = [values_at(named_check(f), tables, point) for f in formulas]
+    assert any(lhs != rhs for lhs, rhs in sides), (formulas, point)
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=_mutated_arrows(), with_n5=st.booleans())
+def test_every_failing_witness_is_a_violation(drawn, with_n5, n5):
+    """The witnesses of check_sha and check_imp_or on a mutated arrow, and
+    of quasi-distributive on the member or its product with the
+    nondistributive N5, re-evaluate to a violation of their formula."""
+    A, arrow = drawn
+    sha = check_sha(A, arrow)
+    if not sha.holds and sha.detail in _SHA_FORMULAS:
+        tables = bind(A, r=arrow, pre=preceq_matrix(A))
+        _assert_violated([_SHA_FORMULAS[sha.detail]], tables, sha.witness)
+    elif not sha.holds:
+        assert sha.detail == "sufficiency conditions hold but arrow differs from derived"
+        assert arrow[sha.witness] != derive_arrow(A.drop_arrow()).table[sha.witness]
+    imp = check_imp_or(A, arrow)
+    if not imp.holds:
+        _assert_violated(["imp-or"], bind(A, r=arrow), imp.witness)
+    B = direct_product(A, n5) if with_n5 else A
+    quasi = property_result(B, "quasi-distributive")
+    assert quasi.holds != with_n5
+    if not quasi.holds:
+        # the witness lists class representatives of S/D
+        Q, project = lattice_image(B)
+        point = tuple(int(project[r]) for r in quasi.witness)
+        _assert_violated(GROUPS["lattice-distributive"], bind(Q), point)
 
 
 def _near_lattice(n: int, seed: int):

