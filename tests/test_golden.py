@@ -1,19 +1,23 @@
 """Byte-for-byte golden reports for ``check``, ``verify``, ``derive`` and
-``search``, and golden artifacts of ``model`` and ``quotient``.
+``search``, and golden artifacts of ``model`` and ``quotient``; and the
+work of ``check``, ``derive`` and ``verify``: every scan and every decided
+verdict, in call order, with its tuple counts (``*.work``).
 
-The inputs and the expected exit statuses and report bytes live under
-``tests/golden/``.  A change that alters any report byte fails here; an
-intended change is re-recorded with ``python3 tests/test_golden.py``.
+The inputs and the expected exit statuses, report bytes and work live
+under ``tests/golden/``.  A change that alters any report byte or any
+scan or decision fails here; an intended change is re-recorded with
+``python3 tests/test_golden.py``.
 """
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from skewbench import classify, greens, quotient
+from skewbench import classify, greens, identities, quotient
 from skewbench.cli import emit_algebra_file, run_command
 from skewbench.identities import GROUPS, bind, named_check, values_at
-from skewbench.models import partial_function_algebra
+from skewbench.models import Poset, SurjectionModel, partial_function_algebra, poset_sections_algebra
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -109,6 +113,58 @@ def test_check_report_bytes_of_pfn42(tmp_path):
     assert _check_pf42(tmp_path) == (0, (GOLDEN / "check-pf42.machine").read_bytes())
 
 
+def _chain_plus_point() -> Poset:
+    # p < r < s, and q incomparable to all of them
+    leq = np.eye(4, dtype=bool)
+    for a, b in ((0, 2), (0, 3), (2, 3)):
+        leq[a, b] = True
+    return Poset(("p", "q", "r", "s"), leq)
+
+
+# inputs of the work goldens that are built, not kept as files
+BUILT = {
+    "pf42": lambda: partial_function_algebra(4, 2),
+    "pf61": lambda: partial_function_algebra(6, 1),
+    "sections4": lambda: poset_sections_algebra(SurjectionModel.from_fiber_sizes(_chain_plus_point(), (2, 2, 2, 2))),
+}
+WORK_INPUTS = ("pf22", "n5", "chain12", "left_zero_top", "semilattice2", *BUILT)
+WORK_COMMANDS = ("check", "derive", "verify")
+
+
+def _work(command: str, stem: str, tmp_dir: Path) -> str:
+    """One line per scan (``identities.run_check``) and per decided verdict
+    (``identities.decide`` proving a law) that ``command`` makes on the
+    input ``stem``, in call order: the kind, the name, ``checked``,
+    ``evaluated`` and the verdict."""
+    path = GOLDEN / f"{stem}.alg"
+    if stem in BUILT:
+        path = tmp_dir / f"{stem}.alg"
+        path.write_text(emit_algebra_file(BUILT[stem]()))
+    lines = []
+
+    def spy(kind: str, real):
+        def call(*args):
+            res = real(*args)
+            if res is not None:
+                verdict = "holds" if res.holds else "fails"
+                lines.append(f"{kind}\t{res.name}\tchecked={res.checked}\tevaluated={res.evaluated}\t{verdict}\n")
+            return res
+
+        return call
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(identities, "run_check", spy("scan", identities.run_check))
+        mp.setattr(identities, "decide", spy("decide", identities.decide))
+        run_command([command, str(path)])
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("stem", WORK_INPUTS)
+@pytest.mark.parametrize("command", WORK_COMMANDS)
+def test_work(command, stem, tmp_path):
+    assert _work(command, stem, tmp_path) == (GOLDEN / f"{command}-{stem}.work").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("stem", [argv[1][:-4] for _, argv, _ in CASES if argv[0] == "check"])
 def test_failing_classify_entries_reevaluate(stem, request):
     # every failing entry of a golden ``check`` names a registry formula
@@ -155,3 +211,7 @@ if __name__ == "__main__":
         code, out = _check_pf42(Path(tmp))
     assert code == 0, ("check-pf42", code)
     (GOLDEN / "check-pf42.machine").write_bytes(out)
+    with tempfile.TemporaryDirectory() as tmp:
+        for command in WORK_COMMANDS:
+            for stem in WORK_INPUTS:
+                (GOLDEN / f"{command}-{stem}.work").write_text(_work(command, stem, Path(tmp)), encoding="utf-8")
