@@ -177,13 +177,17 @@ def _coerce_table(table, names: tuple[str, ...], label: str) -> np.ndarray:
     for i, row in enumerate(rows):
         if len(row) != n:
             raise MalformedTable(f"{label} table row {i} has {len(row)} entries, expected {n}")
-    cells = np.asarray(rows)
-    if cells.dtype.kind not in "iu":
-        lookup = {name: i for i, name in enumerate(names)}
-        cells = np.array(
-            [[lookup.get(c, -1) if isinstance(c, str) else int(c) for c in row] for row in rows],
-            dtype=np.int64,
-        )
+    if isinstance(rows, np.ndarray) and rows.dtype.kind in "iu":
+        cells = rows
+    else:  # by the type of each cell: numpy reads [True, 0] as integers and [0, 1.9] as floats
+        flat = list(itertools.chain.from_iterable(rows.tolist() if isinstance(rows, np.ndarray) else rows))
+        if not set(map(type, flat)) <= {int}:
+            for j, c in enumerate(flat):
+                if not isinstance(c, (str, int, np.integer)) or isinstance(c, bool):
+                    raise MalformedTable(f"{label}[{j // n}][{j % n}]: {c} is not an element name or index")
+            lookup = {name: i for i, name in enumerate(names)}
+            flat = [lookup.get(c, -1) if isinstance(c, str) else int(c) for c in flat]
+        cells = np.array(flat, dtype=np.int64).reshape(n, n)
     bad = first_true((cells < 0) | (cells >= n))
     if bad is not None:
         i, k = bad

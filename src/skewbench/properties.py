@@ -4,8 +4,8 @@ structural conditions of skew lattice theory, with witnesses for failures.
 Every verdict is exact; nothing is sampled or randomized.  An identity is
 scanned over all element tuples, except that on a skew lattice normal,
 conormal and the halves of regular go first to their deciders
-(:data:`identities.DECIDERS`), which prove a holding law on the maximal
-local lattices ↓M and ↑m in at most n³ cells; a law they cannot prove is
+(:data:`identities.DECIDERS`), which prove a holding law on one maximal
+local lattice, ↓M or ↑m, in at most n² cells; a law they cannot prove is
 scanned, so every witness is the scan's first failing tuple.  Each named
 property is computed at most once per algebra (:func:`property_result`),
 the one cache of verdicts: classification, the co-strong equivalence, the

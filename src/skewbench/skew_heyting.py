@@ -2,11 +2,13 @@
 with top, and instance-level verification of everything the implication is
 supposed to satisfy.
 
-The arrow is computed through the commutative upset at the second argument:
-x→y = (y∨x∨y)→y inside y↑, the pseudocomplement of y∨x∨y there, one array
-step per column over the upset's member indices.  Upsets are then checked
-against the table through the adjunction c∧a ≤ b ⇔ c ≤ a→b, which pins a
-lattice's arrow down, so failures come with a concrete upset and pair.
+The arrow is computed through the upset at the second argument: x→y =
+(y∨x∨y)→y inside ↑y, the pseudocomplement of y∨x∨y there, one array step
+per column over the upset's member indices.  ↑y is the ≤ row of y, and a
+lattice for every y iff the algebra is conormal, which co-strong
+distributivity implies and the derivation asks for once.  Upsets are then
+checked against the table through the adjunction c∧a ≤ b ⇔ c ≤ a→b, which
+pins a lattice's arrow down, so failures come with a concrete upset and pair.
 
 The derivation reads only the meet, join and top of its algebra, and its
 result is cached on the algebra: ``verify`` asks for the arrow of one
@@ -36,7 +38,6 @@ from .errors import (
     BadConstant,
     CoherenceFailure,
     InconsistencyDetected,
-    MalformedTable,
     NoTop,
     NotCoStronglyDistributive,
     PreconditionFailed,
@@ -47,32 +48,13 @@ from .properties import PropertyReport, failing_skew_axiom, property_result
 
 
 def upset_at(A: Algebra, u: int) -> np.ndarray:
-    """The members of u↑ = {u∨x∨u : x} = {x : u ≤ x}, ascending.
+    """The members of ↑u = {x : u ≤ x}, ascending: the ≤ row of u.
 
-    Both descriptions of the member set are computed and must agree; the
-    members must be closed under meet and join, and the induced operations
-    commutative.  These hold on every conormal skew lattice, so a violation
-    is raised as an inconsistency rather than reported.
+    On a skew lattice this is u∨S∨u, closed under ∧ and ∨; on a conormal
+    one it is a lattice.  Nothing is checked here: :func:`derive_arrow`
+    asks for both verdicts once per algebra.
     """
-    leq = leq_matrix(A)
-    J = A.join
-    via_join = np.zeros(A.n, dtype=bool)
-    via_join[J[J[u], u]] = True
-    if not np.array_equal(via_join, leq[u]):
-        raise InconsistencyDetected(
-            f"upset at {A.names[u]} differs between its two descriptions",
-            witness=(u,),
-        )
-    members = np.flatnonzero(leq[u])
-    grid = np.ix_(members, members)
-    meet, join = A.meet[grid], A.join[grid]
-    for label, cells in (("m", meet), ("j", join)):
-        outside = cells[~leq[u, cells]]
-        if outside.size:
-            raise MalformedTable(f"subset not closed under {label}: reaches {A.names[int(outside.min())]}")
-    if not (np.array_equal(meet, meet.T) and np.array_equal(join, join.T)):
-        raise InconsistencyDetected(f"upset at {A.names[u]} is not commutative", witness=(u,))
-    return members
+    return np.flatnonzero(leq_matrix(A)[u])
 
 
 @dataclass(frozen=True)
@@ -96,6 +78,11 @@ def _require_costrong_with_top(A: Algebra) -> None:
         raise NotCoStronglyDistributive(
             f"co-strong distributivity fails ({res.detail})", witness=res.witness or ()
         )
+    res = property_result(A, "conormal")  # every upset commutes
+    if not res.holds:
+        raise InconsistencyDetected(
+            f"co-strongly distributive but not conormal ({res.detail})", witness=res.witness or ()
+        )
 
 
 def derive_arrow(A: Algebra) -> DeriveResult:
@@ -107,7 +94,9 @@ def derive_arrow(A: Algebra) -> DeriveResult:
     contradict the well-definedness lemma and is raised as CoherenceFailure.
 
     The preconditions (a co-strongly distributive skew lattice with top)
-    are read from the cached properties of ``A``.  The result is cached on
+    are read from the cached properties of ``A``, and so is conormal, which
+    makes every upset a lattice: co-strong distributivity implies it, so
+    its failure raises InconsistencyDetected.  The result is cached on
     ``A`` and on its copies that differ only in the declared arrow; an
     exception is raised afresh on every call.
     """

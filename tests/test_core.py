@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,6 +70,30 @@ class TestMakeAlgebra:
     def test_first_index_out_of_range_is_reported(self, join):
         with pytest.raises(MalformedTable, match=r"^join\[1\]\[0\]: index 5 out of range$"):
             make_algebra(["a", "b"], [[0, 0], [0, 1]], join)
+
+    @pytest.mark.parametrize(
+        "meet,cell",
+        [
+            ([[0, 0.7], [0.2, 1]], "meet[0][1]: 0.7"),
+            (np.array([[0, 1.9], [1.0, 1]]), "meet[0][0]: 0.0"),
+            ([[0, 0], [True, 1]], "meet[1][0]: True"),
+            (np.array([[True, False], [False, True]]), "meet[0][0]: True"),
+        ],
+        ids=["float list", "float array", "bool in a list", "bool array"],
+    )
+    def test_a_cell_neither_name_nor_index_is_refused(self, meet, cell):
+        # never truncated to an index: int(1.9) would make it 1
+        with pytest.raises(MalformedTable, match=rf"^{re.escape(cell)} is not an element name or index$"):
+            make_algebra(["a", "b"], meet, [[0, 1], [1, 1]])
+
+    def test_a_float_arrow_cell_is_refused(self, chain2):
+        with pytest.raises(MalformedTable, match=r"^arrow\[0\]\[1\]: 1.5 is not an element name or index$"):
+            chain2.with_arrow([[1, 1.5], [0, 1]])
+
+    def test_integer_cells_of_any_integer_type_are_indices(self):
+        meet = [[np.int64(0), 0], [0, np.uint8(1)]]
+        A = make_algebra(["a", "b"], meet, np.array([[0, 1], [1, 1]], dtype=np.uint8))
+        assert A.meet.tolist() == [[0, 0], [0, 1]] and A.join.tolist() == [[0, 1], [1, 1]]
 
     def test_bad_top_rejected(self):
         # declared top a where a∨1 = 1 violates x∨top = top

@@ -21,6 +21,7 @@ from skewbench import (
     classify,
     derive_arrow,
     direct_product,
+    greens,
     identities,
     lattice_image,
     leq_matrix,
@@ -29,6 +30,7 @@ from skewbench import (
     vertical_dual,
 )
 from skewbench.cli import emit_algebra_file, run_command
+from skewbench.core import maximal_elements, minimal_elements
 from skewbench.identities import (
     DECIDERS,
     GROUPS,
@@ -190,15 +192,30 @@ class TestDeciders:
                 assert at == values_at(named_check(half), tables, (x, u, v))
 
     def test_a_decided_verdict_counts_the_cells_compared(self):
-        # Σ|↑m|² over the ≤-minimal m, and Σ|↓M|² over the ≤-maximal M
-        A = partial_function_algebra(4, 1)
+        # |↑m|² for one ≤-minimal m, and |↓M|² for one ≤-maximal M: pfn(4,2)
+        # has 16 minimal elements, each with an upset of 16
+        A = partial_function_algebra(4, 2)
+        assert minimal_elements(A).size == 16
+        for name, B in (("conormal", A), ("normal", vertical_dual(A))):
+            res = property_result(B, name)
+            assert res.holds and res.checked == B.n**4
+            assert res.evaluated == 16**2
+
+    @settings(max_examples=60, deadline=None)
+    @given(A=_skew_lattices())
+    def test_one_block_stands_for_all(self, A):
+        # the ≤-minimal elements share the bottom D-class and the ≤-maximal
+        # ones the top one, and z ↦ e′∨z∨e′ (z ↦ e′∧z∧e′) carries ↑e onto
+        # ↑e′ under ∨ (↓e onto ↓e′ under ∧) within a D-class
+        block_of = greens(A)[0].block_of
         leq = leq_matrix(A)
-        upsets, downsets = leq.sum(axis=1), leq.sum(axis=0)
-        blocks = {"conormal": upsets[downsets == 1], "normal": downsets[upsets == 1]}
-        for name, sizes in blocks.items():
-            res = property_result(A, name)
-            assert res.holds and res.checked == A.n**4
-            assert res.evaluated == int((sizes**2).sum()) <= A.n**3
+        for op, ends, blocks in ((A.join, minimal_elements(A), leq), (A.meet, maximal_elements(A), leq.T)):
+            assert len({block_of[e] for e in ends}) == 1
+            B = np.flatnonzero(blocks[ends[0]])
+            for e in ends:
+                f = op[op[e], e]  # z ↦ e∘z∘e
+                assert sorted(f[B].tolist()) == np.flatnonzero(blocks[e]).tolist()
+                assert np.array_equal(f[op[np.ix_(B, B)]], op[np.ix_(f[B], f[B])])
 
     def test_no_precondition_asks_for_a_decided_formula(self):
         # decide asks property_result for each need; a need scanned through

@@ -1,5 +1,6 @@
 """No module of the package imports a private name from another: a helper
-that two modules need is public in one of them, or lives where it is used."""
+that two modules need is public in one of them, or lives where it is used.
+And every name a module imports is referenced in it."""
 
 import ast
 from pathlib import Path
@@ -35,3 +36,52 @@ def test_the_check_sees_a_private_import(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text("def f():\n    from .heyting import _arrow_by_candidates\n")
     assert _private_imports(bad) == ["line 2: from .heyting import _arrow_by_candidates"]
+
+
+def _annotations(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """The imported names never referenced in the module, a name in a
+    (quoted) annotation or a ``TYPE_CHECKING`` block included."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    bound = {}  # name -> the line importing it
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update({(a.asname or a.name.split(".")[0]): node.lineno for a in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update({(a.asname or a.name): node.lineno for a in node.names if a.name != "*"})
+    trees = [tree] + [
+        ast.parse(note.value, mode="eval")
+        for note in _annotations(tree)
+        if isinstance(note, ast.Constant) and isinstance(note.value, str)
+    ]
+    used = {node.id for t in trees for node in ast.walk(t) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}" for name, line in bound.items() if name not in used]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_import(path):
+    assert _unused_imports(path) == []
+
+
+def test_the_check_sees_an_unused_import(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "from typing import TYPE_CHECKING\n"
+        "import numpy as np\n"
+        "from .core import Algebra, leq_matrix\n"
+        "if TYPE_CHECKING:\n"
+        "    from .models import Poset\n"
+        "def f(A: 'Algebra') -> 'Poset':\n"
+        "    import os\n"
+        "    return np\n"
+    )
+    assert _unused_imports(bad) == ["line 3: leq_matrix", "line 7: os"]

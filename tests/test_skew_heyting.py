@@ -106,6 +106,22 @@ class TestDeriveArrow:
         assert calls == []
 
 
+    def test_derive_reports_an_inconsistency_where_conormal_fails(self, pf22, monkeypatch, tmp_path):
+        # co-strongly distributive implies conormal, so a failing conormal
+        # verdict contradicts the precondition just verified
+        real = skew_heyting.property_result
+
+        def failing_conormal(A, name):
+            res = real(A, name)
+            return CheckResult(name, False, (0, 0, 0, 0), res.checked) if name == "conormal" else res
+
+        monkeypatch.setattr(skew_heyting, "property_result", failing_conormal)
+        path = tmp_path / "pf22.alg"
+        path.write_text(emit_algebra_file(pf22))
+        code, out = run_command(["--format", "machine", "derive", str(path)])
+        assert code == 3 and b"CHECK: name=inconsistency verdict=error" in out
+
+
 class TestCoherence:
     """Coherence is checked on the upsets of the ≤-minimal elements; the
     witness is that of the in-order scan over every upset."""
@@ -178,6 +194,13 @@ class TestCoherence:
 
 
 class TestUpset:
+    def test_the_upset_is_the_row_of_leq_on_any_algebra(self, rect2_bottom):
+        # the upset of the bottom is not commutative there: rect2_bottom is
+        # not conormal, and nothing asks derive_arrow for it
+        leq = leq_matrix(rect2_bottom)
+        for u in range(rect2_bottom.n):
+            assert upset_at(rect2_bottom, u).tolist() == np.flatnonzero(leq[u]).tolist()
+
     def test_members_and_bounds(self, pf22):
         u = pf22.index("{p:0}")
         members = upset_at(pf22, u)
