@@ -669,10 +669,18 @@ def main() -> int:
     # environment alone; a value the caller set wins, and --jobs workers
     # inherit it.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    # The workbench makes no reference cycles (a test collects after every
+    # command), so reference counting frees a command's memory, and the
+    # collector's passes, mostly over numpy's import, would free only the
+    # few hundred objects that argparse and that import leave once per
+    # process.  Off here, not in run_command, so that a host calling it keeps
+    # its collector; --jobs workers inherit the setting through fork.
+    gc.disable()
     status, out = run_command(sys.argv[1:])
     sys.stdout.buffer.write(out)
-    # The exit-time collections skip frozen objects, which the OS reclaims anyway;
-    # frozen here, not in run_command, so that a host calling it keeps its collector.
+    # Still frozen: the interpreter's exit runs a full collection whether or
+    # not the collector is enabled, and it skips frozen objects, which the OS
+    # reclaims anyway.
     gc.freeze()
     return status
 

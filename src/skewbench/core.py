@@ -199,10 +199,14 @@ def _coerce_table(table, names: tuple[str, ...], label: str) -> np.ndarray:
 
 
 def _coerce_element(value, names: tuple[str, ...], label: str) -> int:
+    """The index of ``value``, an element name or index, by the cell rule
+    of :func:`_coerce_table`."""
     if isinstance(value, str):
         if value not in names:
             raise MalformedTable(f"{label}: unknown element {value!r}")
         return names.index(value)
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise MalformedTable(f"{label}: {value} is not an element name or index")
     v = int(value)
     if not 0 <= v < len(names):
         raise MalformedTable(f"{label}: index {v} out of range")
@@ -637,7 +641,6 @@ def find_isomorphism(A: Algebra, B: Algebra, bound: int = 12) -> HomMap | None:
     if shared_arrow and sorted(prof_a) != sorted(prof_b):
         return None
 
-    n = A.n
     fwd: dict[int, int] = {}
     rev: dict[int, int] = {}
     if A.top is not None and B.top is not None:
@@ -646,41 +649,42 @@ def find_isomorphism(A: Algebra, B: Algebra, bound: int = 12) -> HomMap | None:
         if A.bottom in fwd and fwd[A.bottom] != B.bottom:
             return None
         fwd[A.bottom], rev[B.bottom] = B.bottom, A.bottom
-
-    def consistent(a: int) -> bool:
-        fa = fwd[a]
-        for x in fwd:
-            fx = fwd[x]
-            for ta, tb in tables:
-                for (p, q), (fp, fq) in (((a, x), (fa, fx)), ((x, a), (fx, fa))):
-                    r = int(ta[p, q])
-                    img = int(tb[fp, fq])
-                    if r in fwd:
-                        if fwd[r] != img:
-                            return False
-                    elif img in rev:
-                        return False
-        return True
-
-    order = sorted(set(range(n)) - set(fwd), key=lambda i: (prof_a[i], i))
-
-    def full_check() -> bool:
-        mp = np.array([fwd[i] for i in range(n)])
-        return all(np.array_equal(mp[ta], tb[np.ix_(mp, mp)]) for ta, tb in tables)
-
-    def extend(k: int) -> bool:
-        if k == len(order):
-            return full_check()
-        a = order[k]
-        for b in range(n):
-            if b in rev or prof_b[b] != prof_a[a]:
-                continue
-            fwd[a], rev[b] = b, a
-            if consistent(a) and extend(k + 1):
-                return True
-            del fwd[a], rev[b]
-        return False
-
-    if not extend(0):
+    order = sorted(set(range(A.n)) - set(fwd), key=lambda i: (prof_a[i], i))
+    candidates = [[b for b in range(B.n) if prof_b[b] == prof_a[a]] for a in order]
+    # plain lists: the search reads single cells, which numpy would box
+    pairs = [(ta.tolist(), tb.tolist()) for ta, tb in tables]
+    if not _extend(0, order, candidates, pairs, fwd, rev):
         return None
-    return HomMap(A, B, tuple(fwd[i] for i in range(n)))
+    return HomMap(A, B, tuple(fwd[i] for i in range(A.n)))
+
+
+def _consistent(a: int, pairs, fwd: dict[int, int], rev: dict[int, int]) -> bool:
+    """Whether each cell of ``a`` and a mapped x, in either order, lands
+    where ``fwd`` allows: on the image of the cell's value where that value
+    is mapped, else on an element nothing maps to yet."""
+    fa = fwd[a]
+    for x, fx in fwd.items():
+        for ta, tb in pairs:
+            for r, img in ((ta[a][x], tb[fa][fx]), (ta[x][a], tb[fx][fa])):
+                if r in fwd:
+                    if fwd[r] != img:
+                        return False
+                elif img in rev:
+                    return False
+    return True
+
+
+def _extend(k: int, order, candidates, pairs, fwd: dict[int, int], rev: dict[int, int]) -> bool:
+    """Map ``order[k:]`` by backtracking over their candidates, in order;
+    on success ``fwd`` is an isomorphism."""
+    if k == len(order):
+        return all(fwd[ta[p][q]] == tb[fwd[p]][fwd[q]] for ta, tb in pairs for p in fwd for q in fwd)
+    a = order[k]
+    for b in candidates[k]:
+        if b in rev:
+            continue
+        fwd[a], rev[b] = b, a
+        if _consistent(a, pairs, fwd, rev) and _extend(k + 1, order, candidates, pairs, fwd, rev):
+            return True
+        del fwd[a], rev[b]
+    return False

@@ -16,13 +16,15 @@ through c∧a ≤ b ⇔ c ≤ a→b, which in a lattice admits one arrow only, a
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import Algebra, first_true, leq_matrix, minimal_elements, skipped_result
 from .errors import AmbiguousDiff, InconsistencyDetected
-from .identities import bind, run_identity
-from .properties import PropertyReport
+
+if TYPE_CHECKING:
+    from .properties import PropertyReport
 
 
 @dataclass(frozen=True)
@@ -133,6 +135,10 @@ def generalized_heyting_arrow(L: Algebra) -> ArrowResult:
 def check_heyting_axioms(L: Algebra, arrow) -> PropertyReport:
     """Verdicts for the Heyting axioms, the adjunction and the reduction
     x→y = (x∨y)→y, each quantified exhaustively."""
+    # imported here: `model upsets` loads this module for the adjunction alone
+    from .identities import bind, run_identity
+    from .properties import PropertyReport
+
     tables = bind(L, r=arrow, leq=leq_matrix(L))
     h1 = run_identity("H1", tables) if L.top is not None else skipped_result("H1", "no top declared")
     rest = ("H2", "H3", "H4", "HA", "arrow-join-reduction")

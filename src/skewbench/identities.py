@@ -180,56 +180,67 @@ class Check:
     rhs: object
 
 
-def parse(formula: str, name: str | None = None) -> Check:
-    """The check a formula states, reported as ``name`` (default: the formula)."""
-    tokens = _TOKEN.findall(formula)
-    variables = [v for v in _VARS if v in tokens]
-    pos = 0
+class _Parser:
+    """Recursive descent over the tokens of one formula; ``pos`` is the
+    next token."""
 
-    def take(expected=None) -> str:
-        nonlocal pos
-        tok = tokens[pos] if pos < len(tokens) else None
+    def __init__(self, formula: str):
+        self.formula = formula
+        self.tokens = _TOKEN.findall(formula)
+        self.variables = [v for v in _VARS if v in self.tokens]
+        self.pos = 0
+
+    def more(self) -> bool:
+        return self.pos < len(self.tokens)
+
+    def take(self, expected=None) -> str:
+        tok = self.tokens[self.pos] if self.more() else None
         if tok is None or expected not in (None, tok):
-            raise ValueError(f"{formula!r}: expected {expected or 'a term'} at token {pos}")
-        pos += 1
+            raise ValueError(f"{self.formula!r}: expected {expected or 'a term'} at token {self.pos}")
+        self.pos += 1
         return tok
 
-    def atom():
-        tok = take()
+    def atom(self):
+        tok = self.take()
         if tok == "(":
-            inner = term()
-            take(")")
+            inner = self.term()
+            self.take(")")
             return inner
-        if tok in variables:
-            return variables.index(tok)
+        if tok in self.variables:
+            return self.variables.index(tok)
         if tok in ("0", "1"):
             return ("c", tok)
-        raise ValueError(f"{formula!r}: unexpected {tok!r} at token {pos - 1}")
+        raise ValueError(f"{self.formula!r}: unexpected {tok!r} at token {self.pos - 1}")
 
-    def term():
-        out, op = atom(), None
-        while pos < len(tokens) and tokens[pos] in _OPS:
-            if op not in (None, tokens[pos]):
-                raise ValueError(f"{formula!r}: {op} and {tokens[pos]} mixed without parentheses")
-            op = take()
-            out = (_OPS[op], out, atom())
+    def term(self):
+        out, op = self.atom(), None
+        while self.more() and self.tokens[self.pos] in _OPS:
+            tok = self.take()
+            if op not in (None, tok):
+                raise ValueError(f"{self.formula!r}: {op} and {tok} mixed without parentheses")
+            op = tok
+            out = (_OPS[op], out, self.atom())
         return out
 
-    def relation():
-        lhs = term()
-        rel = take()
+    def relation(self):
+        lhs = self.term()
+        rel = self.take()
         if rel not in _RELS:
-            raise ValueError(f"{formula!r}: expected a relation, found {rel!r}")
-        return (_RELS[rel], lhs, term())
+            raise ValueError(f"{self.formula!r}: expected a relation, found {rel!r}")
+        return (_RELS[rel], lhs, self.term())
 
-    rel, lhs, rhs = relation()
-    if pos < len(tokens) and take("⇔"):
-        lhs, rhs = (rel, lhs, rhs), relation()
+
+def parse(formula: str, name: str | None = None) -> Check:
+    """The check a formula states, reported as ``name`` (default: the formula)."""
+    p = _Parser(formula)
+    rel, lhs, rhs = p.relation()
+    if p.more() and p.take("⇔"):
+        lhs, rhs = (rel, lhs, rhs), p.relation()
     elif rel != "eq":
         raise ValueError(f"{formula!r}: a single relation must be an equation")
-    if pos < len(tokens):
-        raise ValueError(f"{formula!r}: trailing {tokens[pos]!r}")
-    return Check(name or formula, len(variables), lhs, rhs)
+    if p.more():
+        raise ValueError(f"{formula!r}: trailing {p.tokens[p.pos]!r}")
+    return Check(name or formula, len(p.variables), lhs, rhs)
 
 
 @functools.cache
@@ -267,24 +278,26 @@ class _Plan:
     rest: tuple[int, ...]
 
 
+def _visit(term, nodes: list, seen: dict) -> int:
+    """The node of ``term`` in ``nodes``, appended after its operands' nodes
+    where ``seen`` (term -> node) does not have it yet."""
+    if term not in seen:
+        if isinstance(term, int):
+            node = ("v", term, None, 1 << term)
+        elif term[0] == "c":
+            node = ("c", term[1], None, 0)
+        else:
+            a, b = _visit(term[1], nodes, seen), _visit(term[2], nodes, seen)
+            node = (term[0], a, b, nodes[a][3] | nodes[b][3])
+        seen[term] = len(nodes)
+        nodes.append(node)
+    return seen[term]
+
+
 @functools.cache
 def _plan(check: Check) -> _Plan:
     nodes, seen = [], {}
-
-    def visit(term) -> int:
-        if term not in seen:
-            if isinstance(term, int):
-                node = ("v", term, None, 1 << term)
-            elif term[0] == "c":
-                node = ("c", term[1], None, 0)
-            else:
-                a, b = visit(term[1]), visit(term[2])
-                node = (term[0], a, b, nodes[a][3] | nodes[b][3])
-            seen[term] = len(nodes)
-            nodes.append(node)
-        return seen[term]
-
-    visit(("ne", check.lhs, check.rhs))
+    _visit(("ne", check.lhs, check.rhs), nodes, seen)
     ops = [i for i, node in enumerate(nodes) if node[0] not in ("v", "c")]
     rest = [i for i in ops if nodes[i][3] & 1]
     read = {operand for i in rest for operand in nodes[i][1:3]}

@@ -642,6 +642,7 @@ COMMAND_LAYERS = {
     "verify": (["verify", "{pf22.alg}"], _DERIVE_LAYERS),
     "model": (["model", "pfn", "--x", "2", "--y", "2"], {"core", "models"}),
     "model poset-sections": (["model", "poset-sections", "{chain2.pos}", "--fibers", "2,1"], {"core", "models"}),
+    "model upsets": (["model", "upsets", "{chain2.pos}"], {"core", "models", "heyting"}),
     "search": (
         ["search", "--family", "pfn", "--max-size", "10", "--property", "symmetric", "--negate"],
         _CHECK_LAYERS | {"models"},
@@ -805,15 +806,16 @@ from skewbench import cli
 sys.argv = ["skewbench", "model", "pfn", "--x", "2", "--y", "2"]
 before = gc.get_freeze_count()
 status = cli.main()
-print(status, before, gc.get_freeze_count())
+print(status, before, gc.get_freeze_count(), gc.isenabled())
 """
 
 
 def test_main_freezes_the_heap_for_the_exit():
     proc = _run_python("-c", _MAIN_THEN_FREEZE_COUNT)
     assert proc.returncode == 0, proc.stderr
-    status, before, after = map(int, proc.stdout.splitlines()[-1].split())
-    assert (status, before) == (0, 0) and after > 0
+    status, before, after, enabled = proc.stdout.splitlines()[-1].split()
+    assert (int(status), int(before)) == (0, 0) and int(after) > 0
+    assert enabled == b"False"
 
 
 def _write_inputs(tmp_path, pf22, n5) -> None:
@@ -832,6 +834,42 @@ def test_run_command_leaves_the_collector_alone(tmp_path, pf22, n5, argv, status
     before = (gc.get_freeze_count(), gc.isenabled())
     assert run_command(_with_paths(tmp_path, argv))[0] == status
     assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+_MAIN_THEN_CYCLIC_GARBAGE = """\
+import gc, sys, types
+from skewbench import cli
+sys.argv[0] = "skewbench"
+status = cli.main()
+gc.unfreeze()
+gc.set_debug(gc.DEBUG_SAVEALL)
+gc.collect()
+def made_by_skewbench(o):
+    module = o.__module__ if isinstance(o, types.FunctionType) else type(o).__module__
+    return str(module).startswith("skewbench")
+ours = sorted({repr(o if isinstance(o, types.FunctionType) else type(o)) for o in gc.garbage if made_by_skewbench(o)})
+print(status, len(gc.garbage), ours, file=sys.stderr)
+"""
+
+CYCLE_FREE_CASES = {
+    **{command: (argv, 0) for command, (argv, _) in COMMAND_LAYERS.items()},
+    "search enum": (["search", "--family", "enum", "--max-size", "12", "--property", "symmetric", "--negate"], 0),
+    "derive n5": (["derive", "{n5.alg}"], 1),
+}
+
+
+@pytest.mark.parametrize("argv,status", CYCLE_FREE_CASES.values(), ids=CYCLE_FREE_CASES.keys())
+def test_a_command_leaves_no_cyclic_garbage_of_its_own(tmp_path, pf22, n5, argv, status):
+    """``main`` runs with the collector off, so the workbench must free its
+    memory by reference counting: a collection after the command finds
+    argparse's cycles, made once per process, and nothing of skewbench."""
+    _write_inputs(tmp_path, pf22, n5)
+    (tmp_path / "chain2.pos").write_text("points: p q\nleq:\n1 1\n0 1\n")
+    proc = _run_python("-c", _MAIN_THEN_CYCLIC_GARBAGE, *_with_paths(tmp_path, argv))
+    assert proc.returncode == 0, proc.stderr
+    returned, garbage, ours = proc.stderr.decode().splitlines()[-1].split(" ", 2)
+    assert (int(returned), ours) == (status, "[]")
+    assert int(garbage) > 0
 
 
 ENTRY_POINT_CASES = {

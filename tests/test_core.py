@@ -95,6 +95,28 @@ class TestMakeAlgebra:
         A = make_algebra(["a", "b"], meet, np.array([[0, 1], [1, 1]], dtype=np.uint8))
         assert A.meet.tolist() == [[0, 0], [0, 1]] and A.join.tolist() == [[0, 1], [1, 1]]
 
+    @pytest.mark.parametrize(
+        "constants,message",
+        [
+            ({"top": 1.9, "bottom": 0}, "top: 1.9"),
+            ({"top": 1, "bottom": 0.2}, "bottom: 0.2"),
+            ({"top": True}, "top: True"),
+            ({"bottom": np.bool_(False)}, "bottom: False"),
+        ],
+        ids=["float top", "float bottom", "bool top", "numpy bool bottom"],
+    )
+    def test_a_constant_neither_name_nor_index_is_refused(self, constants, message):
+        # the cell rule of the tables: never truncated, and a bool is no index
+        with pytest.raises(MalformedTable, match=rf"^{re.escape(message)} is not an element name or index$"):
+            make_algebra(["0", "1"], [[0, 0], [0, 1]], [[0, 1], [1, 1]], **constants)
+
+    @pytest.mark.parametrize(
+        "top,bottom", [(1, 0), (np.int64(1), np.uint8(0)), ("1", "0")], ids=["int", "numpy int", "name"]
+    )
+    def test_a_constant_is_an_index_or_a_name(self, top, bottom):
+        A = make_algebra(["0", "1"], [[0, 0], [0, 1]], [[0, 1], [1, 1]], top=top, bottom=bottom)
+        assert (A.top, A.bottom) == (1, 0) and type(A.top) is int and type(A.bottom) is int
+
     def test_bad_top_rejected(self):
         # declared top a where a∨1 = 1 violates x∨top = top
         meet = [[0, 1, 2], [1, 1, 2], [2, 2, 2]]

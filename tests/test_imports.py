@@ -85,3 +85,58 @@ def test_the_check_sees_an_unused_import(tmp_path):
         "    return np\n"
     )
     assert _unused_imports(bad) == ["line 3: leq_matrix", "line 7: os"]
+
+
+def _scope_functions(func) -> list:
+    """The functions defined in ``func``'s own scope, not in a nested one."""
+    found, stack = [], list(func.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found.append(node)
+        elif not isinstance(node, (ast.ClassDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def _closure_cycles(path: Path) -> list[str]:
+    """The nested functions that name themselves or a function nested
+    beside them.  Such a function holds the cell of its own name, or of a
+    sibling's, so each call of the outer function leaves a reference cycle
+    that only the cyclic collector frees, and the CLI runs without it."""
+    found = []
+    for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            nested = _scope_functions(func)
+            names = {f.name for f in nested}
+            for f in nested:
+                named = {node.id for node in ast.walk(f) if isinstance(node, ast.Name)} & names
+                found += [(f.lineno, f"{func.name}.{f.name} names {name}") for name in sorted(named)]
+    return [f"line {line}: {text}" for line, text in sorted(found)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_nested_function_makes_a_closure_cycle(path):
+    assert _closure_cycles(path) == []
+
+
+def test_the_check_sees_a_closure_cycle(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "def parse(tokens):\n"
+        "    def atom():\n"
+        "        return term() if tokens else 0\n"
+        "    def term():\n"
+        "        return atom()\n"
+        "    if tokens:\n"
+        "        def walk(t):\n"
+        "            return [walk(c) for c in t]\n"
+        "    def leaf():\n"
+        "        return tokens\n"
+        "    return term(), walk(tokens), leaf(), sorted(tokens, key=lambda t: leaf())\n"
+    )
+    assert _closure_cycles(bad) == [
+        "line 2: parse.atom names term",
+        "line 4: parse.term names atom",
+        "line 7: parse.walk names walk",
+    ]
