@@ -21,8 +21,9 @@ import gc
 import os
 import re
 import sys
+from collections import deque
 from functools import partial
-from itertools import repeat
+from itertools import islice, repeat
 from typing import TYPE_CHECKING
 
 # Only light stdlib modules and ``errors`` load here: every refusal of a bad
@@ -189,8 +190,9 @@ def parse_poset_file(text: str) -> Poset:
 # Reports
 
 
-# Plain classes rather than dataclasses: importing ``dataclasses`` (and
-# ``inspect`` with it) would cost every refused request about 12 ms.
+# Plain mutable classes, not ``core.Record``s: ``core`` loads numpy, which a
+# refused request never does.  Nothing on a command's path is a dataclass,
+# whose definition ``exec``s each generated method in every process.
 
 
 class ReportEntry:
@@ -475,11 +477,29 @@ def _cmd_verify(args, report: Report) -> None:
     report.settle()
 
 
-def _search_eval(prop_name: str, negate: bool, alg: Algebra):
-    from .properties import property_result
+_CHUNK = 4  # search instances per task of a --jobs worker
+_WINDOW = 2  # tasks built and in flight per worker
 
-    res = property_result(alg, prop_name)
+
+def _search_eval(verdict, prop_name: str, negate: bool, alg: Algebra):
+    res = verdict(alg, prop_name)
     return res.holds != negate, res.witness, res.detail
+
+
+def _search_chunk(evaluate, algebras: list) -> list:
+    return [evaluate(alg) for alg in algebras]
+
+
+def _pool_map(pool, evaluate, algebras, jobs: int):
+    """``evaluate`` over ``algebras`` in order, on ``pool``'s workers.  An
+    instance is built when its chunk is submitted, and at most ``_WINDOW``
+    chunks per worker are in flight, so a reader that stops at a hit leaves
+    one window of built instances behind, not the whole stream."""
+    chunks = iter(lambda: list(islice(algebras, _CHUNK)), [])
+    pending = deque(pool.submit(_search_chunk, evaluate, c) for c in islice(chunks, _WINDOW * jobs))
+    while pending:
+        yield from pending.popleft().result()
+        pending.extend(pool.submit(_search_chunk, evaluate, c) for c in islice(chunks, 1))
 
 
 def _first_hit(results):
@@ -495,6 +515,7 @@ def _cmd_search(args, report: Report) -> None:
         )
     check_size("the largest search instance", [[args.max_size]], args.bound)
     from .models import search_family
+    from .properties import property_result  # before --jobs workers fork, so that they inherit it
 
     seen: list[tuple[str, tuple[str, ...]]] = []  # (label, element names) per instance
 
@@ -503,13 +524,16 @@ def _cmd_search(args, report: Report) -> None:
             seen.append((label, alg.names))
             yield alg
 
-    evaluate = partial(_search_eval, args.property, args.negate)
+    evaluate = partial(_search_eval, property_result, args.property, args.negate)
     if args.jobs > 1:
         # imported here: it loads multiprocessing, which no other command needs
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            found = _first_hit(pool.map(evaluate, instances(), chunksize=4))
+        pool = ProcessPoolExecutor(max_workers=args.jobs)
+        try:
+            found = _first_hit(_pool_map(pool, evaluate, instances(), args.jobs))
+        finally:
+            pool.shutdown(cancel_futures=True)
     else:
         found = _first_hit(map(evaluate, instances()))
     target = f"not:{args.property}" if args.negate else args.property

@@ -8,13 +8,13 @@ from them here are built on first use and cached on the algebra: ≤
 its projection (:func:`lattice_image`).  Algebra values are immutable
 (cached arrays are read-only) and every function here is pure, so values
 may be shared freely between threads.  :class:`CheckResult` is the verdict
-of every check in the workbench.
+of every check in the workbench, and :class:`Record` the base of every
+record type.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,8 +36,63 @@ def _freeze(arr: np.ndarray, dtype=_DTYPE) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class Record:
+    """The base of the workbench's immutable records.
+
+    A record lists its fields in ``__slots__``, in constructor order (a
+    ``__weakref__`` or ``__dict__`` slot may follow them), and its
+    ``__init__`` stores them with :meth:`_init`.  Assigning or deleting an
+    attribute raises ``AttributeError``; two records are equal, and hash
+    alike, when they have the same class and the same :meth:`_key`, by
+    default every field.  Pickling and :meth:`replace` go through the
+    fields.  Defining a subclass runs no generated code, unlike a dataclass,
+    which ``exec``s each of its methods in every process.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._fields = tuple(f for f in cls.__slots__ if not f.startswith("__"))
+
+    def _init(self, *values) -> None:
+        for field, value in zip(self._fields, values):
+            object.__setattr__(self, field, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __getstate__(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __setstate__(self, state: tuple) -> None:
+        self._init(*state)
+
+    def _key(self) -> tuple:
+        return self.__getstate__()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields if not f.startswith("_"))
+        return f"{type(self).__qualname__}({fields})"
+
+    def replace(self, **changes):
+        """A copy with ``changes`` to some fields, built by the constructor."""
+        return type(self)(**{**dict(zip(self._fields, self.__getstate__())), **changes})
+
+
+class CheckResult(Record):
     """The verdict of one universally quantified check: whether it holds,
     the first failing witness (element indices, after an operation name for
     a congruence) or None, the tuples covered, and for an identity both
@@ -47,15 +102,26 @@ class CheckResult:
     identity engine computed, or the table cells a decider compared.  It is
     left out of equality and of reports."""
 
-    name: str
-    holds: bool
-    witness: tuple | None
-    checked: int
-    lhs_value: object = None
-    rhs_value: object = None
-    detail: str = ""
-    skipped: bool = False
-    evaluated: int = field(default=0, compare=False)
+    __slots__ = (
+        "name", "holds", "witness", "checked", "lhs_value", "rhs_value", "detail", "skipped", "evaluated"
+    )
+
+    def __init__(
+        self,
+        name: str,
+        holds: bool,
+        witness: tuple | None,
+        checked: int,
+        lhs_value: object = None,
+        rhs_value: object = None,
+        detail: str = "",
+        skipped: bool = False,
+        evaluated: int = 0,
+    ):
+        self._init(name, holds, witness, checked, lhs_value, rhs_value, detail, skipped, evaluated)
+
+    def _key(self) -> tuple:
+        return self.__getstate__()[:-1]  # all but evaluated
 
     @property
     def verdict(self) -> str:
@@ -81,8 +147,7 @@ def first_true(mask) -> tuple[int, ...] | None:
     return tuple(int(v) for v in np.unravel_index(int(mask.argmax()), mask.shape))
 
 
-@dataclass(frozen=True, eq=False)
-class Algebra:
+class Algebra(Record):
     """A finite algebra with total meet and join tables, an optional arrow
     table, and optional distinguished top and bottom elements.
 
@@ -97,13 +162,20 @@ class Algebra:
     :meth:`with_arrow` and :meth:`drop_arrow` share it.
     """
 
-    names: tuple[str, ...]
-    meet: np.ndarray
-    join: np.ndarray
-    arrow: np.ndarray | None = None
-    top: int | None = None
-    bottom: int | None = None
-    _facts: dict = field(default_factory=dict, repr=False, compare=False, kw_only=True)
+    __slots__ = ("names", "meet", "join", "arrow", "top", "bottom", "_facts", "__weakref__")
+
+    def __init__(
+        self,
+        names: tuple[str, ...],
+        meet: np.ndarray,
+        join: np.ndarray,
+        arrow: np.ndarray | None = None,
+        top: int | None = None,
+        bottom: int | None = None,
+        *,
+        _facts: dict | None = None,
+    ):
+        self._init(names, meet, join, arrow, top, bottom, {} if _facts is None else _facts)
 
     @property
     def n(self) -> int:
@@ -122,10 +194,7 @@ class Algebra:
         return ops
 
     def with_arrow(self, arrow) -> "Algebra":
-        table = _coerce_table(arrow, self.names, "arrow")
-        return Algebra(
-            self.names, self.meet, self.join, table, self.top, self.bottom, _facts=self._facts
-        )
+        return self.replace(arrow=_coerce_table(arrow, self.names, "arrow"))
 
     def cached(self, key: str, compute):
         """The derived fact ``key``, computed by ``compute()`` on first use.
@@ -140,9 +209,7 @@ class Algebra:
     def drop_arrow(self) -> "Algebra":
         if self.arrow is None:
             return self
-        return Algebra(
-            self.names, self.meet, self.join, None, self.top, self.bottom, _facts=self._facts
-        )
+        return self.replace(arrow=None)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Algebra):
@@ -329,12 +396,13 @@ def natural_orders(A: Algebra) -> tuple[np.ndarray, np.ndarray]:
 # Partitions and Green's relations
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Record):
     """Equivalence partition of a carrier; blocks are sorted by least member."""
 
-    blocks: tuple[tuple[int, ...], ...]
-    block_of: tuple[int, ...]
+    __slots__ = ("blocks", "block_of")
+
+    def __init__(self, blocks: tuple[tuple[int, ...], ...], block_of: tuple[int, ...]):
+        self._init(blocks, block_of)
 
     @property
     def n(self) -> int:
@@ -462,20 +530,20 @@ def is_congruence(A: Algebra, partition: Partition) -> CheckResult:
     return CheckResult("congruence", True, None, 0)
 
 
-@dataclass(frozen=True, eq=False)
-class HomMap:
+class HomMap(Record):
     """Total map between algebras that preserves the shared operations and
-    any constants declared on both sides; validated at construction."""
+    any constants declared on both sides; validated at construction.  Equal
+    only to itself."""
 
-    source: Algebra
-    target: Algebra
-    mapping: tuple[int, ...]
+    __slots__ = ("source", "target", "mapping")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
-        src, tgt = self.source, self.target
-        if len(self.mapping) != src.n:
+    def __init__(self, source: Algebra, target: Algebra, mapping: tuple[int, ...]):
+        src, tgt = source, target
+        if len(mapping) != src.n:
             raise ValueError("mapping length does not match source carrier")
-        mp = np.array(self.mapping)
+        mp = np.array(mapping)
         if mp.size and not (0 <= mp.min() and mp.max() < tgt.n):
             raise ValueError("mapping hits elements outside the target carrier")
         pairs = [("meet", src.meet, tgt.meet), ("join", src.join, tgt.join)]
@@ -485,10 +553,11 @@ class HomMap:
             bad = first_true(mp[ts] != tt[np.ix_(mp, mp)])
             if bad is not None:
                 raise ValueError(f"map does not preserve {label} at ({bad[0]}, {bad[1]})")
-        if src.top is not None and tgt.top is not None and self.mapping[src.top] != tgt.top:
+        if src.top is not None and tgt.top is not None and mapping[src.top] != tgt.top:
             raise ValueError("map does not preserve top")
-        if src.bottom is not None and tgt.bottom is not None and self.mapping[src.bottom] != tgt.bottom:
+        if src.bottom is not None and tgt.bottom is not None and mapping[src.bottom] != tgt.bottom:
             raise ValueError("map does not preserve bottom")
+        self._init(source, target, mapping)
 
     def is_bijective(self) -> bool:
         return self.source.n == self.target.n and len(set(self.mapping)) == self.source.n

@@ -15,27 +15,31 @@ through c∧a ≤ b ⇔ c ≤ a→b, which in a lattice admits one arrow only, a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import Algebra, first_true, leq_matrix, minimal_elements, skipped_result
+from .core import Algebra, Record, first_true, leq_matrix, minimal_elements, skipped_result
 from .errors import AmbiguousDiff, InconsistencyDetected
 
 if TYPE_CHECKING:
     from .properties import PropertyReport
 
 
-@dataclass(frozen=True)
-class ArrowResult:
+class ArrowResult(Record):
     """Arrow or dual difference table, or absence with the offending pair
     and, for an arrow, its maximal candidates (two or more incomparable
     maxima witness non-distributivity)."""
 
-    table: np.ndarray | None
-    offending: tuple[int, int] | None = None
-    maximal: tuple[int, ...] = ()
+    __slots__ = ("table", "offending", "maximal")
+
+    def __init__(
+        self,
+        table: np.ndarray | None,
+        offending: tuple[int, int] | None = None,
+        maximal: tuple[int, ...] = (),
+    ):
+        self._init(table, offending, maximal)
 
     def __bool__(self) -> bool:
         return self.table is not None

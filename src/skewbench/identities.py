@@ -102,11 +102,10 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import CheckResult, leq_matrix, maximal_elements, minimal_elements
+from .core import CheckResult, Record, leq_matrix, maximal_elements, minimal_elements
 
 _BOX = 1 << 16  # tuples per evaluation box
 
@@ -170,14 +169,13 @@ _RELS = {"=": "eq", "≤": "leq", "⪯": "pre"}
 _TOKEN = re.compile(r"∖∖|\S")
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(Record):
     """A single universally quantified (in)equation."""
 
-    name: str
-    arity: int
-    lhs: object
-    rhs: object
+    __slots__ = ("name", "arity", "lhs", "rhs")
+
+    def __init__(self, name: str, arity: int, lhs: object, rhs: object):
+        self._init(name, arity, lhs, rhs)
 
 
 class _Parser:
@@ -261,8 +259,7 @@ def bind(A, **ops) -> dict:
     return tables
 
 
-@dataclass(frozen=True)
-class _Plan:
+class _Plan(Record):
     """The nodes of ``lhs != rhs``, each distinct subterm once, children
     first: ``(op, a, b, uses)`` with ``a``/``b`` the operand nodes (the
     variable for ``"v"``, the constant for ``"c"``) and ``uses`` the bit set
@@ -271,11 +268,17 @@ class _Plan:
     ``frontier`` the nodes without it that one of ``rest`` reads, constants
     left out; the last node is the mask."""
 
-    nodes: tuple
-    variables: tuple[int, ...]
-    free: tuple[int, ...]
-    frontier: tuple[int, ...]
-    rest: tuple[int, ...]
+    __slots__ = ("nodes", "variables", "free", "frontier", "rest")
+
+    def __init__(
+        self,
+        nodes: tuple,
+        variables: tuple[int, ...],
+        free: tuple[int, ...],
+        frontier: tuple[int, ...],
+        rest: tuple[int, ...],
+    ):
+        self._init(nodes, variables, free, frontier, rest)
 
 
 def _visit(term, nodes: list, seen: dict) -> int:
@@ -585,5 +588,5 @@ def run_identity(name: str, tables, algebra=None) -> CheckResult:
         checked += res.checked
         evaluated += res.evaluated
         if not res.holds:
-            return replace(res, name=name, checked=checked, detail=formula, evaluated=evaluated)
+            return res.replace(name=name, checked=checked, detail=formula, evaluated=evaluated)
     return CheckResult(name, True, None, checked, evaluated=evaluated)

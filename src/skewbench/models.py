@@ -31,13 +31,13 @@ imported by the functions that call them, so no section builder loads them;
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
 
 from .core import (
     Algebra,
+    Record,
     direct_product,
     find_isomorphism,
     isomorphism_key,
@@ -89,18 +89,16 @@ def _row_masks(rel) -> tuple[int, ...]:
 # Domain types
 
 
-@dataclass(frozen=True, eq=False)
-class Poset:
+class Poset(Record):
     """Finite poset; the relation matrix is validated at construction."""
 
-    points: tuple[str, ...]
-    leq: np.ndarray
+    __slots__ = ("points", "leq", "__dict__")  # the dict holds the cached masks
 
-    def __post_init__(self):
-        n = len(self.points)
-        rel = np.ascontiguousarray(self.leq, dtype=bool)
+    def __init__(self, points: tuple[str, ...], leq: np.ndarray):
+        n = len(points)
+        rel = np.ascontiguousarray(leq, dtype=bool)
         rel.setflags(write=False)
-        object.__setattr__(self, "leq", rel)
+        self._init(points, rel)
         if rel.shape != (n, n):
             raise BadPoset(f"relation shape {rel.shape} does not match {n} points")
         if not rel.diagonal().all():
@@ -209,19 +207,17 @@ def all_posets(n: int) -> list[Poset]:
     return [seen[k] for k in sorted(seen)]
 
 
-@dataclass(frozen=True)
-class SurjectionModel:
+class SurjectionModel(Record):
     """A surjection from a finite total space onto a plain set or a poset;
     sections of it form the algebras below."""
 
-    total: tuple[str, ...]
-    base: tuple[str, ...] | Poset
-    proj: tuple[int, ...]
+    __slots__ = ("total", "base", "proj")
 
-    def __post_init__(self):
-        if len(self.proj) != len(self.total):
+    def __init__(self, total: tuple[str, ...], base: tuple[str, ...] | Poset, proj: tuple[int, ...]):
+        self._init(total, base, proj)
+        if len(proj) != len(total):
             raise PreconditionFailed("projection length does not match total space")
-        hit = set(self.proj)
+        hit = set(proj)
         if hit != set(range(self.base_size)):
             raise PreconditionFailed("projection is not surjective")
 

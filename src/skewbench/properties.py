@@ -14,14 +14,13 @@ preconditions of the arrow derivation and those of the deciders share it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 import numpy as np
 
 from .core import (
     Algebra,
     CheckResult,
     HomMap,
+    Record,
     direct_product,
     find_isomorphism,
     greens,
@@ -43,8 +42,7 @@ from .identities import GROUPS, bind, run_identity
 from .property_names import PROPERTY_NAMES, SKEW_AXIOMS
 
 
-@dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(Record):
     """Per-property verdicts for one algebra.
 
     Each entry records the property name, a holds/fails/skipped verdict, a
@@ -52,7 +50,10 @@ class PropertyReport:
     reproduces the violation) and the number of tuples scanned.
     """
 
-    entries: tuple[CheckResult, ...]
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[CheckResult, ...]):
+        self._init(entries)
 
     def __getitem__(self, name: str) -> CheckResult:
         for entry in self.entries:
@@ -100,7 +101,7 @@ def failing_skew_axiom(A: Algebra) -> CheckResult | None:
     if skew:
         return None
     axiom = property_result(A, skew.detail)
-    return replace(axiom, detail=f"{axiom.name}: {axiom.detail}")
+    return axiom.replace(detail=f"{axiom.name}: {axiom.detail}")
 
 
 def _quasi_distributive(A: Algebra) -> CheckResult:

@@ -18,13 +18,12 @@ A/L and A/R are derived the same way, on the cached S/D where they equal it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import (
     Algebra,
     CheckResult,
+    Record,
     first_true,
     greens,
     is_congruence,
@@ -57,12 +56,13 @@ def upset_at(A: Algebra, u: int) -> np.ndarray:
     return np.flatnonzero(leq_matrix(A)[u])
 
 
-@dataclass(frozen=True)
-class DeriveResult:
+class DeriveResult(Record):
     """Derived arrow table, with the members of every upset for reuse."""
 
-    table: np.ndarray
-    upsets: tuple[np.ndarray, ...]
+    __slots__ = ("table", "upsets")
+
+    def __init__(self, table: np.ndarray, upsets: tuple[np.ndarray, ...]):
+        self._init(table, upsets)
 
 
 def _require_costrong_with_top(A: Algebra) -> None:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import skewbench
-from skewbench import errors
+from skewbench import cli, errors, models
 from skewbench.cli import (
     emit_algebra_file,
     emit_report,
@@ -626,11 +626,16 @@ def test_python_m_skewbench_runs_the_cli():
     assert "numpy" not in _imported_modules(proc.stderr)
 
 
-def _imported_modules(importtime_log: bytes) -> set[str]:
-    """The modules named by ``python -X importtime``'s log on stderr."""
+def _import_log(importtime_log: bytes) -> list[str]:
+    """The modules named by ``python -X importtime``'s log on stderr, once
+    per import in each process that writes to it."""
     prefix = b"import time:"
     lines = (line for line in importtime_log.splitlines() if line.startswith(prefix))
-    return {line.rsplit(b"|", 1)[-1].strip().decode() for line in lines}
+    return [line.rsplit(b"|", 1)[-1].strip().decode() for line in lines]
+
+
+def _imported_modules(importtime_log: bytes) -> set[str]:
+    return set(_import_log(importtime_log))
 
 
 _CHECK_LAYERS = {"core", "identities", "property_names", "properties"}
@@ -659,8 +664,10 @@ def test_each_command_loads_only_its_layers(tmp_path, pf22, command):
     argv, layers = COMMAND_LAYERS[command]
     proc = _run_python("-X", "importtime", "-m", "skewbench", *_with_paths(tmp_path, argv))
     assert proc.returncode == 0, proc.stdout
-    loaded = {m.split(".", 1)[1] for m in _imported_modules(proc.stderr) if m.startswith("skewbench.")}
+    modules = _imported_modules(proc.stderr)
+    loaded = {m.split(".", 1)[1] for m in modules if m.startswith("skewbench.")}
     assert loaded == {"cli", "errors"} | layers
+    assert "dataclasses" not in modules  # its records would exec code in every process
 
 
 @pytest.mark.parametrize("module", ["skewbench", "skewbench.cli"])
@@ -893,6 +900,34 @@ def test_entry_point_writes_what_run_command_returns(tmp_path, pf22, n5, argv, s
     proc = _run_python("-m", "skewbench", *argv, env=_unpinned_env())
     assert (proc.returncode, proc.stdout) == run_command(argv)
     assert proc.returncode == status
+
+
+def test_jobs_workers_import_no_layer_of_their_own():
+    """The parent loads every layer a search evaluates before the pool
+    forks, so no worker compiles one again."""
+    argv = ["--jobs", "2", "search", "--family", "pfn", "--max-size", "16", "--property", "symmetric", "--negate"]
+    proc = _run_python("-X", "importtime", "-m", "skewbench", *argv)
+    assert proc.returncode == 0, proc.stdout
+    ours = [m for m in _import_log(proc.stderr) if m.startswith("skewbench.")]
+    assert "skewbench.properties" in ours and len(ours) == len(set(ours))
+
+
+def test_a_jobs_search_that_hits_at_once_builds_one_window(monkeypatch):
+    """pfn(1,1) is normal, so the search stops at its first instance and
+    builds no more than the chunks it had in flight."""
+    built = []
+    stream = models.search_family
+
+    def counted(family, max_size):
+        for label, alg in stream(family, max_size):
+            built.append(label)
+            yield label, alg
+
+    monkeypatch.setattr(models, "search_family", counted)
+    argv = ["--jobs", "2", "search", "--family", "pfn", "--max-size", "400", "--property", "normal"]
+    code, out = run_command(["--format", "machine", *argv])
+    assert code == 1 and b"name=search verdict=fails checked=1 " in out
+    assert 1 <= len(built) <= cli._CHUNK * cli._WINDOW * 2
 
 
 def test_search_jobs_through_the_entry_point():

@@ -1,3 +1,4 @@
+import pickle
 import re
 
 import numpy as np
@@ -21,7 +22,7 @@ from skewbench import (
     quotient,
     vertical_dual,
 )
-from skewbench import cli, core, skew_heyting
+from skewbench import cli, core, heyting, identities, properties, skew_heyting
 from skewbench.core import CheckResult, first_true, skipped_result
 from skewbench.errors import (
     BadConstant,
@@ -31,7 +32,7 @@ from skewbench.errors import (
     TooLarge,
 )
 from skewbench.identities import bind, named_check, values_at
-from skewbench.models import SurjectionModel, partial_function_algebra, search_family, sections_algebra
+from skewbench.models import Poset, SurjectionModel, partial_function_algebra, search_family, sections_algebra
 
 from conftest import shuffle_algebra
 
@@ -352,6 +353,81 @@ class TestCheckResult:
         assert first_true(mask) == (1, 3, 2)
         assert all(type(v) is int for v in first_true(mask))
         assert first_true([False, True]) == (1,)
+
+
+def _records(A):
+    """One record of each type, the algebra ``A`` among them."""
+    check = named_check("SH1")
+    result = CheckResult("x", False, (0, 1), 4, 1, 2, detail="d", evaluated=7)
+    return [
+        result,
+        A,
+        Partition.singletons(3),
+        quotient(A, Partition.singletons(A.n))[1],
+        check,
+        identities._plan(check),
+        Poset.chain(3),
+        SurjectionModel.from_fiber_sizes(("p", "q"), (2, 1)),
+        heyting.ArrowResult(None, (0, 1), (2, 3)),
+        properties.PropertyReport((result,)),
+        skew_heyting.DeriveResult(np.zeros((2, 2)), ()),
+    ]
+
+
+class TestRecords:
+    """The records keep the contract of the frozen dataclasses they replace."""
+
+    def test_fields_cannot_be_assigned_or_deleted(self, pf22):
+        for record in _records(pf22):
+            field = record._fields[0]
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+            with pytest.raises(AttributeError):
+                delattr(record, field)
+            with pytest.raises(AttributeError):
+                record.extra = 1
+
+    def test_pickling_keeps_every_field(self, pf22):
+        leq_matrix(pf22)
+        for record in _records(pf22):
+            copy = pickle.loads(pickle.dumps(record))
+            assert type(copy) is type(record)
+            for field in record._fields:
+                assert pickle.dumps(getattr(copy, field)) == pickle.dumps(getattr(record, field))
+        copy = pickle.loads(pickle.dumps(pf22))
+        assert copy == pf22 and "leq" in copy._facts and copy._facts.keys() == pf22._facts.keys()
+
+    def test_equality_and_hashing(self, pf22):
+        res = CheckResult("x", False, (0, 1), 4, 1, 2, detail="d", evaluated=7)
+        same = CheckResult("x", False, (0, 1), 4, 1, 2, detail="d")
+        assert res == same and hash(res) == hash(same)
+        assert res != same.replace(checked=5) and res != ("x", False, (0, 1), 4, 1, 2, "d", False)
+        assert identities.parse("x→x=1", "SH1") == named_check("SH1")
+        assert hash(identities.parse("x→x=1", "SH1")) == hash(named_check("SH1"))
+        assert pf22 == partial_function_algebra(2, 2) and Poset.chain(3) == Poset.chain(3)
+        for unhashable in (pf22, Poset.chain(3)):
+            with pytest.raises(TypeError):
+                hash(unhashable)
+        maps = [quotient(pf22, Partition.singletons(pf22.n))[1] for _ in range(2)]
+        assert maps[0] == maps[0] and maps[0] != maps[1] and len({*maps}) == 2
+
+    def test_replace_builds_a_copy_through_the_constructor(self, pf22):
+        res = CheckResult("x", False, (0, 1), 4, detail="d")
+        assert res.replace(detail="e") == CheckResult("x", False, (0, 1), 4, detail="e")
+        assert res.detail == "d"
+        with pytest.raises(TypeError):
+            res.replace(nosuch=1)
+        copy = pf22.replace(top=None)
+        assert copy.top is None and copy._facts is pf22._facts
+        with pytest.raises(ValueError):
+            quotient(pf22, Partition.singletons(pf22.n))[1].replace(mapping=(pf22.n,) * pf22.n)
+
+    def test_repr_names_the_public_fields(self):
+        assert repr(CheckResult("x", True, None, 4)) == (
+            "CheckResult(name='x', holds=True, witness=None, checked=4, lhs_value=None, "
+            "rhs_value=None, detail='', skipped=False, evaluated=0)"
+        )
+        assert repr(Partition.singletons(2)) == "Partition(blocks=((0,), (1,)), block_of=(0, 1))"
 
 
 class TestVerticalDual:

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import itertools
 import tracemalloc
@@ -561,7 +560,7 @@ class TestImageEngine:
         res = run_identity("absorption", tables)
         parts = [run_identity(f, tables) for f in GROUPS["absorption"]]
         assert res.evaluated == sum(p.evaluated for p in parts) > 0
-        assert res == dataclasses.replace(res, evaluated=0)
+        assert res == res.replace(evaluated=0)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,6 +1,7 @@
 """No module of the package imports a private name from another: a helper
 that two modules need is public in one of them, or lives where it is used.
-And every name a module imports is referenced in it."""
+Every name a module imports is referenced in it, and no module imports
+``dataclasses``."""
 
 import ast
 from pathlib import Path
@@ -36,6 +37,39 @@ def test_the_check_sees_a_private_import(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text("def f():\n    from .heyting import _arrow_by_candidates\n")
     assert _private_imports(bad) == ["line 2: from .heyting import _arrow_by_candidates"]
+
+
+def _dataclass_imports(path: Path) -> list[str]:
+    """The imports of ``dataclasses``.  Defining a dataclass ``exec``s each
+    of its generated methods, in every process that loads the module, so
+    the records derive from ``core.Record`` instead."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [f"line {node.lineno}: {m}" for m in modules if m.split(".")[0] == "dataclasses"]
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_dataclass_import(path):
+    assert _dataclass_imports(path) == []
+
+
+def test_the_check_sees_a_dataclass_import(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "from dataclasses import dataclass, replace\n"
+        "from .core import Record\n"
+        "def f(r):\n"
+        "    import dataclasses as dc, os\n"
+        "    return dc.replace(r)\n"
+    )
+    assert _dataclass_imports(bad) == ["line 1: dataclasses", "line 4: dataclasses"]
 
 
 def _annotations(tree: ast.AST):
