@@ -5,9 +5,10 @@ tuple.  Operation tables are the single source of truth.  The facts derived
 from them here are built on first use and cached on the algebra: ≤
 (:func:`leq_matrix`), ⪯ (:func:`preceq_matrix`), Green's relations
 (:func:`greens`), the partition ⪯ ∩ ⪰ (:func:`d_partition`) and S/D with
-its projection (:func:`lattice_image`).  Algebra values are immutable
-(cached arrays are read-only) and every function here is pure, so values
-may be shared freely between threads.  :class:`CheckResult` is the verdict
+its projection (:func:`lattice_image`), where S/D is not the algebra
+itself.  Algebra values are immutable (cached arrays are read-only) and
+every function here is pure, so values may be shared freely between
+threads.  :class:`CheckResult` is the verdict
 of every check in the workbench, and :class:`Record` the base of every
 record type.
 """
@@ -156,10 +157,13 @@ class Algebra(Record):
     and the constant laws (algebraic laws such as associativity are opt-in
     classifications, so that non-examples can be held and dissected).
 
-    ``_facts`` caches facts derived from the tables but the arrow: ≤, ⪯,
-    Green's relations, ⪯ ∩ ⪰, S/D, the derived arrow, the named properties
-    and the isomorphism key.  It takes no part in equality or the repr, and
-    :meth:`with_arrow` and :meth:`drop_arrow` share it.
+    ``_facts`` caches facts derived from the meet and join tables: ≤, ⪯,
+    Green's relations, ⪯ ∩ ⪰, S/D where it is a quotient, the derived
+    arrow, the verdicts of the formulas of ∧ and ∨ alone and the
+    isomorphism key.  It takes no part in equality or the repr.
+    :meth:`with_arrow`, :meth:`drop_arrow` and every :meth:`replace` that
+    keeps meet and join share it; a copy given a meet or join starts its
+    own.
     """
 
     __slots__ = ("names", "meet", "join", "arrow", "top", "bottom", "_facts", "__weakref__")
@@ -210,6 +214,11 @@ class Algebra(Record):
         if self.arrow is None:
             return self
         return self.replace(arrow=None)
+
+    def replace(self, **changes) -> "Algebra":
+        if {"meet", "join"} & changes.keys():
+            changes.setdefault("_facts", None)
+        return super().replace(**changes)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Algebra):
@@ -601,8 +610,14 @@ def quotient(A: Algebra, partition: Partition) -> tuple[Algebra, HomMap]:
 def lattice_image(A: Algebra) -> tuple[Algebra, np.ndarray]:
     """The maximal lattice image S/D of the arrowless reduct of ``A``, the
     quotient by :func:`d_partition`, with its projection as a read-only
-    index array (a ``HomMap`` would tie the cache to itself).  Cached;
-    raises as :func:`d_partition` and :func:`quotient` do."""
+    index array (a ``HomMap`` would tie the cache to itself).  Where ``A``
+    is commutative and D trivial, as on a lattice, S/D is ``A``'s own
+    arrowless reduct, which shares its facts, with the identity projection,
+    and is not stored: it would hold the facts that hold it.  Otherwise
+    cached; raises as :func:`d_partition` and :func:`quotient` do."""
+    commutative = np.array_equal(A.meet, A.meet.T) and np.array_equal(A.join, A.join.T)
+    if commutative and d_partition(A).num_blocks == A.n:
+        return A.drop_arrow(), _freeze(np.arange(A.n))
 
     def build():
         Q, hom = quotient(A.drop_arrow(), d_partition(A))

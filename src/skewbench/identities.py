@@ -21,8 +21,8 @@ identity, add its formula to the group it belongs to, or a new group or
 name, and ask for it with :func:`run_identity` by that name.
 
 Deciders.  Five formulas have a decider, a decision procedure with a
-theorem behind it, registered in :data:`DECIDERS` with the properties it
-needs, which :func:`decide` asks :func:`properties.property_result` for.
+theorem behind it, registered in :data:`DECIDERS` with the groups it needs,
+which :func:`decide` runs through :func:`run_identity` on the algebra.
 A decider is a pure function of the algebra and the tables, and reads only
 maximal local lattices: ↑m for ≤-minimal m and ↓M for ≤-maximal M.  Every
 ↑x lies inside some ↑m and every ↓x inside some ↓M, and a law that holds
@@ -51,6 +51,12 @@ verdict: ``checked`` is n^k and ``evaluated`` the cells compared.  Where it
 cannot, the formula is scanned, so every failing verdict and witness is the
 scan's.  The formula stays the definition, and its scan the oracle for the
 decider.
+
+Verdicts.  The verdict of a formula of ∧ and ∨ alone, decided or scanned,
+is cached on the algebra it is run for (:func:`run_identity`), so it is
+computed once per algebra and its copies that keep meet and join; this is
+the one cache of verdicts.  A formula that reads an arrow, a difference, a
+relation or a constant is run afresh, since those copies may differ there.
 
 Evaluation.  A term parses to nested tuples over variable positions: an
 ``int`` is a variable, ``("c", k)`` the constant ``k``, ``(op, s, t)``
@@ -106,6 +112,7 @@ import re
 import numpy as np
 
 from .core import CheckResult, Record, leq_matrix, maximal_elements, minimal_elements
+from .property_names import SKEW_AXIOMS
 
 _BOX = 1 << 16  # tuples per evaluation box
 
@@ -533,11 +540,10 @@ def _arrow_meets_on_minimal_upsets(A, tables) -> int | None:
     return cells
 
 
-_SKEW_LATTICE = ("skew-lattice",)
-_DOWNSETS = (_SKEW_LATTICE, _downsets_commute)
-_UPSETS = (_SKEW_LATTICE, _upsets_commute)
+_DOWNSETS = (SKEW_AXIOMS, _downsets_commute)
+_UPSETS = (SKEW_AXIOMS, _upsets_commute)
 
-# formula -> (the properties its algebra must have, its decider); normal and
+# formula -> (the groups its algebra must satisfy, its decider); normal and
 # conormal hold iff one ↓M (↑m) commutes, all of them being isomorphic, and
 # imply the meet (join) half of regular; SH4-prime holds iff the arrow
 # preserves meets on every ↑m
@@ -546,20 +552,18 @@ DECIDERS = {
     GROUPS["regular"][0]: _DOWNSETS,
     GROUPS["conormal"][0]: _UPSETS,
     GROUPS["regular"][1]: _UPSETS,
-    NAMED["SH4-prime"]: (_SKEW_LATTICE + ("co-strongly-distributive",), _arrow_meets_on_minimal_upsets),
+    NAMED["SH4-prime"]: (SKEW_AXIOMS + ("co-strongly-distributive",), _arrow_meets_on_minimal_upsets),
 }
 
 
 def decide(name: str, A, tables) -> CheckResult | None:
     """The verdict the scan gives the check reported as ``name`` (as in
     :func:`named_check`) on ``tables``, bound from ``A``, where ``A`` has
-    every property the formula's decider needs and the decider proves that
+    every group the formula's decider needs and the decider proves that
     the formula holds, with ``evaluated`` the cells the decider compared;
     else None."""
-    from .properties import property_result
-
     needs, decider = DECIDERS.get(NAMED.get(name, name), ((), None))
-    if decider is None or not all(property_result(A, need) for need in needs):
+    if decider is None or not all(run_identity(need, tables, A) for need in needs):
         return None
     cells = decider(A, tables)
     if cells is None:
@@ -569,8 +573,16 @@ def decide(name: str, A, tables) -> CheckResult | None:
 
 
 def _run_formula(name: str, tables, algebra) -> CheckResult:
-    decided = None if algebra is None else decide(name, algebra, tables)
-    return run_check(named_check(name), tables) if decided is None else decided
+    check = named_check(name)
+    if algebra is None:
+        return run_check(check, tables)
+
+    def verdict() -> CheckResult:  # a decided verdict holds, so it is true
+        return decide(name, algebra, tables) or run_check(check, tables)
+
+    if {node[0] for node in _plan(check).nodes} <= {"v", "m", "j", "eq", "ne"}:  # ∧ and ∨ alone
+        return algebra.cached(f"verdict:{name}", verdict)
+    return verdict()
 
 
 def run_identity(name: str, tables, algebra=None) -> CheckResult:
@@ -579,7 +591,8 @@ def run_identity(name: str, tables, algebra=None) -> CheckResult:
 
     ``algebra`` is the algebra ``tables`` are bound from; where it is given,
     a formula of :data:`DECIDERS` is decided where :func:`decide` proves it,
-    and scanned otherwise."""
+    and scanned otherwise, and the verdict of a formula of ∧ and ∨ alone is
+    cached on ``algebra``."""
     if name not in GROUPS:
         return _run_formula(name, tables, algebra)
     checked = evaluated = 0

@@ -96,7 +96,7 @@ class Poset(Record):
 
     def __init__(self, points: tuple[str, ...], leq: np.ndarray):
         n = len(points)
-        rel = np.ascontiguousarray(leq, dtype=bool)
+        rel = np.array(leq, dtype=bool, order="C")  # a copy: the caller's array stays its own
         rel.setflags(write=False)
         self._init(points, rel)
         if rel.shape != (n, n):

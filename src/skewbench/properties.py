@@ -6,10 +6,11 @@ scanned over all element tuples, except that on a skew lattice normal,
 conormal and the halves of regular go first to their deciders
 (:data:`identities.DECIDERS`), which prove a holding law on one maximal
 local lattice, ↓M or ↑m, in at most n² cells; a law they cannot prove is
-scanned, so every witness is the scan's first failing tuple.  Each named
-property is computed at most once per algebra (:func:`property_result`),
-the one cache of verdicts: classification, the co-strong equivalence, the
-preconditions of the arrow derivation and those of the deciders share it.
+scanned, so every witness is the scan's first failing tuple.  Each formula
+of ∧ and ∨ alone is computed at most once per algebra: the one cache of
+verdicts is :func:`identities.run_identity`'s, which classification, the
+co-strong equivalence, the preconditions of the arrow derivation and those
+of the deciders share, on an algebra and on its S/D alike.
 """
 
 from __future__ import annotations
@@ -71,15 +72,12 @@ class PropertyReport(Record):
 def property_result(A: Algebra, name: str) -> CheckResult:
     """The verdict of property ``name`` of :data:`PROPERTY_NAMES` on ``A``.
 
-    Properties read only meet and join, so each is scanned once per algebra
-    and shared by every caller and every copy that keeps the two tables.
+    Properties read only meet and join, so each formula behind them is
+    computed once per algebra (:func:`identities.run_identity`) and shared
+    by every caller and every copy that keeps the two tables.
     """
     if name not in PROPERTY_NAMES:
         raise KeyError(name)
-    return A.cached(f"property:{name}", lambda: _property(A, name))
-
-
-def _property(A: Algebra, name: str) -> CheckResult:
     if name == "quasi-distributive":
         return _quasi_distributive(A)
     if name != "skew-lattice":
@@ -117,7 +115,8 @@ def _quasi_distributive(A: Algebra) -> CheckResult:
     if axiom is not None:
         res, detail = property_result(Q, "skew-lattice"), f"S/D is not a lattice ({axiom.detail})"
     else:  # both distributive laws of the lattice S/D, in their lattice form
-        res, detail = run_identity("lattice-distributive", bind(Q)), "evaluated in S/D on class representatives"
+        res = run_identity("lattice-distributive", bind(Q), Q)
+        detail = "evaluated in S/D on class representatives"
     if res.holds:
         return CheckResult(name, True, None, res.checked)
     reps = tuple(int(np.argmax(project == b)) for b in res.witness)

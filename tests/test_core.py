@@ -222,9 +222,22 @@ class TestFactsCache:
         assert code == 0
         assert len(relations) <= 3
         # the only quotient is S/D, by the cached D; A/L equals it on these
-        # left-handed inputs and A/R is A itself
+        # left-handed inputs and A/R is A itself; pfn(6,1) is a lattice, its
+        # own S/D, and takes no quotient at all
         D = core.d_partition(parsed[0])
-        assert len(partitions) == 1 and partitions[0] is D
+        assert partitions == ([] if y == 1 else [D]) and all(p is D for p in partitions)
+
+    def test_a_lattice_is_its_own_s_mod_d(self):
+        # returned, not stored: a stored reduct would hold the facts that
+        # hold it, a reference cycle
+        A = partial_function_algebra(2, 1)
+        Q, project = lattice_image(A)
+        assert Q == A.drop_arrow() and Q._facts is A._facts and "S/D" not in A._facts
+        assert project.tolist() == list(range(A.n)) and not project.flags.writeable
+        # a trivial D on tables that do not commute is refused, as by quotient
+        B = make_algebra(["a", "b"], [[0, 0], [1, 1]], [[0, 1], [1, 1]])
+        with pytest.raises(NotComposable, match="quotient by D is not commutative"):
+            lattice_image(B)
 
     def test_copies_share_read_only_facts(self, pf22):
         leq = leq_matrix(pf22)
@@ -421,6 +434,18 @@ class TestRecords:
         assert copy.top is None and copy._facts is pf22._facts
         with pytest.raises(ValueError):
             quotient(pf22, Partition.singletons(pf22.n))[1].replace(mapping=(pf22.n,) * pf22.n)
+
+    def test_a_copy_with_other_tables_has_its_own_facts(self, pf22):
+        # swapping meet and join gives the vertical dual's tables, so the
+        # copy has the transposed ≤, and normal on it is conormal on pf22
+        A = partial_function_algebra(2, 1)
+        leq = leq_matrix(A)
+        B = A.replace(meet=A.join, join=A.meet)
+        assert not np.array_equal(leq, leq.T)
+        assert np.array_equal(leq_matrix(B), leq.T)
+        assert np.array_equal(leq_matrix(B), leq_matrix(vertical_dual(A)))
+        assert not properties.property_result(pf22, "normal")
+        assert properties.property_result(pf22.replace(meet=pf22.join, join=pf22.meet), "normal")
 
     def test_repr_names_the_public_fields(self):
         assert repr(CheckResult("x", True, None, 4)) == (

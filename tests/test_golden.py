@@ -131,15 +131,20 @@ WORK_INPUTS = ("pf22", "n5", "chain12", "left_zero_top", "semilattice2", *BUILT)
 WORK_COMMANDS = ("check", "derive", "verify")
 
 
+def _input(stem: str, tmp_dir: Path) -> str:
+    """The path of the algebra file of the work input ``stem``."""
+    path = GOLDEN / f"{stem}.alg"
+    if stem in BUILT:
+        path = tmp_dir / f"{stem}.alg"
+        path.write_text(emit_algebra_file(BUILT[stem]()))
+    return str(path)
+
+
 def _work(command: str, stem: str, tmp_dir: Path) -> str:
     """One line per scan (``identities.run_check``) and per decided verdict
     (``identities.decide`` proving a law) that ``command`` makes on the
     input ``stem``, in call order: the kind, the name, ``checked``,
     ``evaluated`` and the verdict."""
-    path = GOLDEN / f"{stem}.alg"
-    if stem in BUILT:
-        path = tmp_dir / f"{stem}.alg"
-        path.write_text(emit_algebra_file(BUILT[stem]()))
     lines = []
 
     def spy(kind: str, real):
@@ -155,7 +160,7 @@ def _work(command: str, stem: str, tmp_dir: Path) -> str:
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(identities, "run_check", spy("scan", identities.run_check))
         mp.setattr(identities, "decide", spy("decide", identities.decide))
-        run_command([command, str(path)])
+        run_command([command, _input(stem, tmp_dir)])
     return "".join(lines)
 
 
@@ -163,6 +168,23 @@ def _work(command: str, stem: str, tmp_dir: Path) -> str:
 @pytest.mark.parametrize("command", WORK_COMMANDS)
 def test_work(command, stem, tmp_path):
     assert _work(command, stem, tmp_path) == (GOLDEN / f"{command}-{stem}.work").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("stem", WORK_INPUTS)
+@pytest.mark.parametrize("command", WORK_COMMANDS)
+def test_no_meet_join_formula_is_scanned_twice_on_the_same_tables(command, stem, tmp_path, monkeypatch):
+    # its verdict depends on the two tables alone, so one scan of them is
+    # enough, whichever algebra or S/D holds them
+    scans, real = [], identities.run_check
+
+    def spy(check, tables):
+        if not set(identities.NAMED.get(check.name, check.name)) & set("→∖≤⪯01"):
+            scans.append((tables["m"].tobytes(), tables["j"].tobytes(), check.name))
+        return real(check, tables)
+
+    monkeypatch.setattr(identities, "run_check", spy)
+    run_command([command, _input(stem, tmp_path)])
+    assert [key[-1] for i, key in enumerate(scans) if key in scans[:i]] == []
 
 
 @pytest.mark.parametrize("stem", [argv[1][:-4] for _, argv, _ in CASES if argv[0] == "check"])

@@ -1,7 +1,7 @@
 """No module of the package imports a private name from another: a helper
 that two modules need is public in one of them, or lives where it is used.
-Every name a module imports is referenced in it, and no module imports
-``dataclasses``."""
+Every name a module imports is referenced in it, no module imports
+``dataclasses``, and the modules import one another without a cycle."""
 
 import ast
 from pathlib import Path
@@ -70,6 +70,54 @@ def test_the_check_sees_a_dataclass_import(tmp_path):
         "    return dc.replace(r)\n"
     )
     assert _dataclass_imports(bad) == ["line 1: dataclasses", "line 4: dataclasses"]
+
+
+def _relative_imports(path: Path) -> set[str]:
+    """The sibling modules ``path`` imports, at module level or inside a
+    function, outside ``TYPE_CHECKING`` blocks, which never run."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    unchecked = {
+        id(node)
+        for block in ast.walk(tree)
+        if isinstance(block, ast.If) and ast.unparse(block.test) in ("TYPE_CHECKING", "typing.TYPE_CHECKING")
+        for stmt in block.body
+        for node in ast.walk(stmt)
+    }
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and id(node) not in unchecked:
+            found |= {node.module.split(".")[0]} if node.module else {alias.name for alias in node.names}
+    return found
+
+
+def _import_cycles(paths) -> list[tuple[str, ...]]:
+    """The sets of modules that reach one another through imports, each
+    sorted, for every module on a cycle."""
+    graph = {path.stem: _relative_imports(path) for path in paths}
+    reach = {}
+    for start in graph:
+        seen, stack = set(), [start]
+        while stack:
+            for nxt in graph.get(stack.pop(), ()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        reach[start] = seen
+    return sorted({tuple(sorted(m for m in reach[s] if s in reach[m])) for s in graph if s in reach[s]})
+
+
+def test_the_imports_make_no_cycle():
+    assert _import_cycles(SOURCES) == []
+
+
+def test_the_check_sees_an_import_cycle(tmp_path):
+    (tmp_path / "a.py").write_text("from .b import g\ndef f():\n    return g()\n")
+    (tmp_path / "b.py").write_text("def g():\n    from .a import f\n    return f\n")
+    (tmp_path / "c.py").write_text(
+        "from typing import TYPE_CHECKING\nfrom . import a\nif TYPE_CHECKING:\n    from .d import D\n"
+    )
+    (tmp_path / "d.py").write_text("from .c import a\n")
+    assert _import_cycles(sorted(tmp_path.glob("*.py"))) == [("a", "b")]
 
 
 def _annotations(tree: ast.AST):

@@ -279,6 +279,15 @@ class TestUpsetHeyting:
             upset_heyting(Poset.antichain(3), bound=7)
 
 
+class TestPoset:
+    def test_the_relation_is_a_copy(self):
+        leq = np.eye(3, dtype=bool)
+        P = Poset(("a", "b", "c"), leq)
+        assert P.leq is not leq and leq.flags.writeable
+        leq[0, 1] = True
+        assert np.array_equal(P.leq, np.eye(3, dtype=bool)) and not P.leq.flags.writeable
+
+
 class TestPosetSections:
     def test_single_point_base_is_pf12(self, pf12):
         model = SurjectionModel.from_fiber_sizes(Poset.antichain(1), (2,))
