@@ -17,8 +17,6 @@ _HOMES = {
     "Algebra": "core",
     "ArrowResult": "heyting",
     "CheckResult": "core",
-    "DeriveResult": "skew_heyting",
-    "HomMap": "core",
     "Partition": "core",
     "PropertyReport": "properties",
     "adjunction_failure": "heyting",

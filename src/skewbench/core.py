@@ -198,7 +198,7 @@ class Algebra(Record):
         return ops
 
     def with_arrow(self, arrow) -> "Algebra":
-        return self.replace(arrow=_coerce_table(arrow, self.names, "arrow"))
+        return self.replace(arrow=arrow)
 
     def cached(self, key: str, compute):
         """The derived fact ``key``, computed by ``compute()`` on first use.
@@ -216,9 +216,12 @@ class Algebra(Record):
         return self.replace(arrow=None)
 
     def replace(self, **changes) -> "Algebra":
-        if {"meet", "join"} & changes.keys():
-            changes.setdefault("_facts", None)
-        return super().replace(**changes)
+        """A copy built and refused by :func:`make_algebra`; it shares
+        ``_facts`` when it is given neither a meet nor a join."""
+        copy = make_algebra(**{**dict(zip(self._fields[:-1], self.__getstate__())), **changes})
+        if not {"meet", "join"} & changes.keys():
+            object.__setattr__(copy, "_facts", self._facts)
+        return copy
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Algebra):
@@ -539,41 +542,9 @@ def is_congruence(A: Algebra, partition: Partition) -> CheckResult:
     return CheckResult("congruence", True, None, 0)
 
 
-class HomMap(Record):
-    """Total map between algebras that preserves the shared operations and
-    any constants declared on both sides; validated at construction.  Equal
-    only to itself."""
-
-    __slots__ = ("source", "target", "mapping")
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
-
-    def __init__(self, source: Algebra, target: Algebra, mapping: tuple[int, ...]):
-        src, tgt = source, target
-        if len(mapping) != src.n:
-            raise ValueError("mapping length does not match source carrier")
-        mp = np.array(mapping)
-        if mp.size and not (0 <= mp.min() and mp.max() < tgt.n):
-            raise ValueError("mapping hits elements outside the target carrier")
-        pairs = [("meet", src.meet, tgt.meet), ("join", src.join, tgt.join)]
-        if src.arrow is not None and tgt.arrow is not None:
-            pairs.append(("arrow", src.arrow, tgt.arrow))
-        for label, ts, tt in pairs:
-            bad = first_true(mp[ts] != tt[np.ix_(mp, mp)])
-            if bad is not None:
-                raise ValueError(f"map does not preserve {label} at ({bad[0]}, {bad[1]})")
-        if src.top is not None and tgt.top is not None and mapping[src.top] != tgt.top:
-            raise ValueError("map does not preserve top")
-        if src.bottom is not None and tgt.bottom is not None and mapping[src.bottom] != tgt.bottom:
-            raise ValueError("map does not preserve bottom")
-        self._init(source, target, mapping)
-
-    def is_bijective(self) -> bool:
-        return self.source.n == self.target.n and len(set(self.mapping)) == self.source.n
-
-
-def quotient(A: Algebra, partition: Partition) -> tuple[Algebra, HomMap]:
-    """Quotient by a congruence; returns the block algebra and the projection.
+def quotient(A: Algebra, partition: Partition) -> tuple[Algebra, np.ndarray]:
+    """Quotient by a congruence; returns the block algebra and the projection
+    as a read-only index array.
 
     Blocks are named by their members and ordered by least member index so
     that output is deterministic.  When the partition is Green's D the result
@@ -604,26 +575,21 @@ def quotient(A: Algebra, partition: Partition) -> tuple[Algebra, HomMap]:
     if is_d:
         if not (np.array_equal(Q.meet, Q.meet.T) and np.array_equal(Q.join, Q.join.T)):
             raise NotComposable("quotient by D is not commutative; input is not a skew lattice")
-    return Q, HomMap(A, Q, tuple(int(v) for v in bof))
+    return Q, _freeze(bof)
 
 
 def lattice_image(A: Algebra) -> tuple[Algebra, np.ndarray]:
     """The maximal lattice image S/D of the arrowless reduct of ``A``, the
-    quotient by :func:`d_partition`, with its projection as a read-only
-    index array (a ``HomMap`` would tie the cache to itself).  Where ``A``
-    is commutative and D trivial, as on a lattice, S/D is ``A``'s own
-    arrowless reduct, which shares its facts, with the identity projection,
-    and is not stored: it would hold the facts that hold it.  Otherwise
-    cached; raises as :func:`d_partition` and :func:`quotient` do."""
+    quotient by :func:`d_partition`, with its projection, as :func:`quotient`
+    returns them.  Where ``A`` is commutative and D trivial, as on a lattice,
+    S/D is ``A``'s own arrowless reduct, which shares its facts, with the
+    identity projection, and is not stored: it would hold the facts that
+    hold it.  Otherwise cached; raises as :func:`d_partition` and
+    :func:`quotient` do."""
     commutative = np.array_equal(A.meet, A.meet.T) and np.array_equal(A.join, A.join.T)
     if commutative and d_partition(A).num_blocks == A.n:
         return A.drop_arrow(), _freeze(np.arange(A.n))
-
-    def build():
-        Q, hom = quotient(A.drop_arrow(), d_partition(A))
-        return Q, _freeze(hom.mapping)
-
-    return A.cached("S/D", build)
+    return A.cached("S/D", lambda: quotient(A.drop_arrow(), d_partition(A)))
 
 
 def pullback_check(A: Algebra) -> CheckResult:
@@ -700,7 +666,7 @@ def isomorphism_key(A: Algebra) -> tuple:
     return A.cached("isomorphism_key", lambda: (A.n, tuple(sorted(_profiles(A, False)))))
 
 
-def find_isomorphism(A: Algebra, B: Algebra, bound: int = 12) -> HomMap | None:
+def find_isomorphism(A: Algebra, B: Algebra, bound: int = 12) -> np.ndarray | None:
     """Backtracking search for an isomorphism respecting all shared operation
     tables and shared constants.  Intended for desk-scale carriers; raises
     TooLarge beyond ``bound``.
@@ -708,8 +674,10 @@ def find_isomorphism(A: Algebra, B: Algebra, bound: int = 12) -> HomMap | None:
     Algebras whose :func:`isomorphism_key` differ are rejected without a
     search; when both carry an arrow, so are those whose arrow profiles
     differ as multisets.  Elements are then matched only to elements of
-    equal profile, so equal keys are a necessary condition and the map
-    returned is the certificate.
+    equal profile, so equal keys are a necessary condition.  The map is
+    returned as a read-only index array, and its certificate is the check
+    that ends :func:`_extend`: every cell of every shared table is
+    preserved, with shared constants seeded.
     """
     if A.n > bound or B.n > bound:
         raise TooLarge(f"isomorphism search bound {bound} exceeded ({A.n} vs {B.n} elements)")
@@ -739,7 +707,7 @@ def find_isomorphism(A: Algebra, B: Algebra, bound: int = 12) -> HomMap | None:
     pairs = [(ta.tolist(), tb.tolist()) for ta, tb in tables]
     if not _extend(0, order, candidates, pairs, fwd, rev):
         return None
-    return HomMap(A, B, tuple(fwd[i] for i in range(A.n)))
+    return _freeze([fwd[i] for i in range(A.n)])
 
 
 def _consistent(a: int, pairs, fwd: dict[int, int], rev: dict[int, int]) -> bool:

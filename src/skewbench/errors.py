@@ -97,11 +97,11 @@ class AmbiguousDiff(SkewbenchError):
     """Two candidates satisfy the dual difference identities for some pair."""
 
 
-class NotCoStronglyDistributive(SkewbenchError):
+class NotCoStronglyDistributive(PreconditionFailed):
     """Arrow derivation requires a co-strongly distributive reduct."""
 
 
-class NoTop(SkewbenchError):
+class NoTop(PreconditionFailed):
     """Arrow derivation requires a top element."""
 
 

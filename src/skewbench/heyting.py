@@ -104,15 +104,16 @@ def adjunction_failure(L: Algebra, members, arrow) -> tuple[int, int] | None:
     return None
 
 
-def coherence_failure(L: Algebra, upsets, table) -> tuple[int, int, int] | None:
-    """The first u, then the first pair (a, b) of u↑ (``upsets[u]``), at
+def coherence_failure(L: Algebra, table) -> tuple[int, int, int] | None:
+    """The first u, then the first pair (a, b) of u↑, the ≤ row of u, at
     which ``table`` fails the adjunction on u↑, or None.  v ≤ u gives
     u↑ ⊆ v↑, so only the upsets of ≤-minimal elements are checked until one
     of them fails."""
-    if all(adjunction_failure(L, upsets[u], table) is None for u in minimal_elements(L)):
+    leq = leq_matrix(L)
+    if all(adjunction_failure(L, np.flatnonzero(leq[u]), table) is None for u in minimal_elements(L)):
         return None
-    for u, U in enumerate(upsets):
-        bad = adjunction_failure(L, U, table)
+    for u, row in enumerate(leq):
+        bad = adjunction_failure(L, np.flatnonzero(row), table)
         if bad is not None:
             return (u, *bad)
     return None
@@ -128,7 +129,7 @@ def generalized_heyting_arrow(L: Algebra) -> ArrowResult:
     res = _arrow_by_candidates(L)
     if not res:
         return res
-    bad = coherence_failure(L, [np.flatnonzero(row) for row in leq_matrix(L)], res.table)
+    bad = coherence_failure(L, res.table)
     if bad is not None:
         raise InconsistencyDetected(
             f"global arrow exists but upset at {L.names[bad[0]]} is not a Heyting algebra", witness=bad

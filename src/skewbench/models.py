@@ -448,7 +448,7 @@ def from_skew_boolean(A_sba: Algebra, diff_table) -> Algebra:
     arrow = np.ascontiguousarray(diff.T, dtype=np.int16)
     result = dual.with_arrow(arrow)
     axioms = check_sh_axioms(result, arrow)
-    if not axioms.all_hold() or not np.array_equal(derive_arrow(dual).table, arrow):
+    if not axioms.all_hold() or not np.array_equal(derive_arrow(dual), arrow):
         raise InconsistencyDetected(
             "difference-induced arrow fails the axioms or differs from the derived arrow"
         )

@@ -20,7 +20,6 @@ import numpy as np
 from .core import (
     Algebra,
     CheckResult,
-    HomMap,
     Record,
     direct_product,
     find_isomorphism,
@@ -179,9 +178,10 @@ def cover_in_class(A: Algebra, b: int, class_block) -> int:
     return a
 
 
-def binormal_factorization(A: Algebra) -> tuple[Algebra, Algebra, HomMap] | None:
+def binormal_factorization(A: Algebra) -> tuple[Algebra, Algebra, np.ndarray] | None:
     """Split a jointly strongly and co-strongly distributive algebra as
-    (maximal lattice image) x (one D-class); ``None`` when not binormal.
+    (maximal lattice image) x (one D-class), with the isomorphism onto the
+    product as an index array; ``None`` when not binormal.
 
     Cheap necessary conditions (equipotent D-classes, multiplicative size)
     are tested before any isomorphism search.

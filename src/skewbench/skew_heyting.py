@@ -11,8 +11,8 @@ checked against the table through the adjunction c∧a ≤ b ⇔ c ≤ a→b, wh
 pins a lattice's arrow down, so failures come with a concrete upset and pair.
 
 The derivation reads only the meet, join and top of its algebra, and its
-result is cached on the algebra: ``verify`` asks for the arrow of one
-algebra from several suites, and only the first request builds the upsets.
+table is cached on the algebra: ``verify`` asks for the arrow of one
+algebra from several suites, and only the first request derives it.
 A/L and A/R are derived the same way, on the cached S/D where they equal it.
 """
 
@@ -23,7 +23,6 @@ import numpy as np
 from .core import (
     Algebra,
     CheckResult,
-    Record,
     first_true,
     greens,
     is_congruence,
@@ -56,15 +55,6 @@ def upset_at(A: Algebra, u: int) -> np.ndarray:
     return np.flatnonzero(leq_matrix(A)[u])
 
 
-class DeriveResult(Record):
-    """Derived arrow table, with the members of every upset for reuse."""
-
-    __slots__ = ("table", "upsets")
-
-    def __init__(self, table: np.ndarray, upsets: tuple[np.ndarray, ...]):
-        self._init(table, upsets)
-
-
 def _require_costrong_with_top(A: Algebra) -> None:
     if A.top is None:
         raise NoTop("arrow derivation requires a declared top")
@@ -85,8 +75,9 @@ def _require_costrong_with_top(A: Algebra) -> None:
         )
 
 
-def derive_arrow(A: Algebra) -> DeriveResult:
-    """Derive x→y = (y∨x∨y)→y inside the upset at y, for every pair.
+def derive_arrow(A: Algebra) -> np.ndarray:
+    """Derive x→y = (y∨x∨y)→y inside the upset at y, for every pair, as a
+    read-only table.
 
     After the table is assembled, coherence is verified: for every u and all
     a, b in u↑, c∧a ≤ b ⇔ c ≤ a→b over c in u↑, so the global arrow agrees
@@ -96,7 +87,7 @@ def derive_arrow(A: Algebra) -> DeriveResult:
     The preconditions (a co-strongly distributive skew lattice with top)
     are read from the cached properties of ``A``, and so is conormal, which
     makes every upset a lattice: co-strong distributivity implies it, so
-    its failure raises InconsistencyDetected.  The result is cached on
+    its failure raises InconsistencyDetected.  The table is cached on
     ``A`` and on its copies that differ only in the declared arrow; an
     exception is raised afresh on every call.
     """
@@ -104,23 +95,23 @@ def derive_arrow(A: Algebra) -> DeriveResult:
     return A.cached("derive_arrow", lambda: _derive_arrow(A))
 
 
-def _derive_arrow(A: Algebra) -> DeriveResult:
+def _derive_arrow(A: Algebra) -> np.ndarray:
     n, J = A.n, A.join
     leq = leq_matrix(A)
-    upsets = tuple(upset_at(A, u) for u in range(n))
     table = np.zeros((n, n), dtype=np.int16)
-    for y, U in enumerate(upsets):
+    for y in range(n):
+        U = upset_at(A, y)
         # t→y in y↑ is the largest c with c∧t = y; it has the most members below it
         below = leq[np.ix_(U, U)].sum(axis=0)
         best = np.where(A.meet[np.ix_(U, U)] == y, below, -1).argmax(axis=1)
         table[:, y] = U[best[np.searchsorted(U, J[J[y], y])]]
     table.setflags(write=False)
 
-    bad = coherence_failure(A, upsets, table)
+    bad = coherence_failure(A, table)
     if bad is not None:
         u, a, b = A.name_tuple(bad)
         raise CoherenceFailure(f"global arrow and arrow of upset at {u} disagree on ({a}, {b})", witness=bad)
-    return DeriveResult(table, upsets)
+    return table
 
 
 def check_sh_axioms(A: Algebra, arrow) -> PropertyReport:
@@ -162,13 +153,13 @@ def check_sha(A: Algebra, arrow) -> CheckResult:
 
     try:
         _require_costrong_with_top(A)
-    except (NoTop, NotCoStronglyDistributive, PreconditionFailed):
+    except PreconditionFailed:
         detail = "adjunction holds; sufficiency direction not applicable"
         return CheckResult("SHA", True, None, 0, detail=detail)
     if not leq_matrix(A)[np.arange(A.n), R].all():  # y ≤ x→y at [x, y]
         detail = "adjunction holds; y ≤ x→y fails so sufficiency not applicable"
         return CheckResult("SHA", True, None, 0, detail=detail)
-    witness = first_true(derive_arrow(A).table != R)
+    witness = first_true(derive_arrow(A) != R)
     if witness is not None:
         detail = "sufficiency conditions hold but arrow differs from derived"
         return CheckResult("SHA", False, witness, 0, detail=detail)
@@ -197,14 +188,15 @@ def check_lifting(A: Algebra) -> CheckResult:
         raise InconsistencyDetected("lifting biconditional fails: derived=True, quotient arrow=False")
 
     leq_q = leq_matrix(Q)
-    for u, U in enumerate(derived.upsets):
+    for u in range(A.n):
+        U = upset_at(A, u)
         image = project[U]
         if not np.array_equal(np.sort(image), np.flatnonzero(leq_q[project[u]])):
             detail = f"projection does not restrict to a bijection u↑ ≅ (D_u)↑ at {A.names[u]}"
             return CheckResult("lifting", False, (u,), 0, detail=detail)
         # meet/join are preserved because the projection is a homomorphism;
         # the Heyting structure must transfer along it too.
-        bad = first_true(project[derived.table[np.ix_(U, U)]] != lifted.table[np.ix_(image, image)])
+        bad = first_true(project[derived[np.ix_(U, U)]] != lifted.table[np.ix_(image, image)])
         if bad is not None:
             witness = (u, int(U[bad[0]]), int(U[bad[1]]))
             detail = "projection does not preserve the upset arrow"
@@ -240,7 +232,7 @@ def special_case_arrows(A: Algebra, arrow=None) -> PropertyReport:
     if A.top is None:
         raise NoTop("special case comparison needs a top")
     if arrow is None:
-        arrow = derive_arrow(A).table
+        arrow = derive_arrow(A)
     R = np.asarray(arrow)
     entries: list[CheckResult] = []
 

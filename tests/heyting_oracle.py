@@ -93,17 +93,18 @@ def lifting(A: Algebra, q_table: np.ndarray) -> tuple[bool, tuple, str]:
     of S/D: (ok, witness, detail)."""
     upsets = upset_arrows(A)
     D, _, _ = greens(A)
-    Q, hom = quotient(A.drop_arrow(), D)
+    Q, project = quotient(A.drop_arrow(), D)
+    proj = project.tolist()
     leq_q = leq_matrix(Q)
     for u, (members, arrow) in enumerate(upsets):
-        q_members = [int(v) for v in np.flatnonzero(leq_q[hom.mapping[u]])]
-        image = [hom.mapping[g] for g in members]
+        q_members = [int(v) for v in np.flatnonzero(leq_q[proj[u]])]
+        image = [proj[g] for g in members]
         if sorted(image) != q_members or len(set(image)) != len(image):
             detail = f"projection does not restrict to a bijection u↑ ≅ (D_u)↑ at {A.names[u]}"
             return False, (u,), detail
         for i, gi in enumerate(members):
             for j, gj in enumerate(members):
-                if hom.mapping[int(arrow[i, j])] != int(q_table[hom.mapping[gi], hom.mapping[gj]]):
+                if proj[int(arrow[i, j])] != int(q_table[proj[gi], proj[gj]]):
                     return False, (u, gi, gj), "projection does not preserve the upset arrow"
     return True, (), ""
 

@@ -199,8 +199,8 @@ def test_failing_classify_entries_reevaluate(stem, request):
         if entry.name == "quasi-distributive":
             # evaluated in S/D, on the classes of the witness: a lattice
             # distributive law, or the skew lattice axiom the detail names
-            Q, hom = quotient(A.drop_arrow(), greens(A)[0])
-            point = tuple(hom.mapping[w] for w in entry.witness)
+            Q, proj = quotient(A.drop_arrow(), greens(A)[0])
+            point = tuple(int(proj[w]) for w in entry.witness)
             formulas = GROUPS["lattice-distributive"]
             if entry.detail.startswith("S/D is not a lattice ("):
                 formulas = [entry.detail.split(": ", 1)[1][:-1]]

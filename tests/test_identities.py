@@ -286,7 +286,7 @@ def _costrong_with_arrow(draw):
     else:
         A = draw(st.sampled_from([B for B in members if B.n <= 30]))
         A = direct_product(A, draw(st.sampled_from([B for B in members if A.n * B.n <= 60])))
-    arrow = np.array(derive_arrow(A.drop_arrow()).table)
+    arrow = np.array(derive_arrow(A.drop_arrow()))
     for _ in range(draw(st.sampled_from([0, 1, 1, 3]))):
         a, b, v = (draw(st.integers(0, A.n - 1)) for _ in range(3))
         arrow[a, b] = v
@@ -321,13 +321,13 @@ class TestArrowMeetDecider:
     @pytest.mark.parametrize("x,y,cells", [(4, 2, 65_536), (6, 1, 262_144)])
     def test_cells_compared_on_partial_function_algebras(self, x, y, cells):
         A = partial_function_algebra(x, y)
-        res = check_sh_axioms(A, derive_arrow(A.drop_arrow()).table)["SH4-prime"]
+        res = check_sh_axioms(A, derive_arrow(A.drop_arrow()))["SH4-prime"]
         assert res.holds and res.checked == A.n**4 and res.evaluated == cells
 
     def test_a_mutated_arrow_after_a_good_one_fails(self):
         # nothing the decider proves for one arrow is kept for the next
         A = partial_function_algebra(2, 2)
-        good = derive_arrow(A.drop_arrow()).table
+        good = derive_arrow(A.drop_arrow())
         assert check_sh_axioms(A, good)["SH4-prime"].holds
         arrow = np.array(good)
         arrow[A.top, A.top] = A.index("{p:0}")
@@ -356,7 +356,7 @@ class TestArrowMeetDecider:
 
     def test_peak_memory_on_a_chain_of_160(self):
         A = _chain(160)
-        tables = bind(A, r=derive_arrow(A).table)
+        tables = bind(A, r=derive_arrow(A))
         tracemalloc.start()
         try:
             res = decide("SH4-prime", A, tables)
@@ -384,7 +384,7 @@ def _mutated_arrows(draw):
     """A co-strongly distributive search family member with top and its
     derived arrow with one to three cells changed."""
     A = draw(st.sampled_from(_costrong_members()))
-    arrow = np.array(derive_arrow(A.drop_arrow()).table)
+    arrow = np.array(derive_arrow(A.drop_arrow()))
     for _ in range(draw(st.integers(1, 3))):
         a, b, v = (draw(st.integers(0, A.n - 1)) for _ in range(3))
         arrow[a, b] = v
@@ -413,7 +413,7 @@ def test_every_failing_witness_is_a_violation(drawn, with_n5, n5):
         _assert_violated([_SHA_FORMULAS[sha.detail]], tables, sha.witness)
     elif not sha.holds:
         assert sha.detail == "sufficiency conditions hold but arrow differs from derived"
-        assert arrow[sha.witness] != derive_arrow(A.drop_arrow()).table[sha.witness]
+        assert arrow[sha.witness] != derive_arrow(A.drop_arrow())[sha.witness]
     imp = check_imp_or(A, arrow)
     if not imp.holds:
         _assert_violated(["imp-or"], bind(A, r=arrow), imp.witness)

@@ -66,7 +66,7 @@ def reference_sections(fibers, domains, label, up=lambda mask: mask):
 
 def _derived_section_arrow(model):
     """The arrow ``derive_arrow`` derives on the arrowless poset sections."""
-    return derive_arrow(poset_sections_algebra(model).drop_arrow()).table
+    return derive_arrow(poset_sections_algebra(model).drop_arrow())
 
 
 def write_poset(path, P, leq=None) -> str:
@@ -117,7 +117,7 @@ class TestSectionTables:
             for P in all_posets(pts):
                 for fibers in itertools.product((1, 2), repeat=pts):
                     A = poset_sections_algebra(SurjectionModel.from_fiber_sizes(P, fibers))
-                    assert np.array_equal(A.arrow, derive_arrow(A.drop_arrow()).table), (P.leq, fibers)
+                    assert np.array_equal(A.arrow, derive_arrow(A.drop_arrow())), (P.leq, fibers)
                     count += 1
         assert count == 2 + 2 * 4 + 5 * 8 + 16 * 16
 
@@ -388,7 +388,7 @@ class TestFromSkewBoolean:
         result = from_skew_boolean(chain2, np.array([[0, 0], [1, 0]]))
         assert result.top == chain2.bottom
         derived = derive_arrow(result.drop_arrow())
-        assert np.array_equal(result.arrow, derived.table)
+        assert np.array_equal(result.arrow, derived)
 
     def test_non_skew_lattice_is_refused_with_the_failing_axiom(self, left_zero_top):
         with pytest.raises(PreconditionFailed) as info:

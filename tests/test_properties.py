@@ -129,7 +129,9 @@ class TestBinormalFactorization:
         assert result is not None
         L, B, iso = result
         assert L.n == 2 and B.n == 2
-        assert iso.is_bijective()
+        assert sorted(iso.tolist()) == list(range(P.n))
+        product = direct_product(L, B)
+        assert np.array_equal(iso[P.meet], product.meet[np.ix_(iso, iso)])
         rep = classify(B)
         assert rep.holds("rectangular")
 

@@ -36,6 +36,7 @@ from skewbench.errors import (
     InconsistencyDetected,
     NoTop,
     NotCoStronglyDistributive,
+    PreconditionFailed,
 )
 from skewbench.heyting import ArrowResult, adjunction_failure
 from skewbench.models import (
@@ -51,22 +52,27 @@ from skewbench.models import (
 class TestDeriveArrow:
     def test_pf22_matches_residue_formula(self, pf22):
         derived = derive_arrow(pf22.drop_arrow())
-        assert derived
-        assert np.array_equal(derived.table, pf22.arrow)
+        assert np.array_equal(derived, pf22.arrow)
+        assert derived.dtype == np.int16 and not derived.flags.writeable
 
     def test_pf12_comparable_pair_maps_to_top(self, pf12):
         derived = derive_arrow(pf12.drop_arrow())
         p0, p1 = pf12.index("{p:0}"), pf12.index("{p:1}")
-        assert derived.table[p0, p1] == pf12.index("{}")
+        assert derived[p0, p1] == pf12.index("{}")
 
     def test_x_to_x_is_top(self, pf22, t3, chain2):
         for A in (pf22.drop_arrow(), t3, chain2.drop_arrow()):
             derived = derive_arrow(A)
-            assert all(derived.table[x, x] == A.top for x in range(A.n))
+            assert all(derived[x, x] == A.top for x in range(A.n))
 
     def test_requires_top(self, rect2):
         with pytest.raises(NoTop):
             derive_arrow(rect2)
+
+    def test_a_missing_precondition_is_a_precondition_failure(self):
+        # so that verify, derive and check_sha catch PreconditionFailed alone
+        assert issubclass(NoTop, PreconditionFailed)
+        assert issubclass(NotCoStronglyDistributive, PreconditionFailed)
 
     def test_requires_costrong(self):
         from skewbench import make_algebra
@@ -84,13 +90,13 @@ class TestDeriveArrow:
         leq = leq_matrix(pf22)
         for x in range(pf22.n):
             for y in range(pf22.n):
-                assert leq[y, derived.table[x, y]]
+                assert leq[y, derived[x, y]]
 
     def test_upset_coherence(self, pf22):
         # x→y computed globally equals the upset-local arrow wherever both live
         derived = derive_arrow(pf22.drop_arrow())
         for members, arrow in upset_arrows(pf22):
-            assert np.array_equal(derived.table[np.ix_(members, members)], arrow)
+            assert np.array_equal(derived[np.ix_(members, members)], arrow)
 
     def test_builds_no_algebra_per_upset(self, monkeypatch):
         A = partial_function_algebra(4, 2).drop_arrow()
@@ -102,7 +108,7 @@ class TestDeriveArrow:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(core, "make_algebra", counting)
-        assert derive_arrow(A).table is not None
+        assert derive_arrow(A) is not None
         assert calls == []
 
 
@@ -127,9 +133,9 @@ class TestCoherence:
     witness is that of the in-order scan over every upset."""
 
     @staticmethod
-    def _scan_every_upset(A, upsets, table):
-        for u, U in enumerate(upsets):
-            bad = adjunction_failure(A, U, table)
+    def _scan_every_upset(A, table):
+        for u, row in enumerate(leq_matrix(A)):
+            bad = adjunction_failure(A, np.flatnonzero(row), table)
             if bad is not None:
                 return (u, *bad)
         return None
@@ -148,10 +154,10 @@ class TestCoherence:
         assert 1 < (leq_matrix(A).sum(axis=0) == 1).sum() < A.n
         failures = 0
         for x, y, shift in itertools.product(range(A.n), range(A.n), range(1, A.n)):
-            table = np.array(derived.table)
+            table = np.array(derived)
             table[x, y] = (table[x, y] + shift) % A.n
-            got = skew_heyting.coherence_failure(A, derived.upsets, table)
-            assert got == self._scan_every_upset(A, derived.upsets, table), (x, y, shift)
+            got = skew_heyting.coherence_failure(A, table)
+            assert got == self._scan_every_upset(A, table), (x, y, shift)
             failures += got is not None
         assert failures > 0
 
@@ -160,11 +166,11 @@ class TestCoherence:
         real = skew_heyting.coherence_failure
         seen = []
 
-        def wrong_cell(B, upsets, table):
+        def wrong_cell(B, table):
             table = np.array(table)
             table[-1, -1] = (B.top + 1) % B.n  # x→x is the top, so this cell is wrong
-            seen.append(self._scan_every_upset(B, upsets, table))
-            return real(B, upsets, table)
+            seen.append(self._scan_every_upset(B, table))
+            return real(B, table)
 
         monkeypatch.setattr(skew_heyting, "coherence_failure", wrong_cell)
         with pytest.raises(CoherenceFailure) as info:
@@ -182,7 +188,6 @@ class TestCoherence:
     def test_a_mutated_kernel_fails_the_generalized_arrow_at_the_in_order_witness(self, build, monkeypatch):
         L = build()
         table = heyting_arrow(L).table
-        upsets = [np.flatnonzero(row) for row in leq_matrix(L)]
         for a, b, shift in itertools.product(range(L.n), range(L.n), range(1, L.n)):
             mutated = np.array(table)
             mutated[a, b] = (mutated[a, b] + shift) % L.n
@@ -190,7 +195,7 @@ class TestCoherence:
             with pytest.raises(InconsistencyDetected) as info:
                 generalized_heyting_arrow(L)
             # a lattice admits one arrow, so every mutation fails somewhere
-            assert info.value.witness == self._scan_every_upset(L, upsets, mutated), (a, b, shift)
+            assert info.value.witness == self._scan_every_upset(L, mutated), (a, b, shift)
 
 
 class TestUpset:
@@ -216,7 +221,7 @@ class TestUpset:
         sub, _ = subalgebra(pf22.drop_arrow(), members, bottom=members.tolist().index(u))
         oracle = heyting_arrow(sub)
         derived = derive_arrow(pf22.drop_arrow())
-        assert oracle and np.array_equal(members[oracle.table], derived.table[np.ix_(members, members)])
+        assert oracle and np.array_equal(members[oracle.table], derived[np.ix_(members, members)])
 
 
 class TestShAxioms:
@@ -302,7 +307,7 @@ class TestArrowCongruences:
         _, L, R = greens(pf22)
         for part in (L, R):
             Q, _ = quotient(pf22.drop_arrow(), part)
-            assert derive_arrow(Q)
+            assert derive_arrow(Q).shape == (Q.n, Q.n)
 
     def test_chain2(self, chain2):
         arrow = heyting_arrow(chain2).table
@@ -354,7 +359,7 @@ class TestSpecialCases:
         # both closed forms equal the derived arrow here, so each entry
         # reports the mutated cell, the given value and the expected one
         A = request.getfixturevalue(fixture).drop_arrow()
-        R = derive_arrow(A).table
+        R = derive_arrow(A)
         for x, y in itertools.product(range(A.n), repeat=2):
             wrong = np.array(R)
             wrong[x, y] = (R[x, y] + 1) % A.n
@@ -380,8 +385,9 @@ def test_d_congruence_at_partition_level(pf22):
 
 
 class TestDeriveCache:
-    """derive_arrow builds the upsets of an algebra once; copies that keep
-    meet, join and top reuse the result, and nothing else does."""
+    """derive_arrow reads the upsets of an algebra once; copies that keep
+    meet, join and top reuse the table, and nothing else does.  check_lifting
+    reads each upset once more."""
 
     @pytest.fixture
     def upset_calls(self, monkeypatch):
@@ -403,7 +409,7 @@ class TestDeriveCache:
         # R is the identity relation on pf22, and A/R is A itself
         _, L, R = greens(pf22)
         assert R.num_blocks == pf22.n and L.num_blocks < pf22.n
-        assert len(upset_calls) == pf22.n + quotient(pf22.drop_arrow(), L)[0].n
+        assert len(upset_calls) == 2 * pf22.n + quotient(pf22.drop_arrow(), L)[0].n
 
     def test_verify_on_a_commutative_input_derives_once(self, tmp_path, upset_calls):
         # L and R are both the identity relation: no quotient is derived
@@ -412,19 +418,19 @@ class TestDeriveCache:
         path.write_text(emit_algebra_file(A))
         code, _ = run_command(["verify", str(path)])
         assert code == 0
-        assert len(upset_calls) == A.n
+        assert len(upset_calls) == 2 * A.n
 
     def test_only_copies_with_the_same_tables_share_the_result(self, upset_calls):
         A = partial_function_algebra(2, 2)
         first = derive_arrow(A.drop_arrow())
         assert derive_arrow(A) is first
-        assert derive_arrow(A.with_arrow(first.table)) is first
+        assert derive_arrow(A.with_arrow(first)) is first
         assert len(upset_calls) == A.n
 
         equal = make_algebra(A.names, A.meet, A.join, top=A.top)
         assert equal == A.drop_arrow() and repr(equal) == repr(A.drop_arrow())
         again = derive_arrow(equal)
-        assert again is not first and np.array_equal(again.table, first.table)
+        assert again is not first and np.array_equal(again, first)
         assert len(upset_calls) == 2 * A.n
 
         # a different (bogus) top is rejected before any upset is built
@@ -446,7 +452,7 @@ class TestDeriveCache:
                 assert ref() is None  # freed by reference counting, no cycle
             finally:
                 gc.enable()
-            assert derived
+            assert not derived.flags.writeable
 
     def test_failures_are_not_cached(self, pf22):
         no_top = make_algebra(pf22.names, pf22.meet, pf22.join)
@@ -480,7 +486,7 @@ class TestAgreesWithUpsetOracle:
     @pytest.mark.parametrize("label", sorted(ORACLE_INSTANCES))
     def test_table_and_lifting(self, label):
         A = ORACLE_INSTANCES[label]().drop_arrow()
-        assert np.array_equal(derive_arrow(A).table, derive_by_upsets(A))
+        assert np.array_equal(derive_arrow(A), derive_by_upsets(A))
         assert _lifting_outcome(A) == lifting(A, _q_arrow(A)) == (True, (), "")
 
     def test_poset_sections_up_to_three_points(self):
