@@ -475,25 +475,30 @@ def _cmd_verify(args, report: Report) -> None:
     report.settle()
 
 
-_CHUNK = 4  # search instances per task of a --jobs worker
-_WINDOW = 2  # tasks built and in flight per worker
+_CHUNK = 4  # search recipes per task of a --jobs worker
+_WINDOW = 2  # tasks in flight per worker
 
 
-def _search_eval(verdict, prop_name: str, negate: bool, alg: Algebra):
+def _search_eval(verdict, prop_name: str, negate: bool, build):
+    """Build an instance from its recipe and evaluate the property on it;
+    its element names come back only on a hit, for the witness."""
+    alg = build()
     res = verdict(alg, prop_name)
-    return res.holds != negate, res.witness, res.detail
+    hit = res.holds != negate
+    return hit, res.witness, res.detail, alg.names if hit else None
 
 
-def _search_chunk(evaluate, algebras: list) -> list:
-    return [evaluate(alg) for alg in algebras]
+def _search_chunk(evaluate, builds: list) -> list:
+    return [evaluate(build) for build in builds]
 
 
-def _pool_map(pool, evaluate, algebras, jobs: int):
-    """``evaluate`` over ``algebras`` in order, on ``pool``'s workers.  An
-    instance is built when its chunk is submitted, and at most ``_WINDOW``
-    chunks per worker are in flight, so a reader that stops at a hit leaves
-    one window of built instances behind, not the whole stream."""
-    chunks = iter(lambda: list(islice(algebras, _CHUNK)), [])
+def _pool_map(pool, evaluate, builds, jobs: int):
+    """``evaluate`` over ``builds`` in order, on ``pool``'s workers, which
+    build the instances from their recipes.  A recipe is drawn from the
+    stream when its chunk is submitted, and at most ``_WINDOW`` chunks per
+    worker are in flight, so a reader that stops at a hit leaves one window
+    of work behind, not the whole stream."""
+    chunks = iter(lambda: list(islice(builds, _CHUNK)), [])
     pending = deque(pool.submit(_search_chunk, evaluate, c) for c in islice(chunks, _WINDOW * jobs))
     while pending:
         yield from pending.popleft().result()
@@ -515,12 +520,12 @@ def _cmd_search(args, report: Report) -> None:
     from .models import search_family
     from .properties import property_result  # before --jobs workers fork, so that they inherit it
 
-    seen: list[tuple[str, tuple[str, ...]]] = []  # (label, element names) per instance
+    seen: list[str] = []  # the label of each instance submitted
 
     def instances():
-        for label, alg in search_family(args.family, args.max_size):
-            seen.append((label, alg.names))
-            yield alg
+        for label, build in search_family(args.family, args.max_size):
+            seen.append(label)
+            yield build
 
     evaluate = partial(_search_eval, property_result, args.property, args.negate)
     if args.jobs > 1:
@@ -539,8 +544,8 @@ def _cmd_search(args, report: Report) -> None:
     if found is None:
         report.add(ReportEntry("search", "holds", (), len(seen), detail=scope + " exhausted", unit="instances"))
     else:
-        index, (_, witness, detail) = found
-        label, names = seen[index]
+        index, (_, witness, detail, names) = found
+        label = seen[index]
         report.add(ReportEntry("search", "fails", (label,), index + 1, detail=scope, unit="instances"))
         from .core import CheckResult
 

@@ -161,9 +161,9 @@ class Algebra(Record):
     Green's relations, ⪯ ∩ ⪰, S/D where it is a quotient, the derived
     arrow, the verdicts of the formulas of ∧ and ∨ alone and the
     isomorphism key.  It takes no part in equality or the repr.
-    :meth:`with_arrow`, :meth:`drop_arrow` and every :meth:`replace` that
-    keeps meet and join share it; a copy given a meet or join starts its
-    own.
+    :meth:`with_arrow`, :meth:`drop_arrow` and a :meth:`replace` of the
+    arrow alone share it; a copy with other names, tables or constants
+    starts its own.
     """
 
     __slots__ = ("names", "meet", "join", "arrow", "top", "bottom", "_facts", "__weakref__")
@@ -198,7 +198,12 @@ class Algebra(Record):
         return ops
 
     def with_arrow(self, arrow) -> "Algebra":
-        return self.replace(arrow=arrow)
+        """A copy with ``arrow``, or with none when it is None, that shares
+        the validated tables and ``_facts``; only the arrow is coerced, and
+        refused, as :func:`make_algebra` does."""
+        if arrow is not None:
+            arrow = _coerce_table(arrow, self.names, "arrow")
+        return Algebra(self.names, self.meet, self.join, arrow, self.top, self.bottom, _facts=self._facts)
 
     def cached(self, key: str, compute):
         """The derived fact ``key``, computed by ``compute()`` on first use.
@@ -211,17 +216,15 @@ class Algebra(Record):
         return self._facts[key]
 
     def drop_arrow(self) -> "Algebra":
-        if self.arrow is None:
-            return self
-        return self.replace(arrow=None)
+        return self if self.arrow is None else self.with_arrow(None)
 
     def replace(self, **changes) -> "Algebra":
-        """A copy built and refused by :func:`make_algebra`; it shares
-        ``_facts`` when it is given neither a meet nor a join."""
-        copy = make_algebra(**{**dict(zip(self._fields[:-1], self.__getstate__())), **changes})
-        if not {"meet", "join"} & changes.keys():
-            object.__setattr__(copy, "_facts", self._facts)
-        return copy
+        """A copy built and refused by :func:`make_algebra`, with facts of its
+        own; a change of the arrow alone is :meth:`with_arrow`'s, and shares
+        them."""
+        if changes.keys() == {"arrow"}:
+            return self.with_arrow(changes["arrow"])
+        return make_algebra(**{**dict(zip(self._fields[:-1], self.__getstate__())), **changes})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Algebra):

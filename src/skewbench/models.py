@@ -20,8 +20,9 @@ an int16 table can index (:func:`errors.check_size`) and 64-bit codes.
 An upset lattice's arrow is the complement-of-downset formula, verified
 by the Heyting adjunction; no arrow is searched for.
 
-``search_family`` streams (label, algebra) pairs: each instance is built
-once, without its arrow, when the stream reaches it.
+``search_family`` streams (label, build) pairs: each ``build`` is a
+picklable recipe that returns the instance without its arrow, so an
+instance is built by whoever evaluates it.
 
 The verifying layers (``heyting``, ``properties``, ``skew_heyting``) are
 imported by the functions that call them, so no section builder loads them;
@@ -522,7 +523,21 @@ def enumerate_skew_lattices(n: int):
 
 
 # ---------------------------------------------------------------------------
-# Search substrate: a deterministic stream of (label, algebra) per family
+# Search substrate: a deterministic stream of (label, recipe) per family
+
+
+def _reduct(construct, *args, **kwargs) -> Algebra:
+    """The arrowless reduct of ``construct(*args, **kwargs)``."""
+    return construct(*args, **kwargs).drop_arrow()
+
+
+def _built(A: Algebra) -> Algebra:
+    """The recipe of an instance that is already built: ``A`` itself."""
+    return A
+
+
+def _dual(build) -> Algebra:
+    return vertical_dual(build())
 
 
 def _pfn_pool(max_size: int, min_size: int = 2):
@@ -533,7 +548,7 @@ def _pfn_pool(max_size: int, min_size: int = 2):
             if size > max_size:
                 break
             if size >= min_size:
-                build = partial(partial_function_algebra, nx, ny, bound=max_size)
+                build = partial(_reduct, partial_function_algebra, nx, ny, bound=max_size)
                 out.append((size, f"pfn({nx},{ny})", build))
     return out
 
@@ -549,7 +564,7 @@ def _section_pool(max_size: int):
                     continue
                 model = SurjectionModel.from_fiber_sizes(base, fibers)
                 label = f"sections(P{pts}#{i};{','.join(map(str, fibers))})"
-                out.append((size, label, partial(poset_sections_algebra, model, bound=max_size)))
+                out.append((size, label, partial(_reduct, poset_sections_algebra, model, bound=max_size)))
     return out
 
 
@@ -559,23 +574,27 @@ def _enum_pool(max_size: int):
         for n in range(1, min(3, max_size) + 1)
         for i, A in enumerate(enumerate_skew_lattices(n))
     ]
-    pool = [(n, label, lambda A=A: A) for n, label, A in raw]
+    pool = [(n, label, partial(_built, A)) for n, label, A in raw]
     for (sa, la, A), (sb, lb, B) in itertools.product(raw, raw):
         if sa > 1 and sb > 1 and sa * sb <= max_size:
             pool.append((sa * sb, f"prod({la},{lb})", partial(direct_product, A, B)))
     pool.extend(_pfn_pool(max_size, min_size=4))
-    pool.extend((s, f"dual({label})", lambda b=build: vertical_dual(b())) for s, label, build in list(pool))
+    pool.extend((s, f"dual({label})", partial(_dual, build)) for s, label, build in list(pool))
     return pool
 
 
 def search_family(family: str, max_size: int):
-    """The (label, algebra) stream of a search family in (size, label)
-    order.  Each algebra is an arrowless reduct, built once, when the stream
-    reaches it; the 'enum' family skips an instance isomorphic to an earlier
-    one, up to 12 elements, by the bucketed comparison of
-    :func:`_new_class`; the key is cached per algebra.
-    ``max_size`` bounds every instance built; past the int16 carrier limit
-    it is refused with TooLarge before any pool is built."""
+    """The (label, build) stream of a search family in (size, label) order.
+    Each ``build`` is a picklable recipe: a :func:`functools.partial` of a
+    module-level function that returns the instance's arrowless reduct, so
+    whoever evaluates an instance builds it, a ``--jobs`` worker included,
+    and the stream itself holds no tables.  Only the 'enum' family builds
+    here: it skips an instance isomorphic to an earlier one, up to 12
+    elements, by the bucketed comparison of :func:`_new_class`, and the
+    recipe of a kept one returns the reduct already built; the key is
+    cached per algebra.  ``max_size`` bounds every instance built; past the
+    int16 carrier limit it is refused with TooLarge before any pool is
+    built."""
     check_size("the largest search instance", [[max_size]], max_size)
     if family == "pfn":
         pool = _pfn_pool(max_size)
@@ -588,6 +607,9 @@ def search_family(family: str, max_size: int):
     pool.sort(key=lambda item: item[:2])
     buckets: dict[tuple, list[Algebra]] = {}
     for size, label, build in pool:
-        alg = build().drop_arrow()
-        if family != "enum" or size > 12 or _new_class(buckets, alg):
-            yield label, alg
+        if family == "enum" and size <= 12:
+            alg = build()
+            if not _new_class(buckets, alg):
+                continue
+            build = partial(_built, alg)
+        yield label, build

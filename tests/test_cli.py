@@ -531,7 +531,7 @@ def _random_tables(draw):
 
 @functools.cache
 def _family(name: str) -> list:
-    return [A for _, A in search_family(name, 12)]
+    return [build() for _, build in search_family(name, 12)]
 
 
 class TestRobustness:
@@ -903,18 +903,19 @@ def test_entry_point_writes_what_run_command_returns(tmp_path, pf22, n5, argv, s
 
 
 def test_jobs_workers_import_no_layer_of_their_own():
-    """The parent loads every layer a search evaluates before the pool
-    forks, so no worker compiles one again."""
-    argv = ["--jobs", "2", "search", "--family", "pfn", "--max-size", "16", "--property", "symmetric", "--negate"]
-    proc = _run_python("-X", "importtime", "-m", "skewbench", *argv)
-    assert proc.returncode == 0, proc.stdout
-    ours = [m for m in _import_log(proc.stderr) if m.startswith("skewbench.")]
-    assert "skewbench.properties" in ours and len(ours) == len(set(ours))
+    """The parent loads every layer a search builds and evaluates with
+    before the pool forks, so no worker compiles one again."""
+    for family in ("pfn", "sections", "enum"):
+        argv = ["search", "--family", family, "--max-size", "16", "--property", "symmetric", "--negate"]
+        proc = _run_python("-X", "importtime", "-m", "skewbench", "--jobs", "2", *argv)
+        assert proc.returncode == 0, (family, proc.stdout)
+        ours = [m for m in _import_log(proc.stderr) if m.startswith("skewbench.")]
+        assert "skewbench.properties" in ours and len(ours) == len(set(ours)), family
 
 
 def test_a_jobs_search_that_hits_at_once_builds_one_window(monkeypatch):
     """pfn(1,1) is normal, so the search stops at its first instance and
-    builds no more than the chunks it had in flight."""
+    draws no more recipes than the chunks it had in flight."""
     built = []
     stream = models.search_family
 
@@ -936,3 +937,39 @@ def test_search_jobs_through_the_entry_point():
     runs = [_run_python("-m", "skewbench", "--jobs", jobs, *argv, env=_unpinned_env()) for jobs in ("1", "2")]
     assert runs[0].stdout.startswith(b"skewbench ")
     assert (runs[1].returncode, runs[1].stdout) == (runs[0].returncode, runs[0].stdout)
+
+
+SEARCH_HITS = {
+    "pfn": ["--family", "pfn", "--max-size", "64", "--property", "strongly-distributive", "--negate"],
+    "sections": ["--family", "sections", "--max-size", "40", "--property", "normal", "--negate"],
+    "enum": ["--family", "enum", "--max-size", "40", "--property", "conormal", "--negate"],
+}
+
+
+@pytest.mark.parametrize("argv", SEARCH_HITS.values(), ids=SEARCH_HITS.keys())
+def test_a_hit_names_its_witness_alike_for_every_jobs_setting(argv):
+    """The witness of a hit is named from the instance that a ``--jobs 2``
+    worker built, past the first instance, and the bytes are those of
+    ``--jobs 1``."""
+    argv = ["--format", "machine", "search", *argv]
+    runs = [_run_python("-m", "skewbench", "--jobs", jobs, *argv, env=_unpinned_env()) for jobs in ("1", "2")]
+    assert runs[0].returncode == 1 and runs[0].stdout.count(b" witness=") == 2
+    assert b"name=search verdict=fails checked=1 " not in runs[0].stdout
+    assert (runs[1].returncode, runs[1].stdout) == (runs[0].returncode, runs[0].stdout)
+
+
+def test_a_search_keeps_no_instance_it_has_evaluated():
+    """The stream holds recipes and the search keeps labels, so the parent's
+    peak is one instance's working set, not the sum over the stream."""
+    import tracemalloc
+
+    argv = ["search", "--family", "pfn", "--max-size", "400", "--property", "symmetric", "--negate"]
+    assert run_command(argv[:4] + ["4"] + argv[5:])[0] == 0  # the layers load outside the trace
+    tracemalloc.start()
+    try:
+        code, _ = run_command(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 11 << 20, f"{peak / 2**20:.1f} MiB"

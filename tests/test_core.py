@@ -451,8 +451,15 @@ class TestRecords:
         assert res.detail == "d"
         with pytest.raises(TypeError):
             res.replace(nosuch=1)
+        # the facts of a copy with other names or constants are its own:
+        # S/D carries both
+        assert lattice_image(pf22)[0].top is not None
         copy = pf22.replace(top=None)
-        assert copy.top is None and copy._facts is pf22._facts
+        assert copy.top is None and copy._facts is not pf22._facts
+        assert lattice_image(copy)[0].top is None
+        pf12 = partial_function_algebra(1, 2)
+        assert lattice_image(pf12)[0].names == ("{{}}", "{{p:0},{p:1}}")
+        assert lattice_image(pf12.replace(names=tuple("abc")))[0].names == ("{a}", "{b,c}")
 
     def test_replace_refuses_what_make_algebra_refuses(self):
         A = partial_function_algebra(2, 1)
@@ -462,6 +469,12 @@ class TestRecords:
             A.replace(names=("a",) * A.n)
         with pytest.raises(MalformedTable, match=r"arrow\[0\]\[0\]: index 9 out of range"):
             A.with_arrow([[9] * A.n] * A.n)
+
+    def test_arrow_copies_share_the_tables(self, pf22):
+        A = pf22.drop_arrow()
+        assert A.meet is pf22.meet and A.join is pf22.join and A._facts is pf22._facts
+        B = A.with_arrow(pf22.arrow)
+        assert B == pf22 and B.meet is pf22.meet and B.arrow is not pf22.arrow
 
     def test_replace_coerces_a_table_as_make_algebra_does(self):
         A = partial_function_algebra(2, 1)
@@ -578,7 +591,9 @@ def test_costa_mismatch_on_divergent_table():
         natural_orders(A)
 
 
-_SMALL_INSTANCES = [A for family in ("pfn", "sections", "enum") for _, A in search_family(family, 9)]
+_SMALL_INSTANCES = [
+    build() for family in ("pfn", "sections", "enum") for _, build in search_family(family, 9)
+]
 
 
 @settings(max_examples=60, deadline=None)

@@ -11,11 +11,11 @@ from dedup_oracle import enum_labels_all_pairs, profiles_by_loop
 from skewbench import core, models
 from skewbench.models import partial_function_algebra, search_family
 
-ENUM_12 = [A for _, A in search_family("enum", 12)]
+ENUM_12 = [build() for _, build in search_family("enum", 12)]
 INSTANCES = {
     "enum": ENUM_12,
-    "pfn": [A for _, A in search_family("pfn", 12)],
-    "sections": [A for _, A in search_family("sections", 12)],
+    "pfn": [build() for _, build in search_family("pfn", 12)],
+    "sections": [build() for _, build in search_family("sections", 12)],
 }
 
 

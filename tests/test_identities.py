@@ -141,7 +141,7 @@ class TestPropertyCache:
 @functools.cache
 def _family_members() -> list:
     sizes = (("pfn", 40), ("sections", 40), ("enum", 12))
-    return [A for family, size in sizes for _, A in search_family(family, size)]
+    return [build() for family, size in sizes for _, build in search_family(family, size)]
 
 
 @st.composite

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import time
 
 import numpy as np
@@ -532,7 +533,8 @@ class TestSearchStreams:
             return real(x, y, bound)
 
         monkeypatch.setattr(models, "partial_function_algebra", counting)
-        next(iter(models.search_family("pfn", 64)))
+        _, build = next(iter(models.search_family("pfn", 64)))
+        build()
         assert bounds == [64]
         with pytest.raises(TooLarge):
             next(iter(models.search_family("pfn", (1 << 15) + 1)))
@@ -547,6 +549,15 @@ class TestSearchStreams:
             return real(x, y, bound)
 
         monkeypatch.setattr(models, "partial_function_algebra", counting)
-        label, A = next(iter(models.search_family("pfn", 64)))
+        stream = list(models.search_family("pfn", 64))
+        assert len(stream) > 1 and built == []
+        label, build = stream[0]
+        A = build()
         assert (label, A.n, A.arrow) == ("pfn(1,1)", 2, None)
         assert built == [(1, 1)]
+
+    @pytest.mark.parametrize("family", ["pfn", "sections", "enum"])
+    def test_recipes_survive_pickling(self, family):
+        for label, build in models.search_family(family, 16):
+            A = pickle.loads(pickle.dumps(build))()
+            assert A == build() and A.arrow is None, label
