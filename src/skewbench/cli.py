@@ -364,7 +364,7 @@ def _add_derived_arrow(report: Report, A: Algebra) -> np.ndarray | None:
     from .skew_heyting import derive_arrow
 
     try:
-        arrow = derive_arrow(A.drop_arrow())
+        arrow = derive_arrow(A)
     except PreconditionFailed as exc:
         failed = CheckResult("arrow-derivable", False, exc.witness, 0, detail=str(exc))
         report.add(_entry_from_check(failed, A.names))
@@ -385,7 +385,7 @@ def _cmd_derive(args, report: Report) -> None:
 
     arrow = _add_derived_arrow(report, A)
     if arrow is not None:
-        _add_checks(report, check_sh_axioms(A, arrow).entries, A.names)
+        _add_checks(report, check_sh_axioms(A.with_arrow(arrow)).entries, A.names)
         _add_declared_match(report, A, arrow)
         report.payload = _arrow_payload(A, arrow)
     report.settle()
@@ -440,9 +440,9 @@ def _cmd_model(args, report: Report) -> None:
     report.settle()
 
 
-def _verify_suites(A: Algebra, arrow: np.ndarray):
-    """The results of the theorem suites in report order, each computed
-    when the one before it has been taken."""
+def _verify_suites(A: Algebra):
+    """The results of the theorem suites on ``A``'s arrow in report order,
+    each computed when the one before it has been taken."""
     from .core import pullback_check
     from .skew_heyting import (
         check_arrow_congruences,
@@ -453,12 +453,12 @@ def _verify_suites(A: Algebra, arrow: np.ndarray):
         special_case_arrows,
     )
 
-    yield from check_sh_axioms(A, arrow).entries
-    yield check_sha(A, arrow)
-    yield check_imp_or(A, arrow)
+    yield from check_sh_axioms(A).entries
+    yield check_sha(A)
+    yield check_imp_or(A)
     yield check_lifting(A)
-    yield check_arrow_congruences(A, arrow)
-    yield from special_case_arrows(A, arrow).entries
+    yield check_arrow_congruences(A)
+    yield from special_case_arrows(A).entries
     yield pullback_check(A)
 
 
@@ -471,7 +471,7 @@ def _cmd_verify(args, report: Report) -> None:
         arrow = _add_derived_arrow(report, A)
         if arrow is not None:
             _add_declared_match(report, A, arrow)
-            _add_checks(report, _verify_suites(A, arrow), A.names)
+            _add_checks(report, _verify_suites(A.with_arrow(arrow)), A.names)
     report.settle()
 
 

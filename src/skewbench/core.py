@@ -160,10 +160,10 @@ class Algebra(Record):
     ``_facts`` caches facts derived from the meet and join tables: ≤, ⪯,
     Green's relations, ⪯ ∩ ⪰, S/D where it is a quotient, the derived
     arrow, the verdicts of the formulas of ∧ and ∨ alone and the
-    isomorphism key.  It takes no part in equality or the repr.
-    :meth:`with_arrow`, :meth:`drop_arrow` and a :meth:`replace` of the
-    arrow alone share it; a copy with other names, tables or constants
-    starts its own.
+    isomorphism key.  It takes no part in equality, the repr or pickling:
+    an unpickled copy starts with no facts.  :meth:`with_arrow`,
+    :meth:`drop_arrow` and a :meth:`replace` of the arrow alone share it; a
+    copy with other names, tables or constants starts its own.
     """
 
     __slots__ = ("names", "meet", "join", "arrow", "top", "bottom", "_facts", "__weakref__")
@@ -185,6 +185,12 @@ class Algebra(Record):
     def n(self) -> int:
         return len(self.names)
 
+    def __getstate__(self) -> tuple:
+        return super().__getstate__()[:-1]  # all but _facts
+
+    def __setstate__(self, state: tuple) -> None:
+        self._init(*state, {})
+
     def index(self, name: str) -> int:
         return self.names.index(name)
 
@@ -202,7 +208,7 @@ class Algebra(Record):
         the validated tables and ``_facts``; only the arrow is coerced, and
         refused, as :func:`make_algebra` does."""
         if arrow is not None:
-            arrow = _coerce_table(arrow, self.names, "arrow")
+            arrow = coerce_table(arrow, self.names, "arrow")
         return Algebra(self.names, self.meet, self.join, arrow, self.top, self.bottom, _facts=self._facts)
 
     def cached(self, key: str, compute):
@@ -249,7 +255,7 @@ class Algebra(Record):
         return f"Algebra(n={self.n}{arrow}{extra})"
 
 
-def _coerce_table(table, names: tuple[str, ...], label: str) -> np.ndarray:
+def coerce_table(table, names: tuple[str, ...], label: str) -> np.ndarray:
     """The index table of ``table``, whose entries are element names or
     indices; a bad entry is reported at the first one in row-major order."""
     n = len(names)
@@ -282,7 +288,7 @@ def _coerce_table(table, names: tuple[str, ...], label: str) -> np.ndarray:
 
 def _coerce_element(value, names: tuple[str, ...], label: str) -> int:
     """The index of ``value``, an element name or index, by the cell rule
-    of :func:`_coerce_table`."""
+    of :func:`coerce_table`."""
     if isinstance(value, str):
         if value not in names:
             raise MalformedTable(f"{label}: unknown element {value!r}")
@@ -309,9 +315,9 @@ def make_algebra(names, meet, join, top=None, bottom=None, arrow=None) -> Algebr
     for name in names:
         if not name or any(ch.isspace() for ch in name) or name.startswith("#"):
             raise MalformedTable(f"invalid element name {name!r}")
-    meet_t = _coerce_table(meet, names, "meet")
-    join_t = _coerce_table(join, names, "join")
-    arrow_t = _coerce_table(arrow, names, "arrow") if arrow is not None else None
+    meet_t = coerce_table(meet, names, "meet")
+    join_t = coerce_table(join, names, "join")
+    arrow_t = coerce_table(arrow, names, "arrow") if arrow is not None else None
     top_i = _coerce_element(top, names, "top") if top is not None else None
     bottom_i = _coerce_element(bottom, names, "bottom") if bottom is not None else None
 

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .core import Algebra, Record, first_true, leq_matrix, minimal_elements, skipped_result
-from .errors import AmbiguousDiff, InconsistencyDetected
+from .errors import AmbiguousDiff, InconsistencyDetected, NoTop
 
 if TYPE_CHECKING:
     from .properties import PropertyReport
@@ -137,17 +137,16 @@ def generalized_heyting_arrow(L: Algebra) -> ArrowResult:
     return res
 
 
-def check_heyting_axioms(L: Algebra, arrow) -> PropertyReport:
+def check_heyting_axioms(L: Algebra) -> PropertyReport:
     """Verdicts for the Heyting axioms, the adjunction and the reduction
-    x→y = (x∨y)→y, each quantified exhaustively."""
+    x→y = (x∨y)→y on ``L``'s arrow, each quantified exhaustively."""
     # imported here: `model upsets` loads this module for the adjunction alone
-    from .identities import bind, run_identity
+    from .identities import run_identity
     from .properties import PropertyReport
 
-    tables = bind(L, r=arrow, leq=leq_matrix(L))
-    h1 = run_identity("H1", tables) if L.top is not None else skipped_result("H1", "no top declared")
+    h1 = run_identity("H1", L) if L.top is not None else skipped_result("H1", "no top declared")
     rest = ("H2", "H3", "H4", "HA", "arrow-join-reduction")
-    return PropertyReport((h1, *(run_identity(name, tables) for name in rest)))
+    return PropertyReport((h1, *(run_identity(name, L) for name in rest)))
 
 
 def dual_gb_diff(L: Algebra) -> ArrowResult:
@@ -157,12 +156,12 @@ def dual_gb_diff(L: Algebra) -> ArrowResult:
 
     Exactly one candidate per pair gives the table; none gives absence, with
     the first unsolvable pair (y, x); two or more raise AmbiguousDiff, which
-    signals non-distributivity.
+    signals non-distributivity.  Without a declared top it raises NoTop.
     """
     n = L.n
     M, J, top = L.meet, L.join, L.top
     if top is None:
-        return ArrowResult(None, (0, 0))
+        raise NoTop("the dual difference needs a declared top")
     table = np.zeros((n, n), dtype=np.int16)
     for y in range(n):
         s = J[J[y], y]  # y∨x∨y for every x

@@ -10,15 +10,15 @@ chain of one operator associates to the left (``x∧y∧z`` is ``(x∧y)∧z``),
 mixing operators needs parentheses.  Variables are numbered in the fixed
 order x y z w u v, skipping absent ones, so ``(y∨x∨y)→y`` binds x to
 position 0 and y to position 1, and a witness lists values in that order.
-``0`` and ``1`` are the algebra's bottom and top, bound when the check runs
-(:func:`bind`).
+``0`` and ``1`` are the algebra's bottom and top, bound when the check runs.
 
 The registry.  A property of :data:`GROUPS` holds when each of its formulas
 holds, and a failure names the first failing formula; a verdict reported
 under a short name (SH0, HA, imp-or, ...) maps to its formula in
 :data:`NAMED`; a check may also be asked for by its formula.  To add an
 identity, add its formula to the group it belongs to, or a new group or
-name, and ask for it with :func:`run_identity` by that name.
+name, and ask for it with :func:`run_identity` by that name and the
+algebra, which binds from it every table the formula reads but a difference.
 
 Deciders.  Five formulas have a decider, a decision procedure with a
 theorem behind it, registered in :data:`DECIDERS` with the groups it needs,
@@ -53,10 +53,11 @@ scan's.  The formula stays the definition, and its scan the oracle for the
 decider.
 
 Verdicts.  The verdict of a formula of ∧ and ∨ alone, decided or scanned,
-is cached on the algebra it is run for (:func:`run_identity`), so it is
-computed once per algebra and its copies that keep meet and join; this is
-the one cache of verdicts.  A formula that reads an arrow, a difference, a
-relation or a constant is run afresh, since those copies may differ there.
+is cached on the algebra its tables are read from (:func:`run_identity`),
+so it is computed once per algebra and its copies that keep meet and join;
+this is the one cache of verdicts.  A formula that reads an arrow, a
+difference, a relation or a constant is run afresh, since those copies may
+differ there.
 
 Evaluation.  A term parses to nested tuples over variable positions: an
 ``int`` is a variable, ``("c", k)`` the constant ``k``, ``(op, s, t)``
@@ -111,7 +112,8 @@ import re
 
 import numpy as np
 
-from .core import CheckResult, Record, leq_matrix, maximal_elements, minimal_elements
+from .core import CheckResult, Record, coerce_table, leq_matrix, maximal_elements, minimal_elements, preceq_matrix
+from .errors import PreconditionFailed
 from .property_names import SKEW_AXIOMS
 
 _BOX = 1 << 16  # tuples per evaluation box
@@ -255,11 +257,10 @@ def named_check(name: str) -> Check:
 
 
 def bind(A, **ops) -> dict:
-    """The tables a check reads on algebra ``A``: its meet and join, the
-    extra tables ``ops`` (operations ``r=``, ``d=``, ``dd=`` and relations
-    ``leq=``, ``pre=``), and the constants ``0`` and ``1`` where ``A``
-    declares a bottom and a top."""
-    tables = {"m": A.meet, "j": A.join, **{k: np.ascontiguousarray(t) for k, t in ops.items()}}
+    """The tables a check reads on algebra ``A``: its meet, join and arrow,
+    the extra tables ``ops`` as given (``r=``, ``d=``, ``dd=``, ``leq=``,
+    ``pre=``), and the constants ``0`` and ``1`` where ``A`` declares them."""
+    tables = {**A.tables(), **{k: np.ascontiguousarray(t) for k, t in ops.items()}}
     for const, value in (("0", A.bottom), ("1", A.top)):
         if value is not None:
             tables[const] = value
@@ -563,7 +564,7 @@ def decide(name: str, A, tables) -> CheckResult | None:
     the formula holds, with ``evaluated`` the cells the decider compared;
     else None."""
     needs, decider = DECIDERS.get(NAMED.get(name, name), ((), None))
-    if decider is None or not all(run_identity(need, tables, A) for need in needs):
+    if decider is None or not all(run_identity(need, A) for need in needs):
         return None
     cells = decider(A, tables)
     if cells is None:
@@ -572,32 +573,48 @@ def decide(name: str, A, tables) -> CheckResult | None:
     return CheckResult(check.name, True, None, A.n**check.arity, evaluated=cells)
 
 
-def _run_formula(name: str, tables, algebra) -> CheckResult:
+# what a formula may read that an algebra may lack; no algebra carries a difference
+_LACKED = {"r": "arrow", "d": "difference", "dd": "dual difference", "0": "bottom", "1": "top"}
+
+
+def _verdict(name: str, check: Check, A, ops: dict, reads: set) -> CheckResult:
+    tables = bind(A, **ops)
+    # ≤ and ⪯ only where read: a search that asks one law of many instances builds neither
+    tables.update((rel, fact(A)) for rel, fact in (("leq", leq_matrix), ("pre", preceq_matrix)) if rel in reads)
+    missing = reads - tables.keys()
+    if missing:
+        what = " and ".join(f"the {_LACKED[k]}" for k in sorted(missing))
+        raise PreconditionFailed(f"{name} reads {what}, and none is bound")
+    return decide(name, A, tables) or run_check(check, tables)  # a decided verdict holds, so it is true
+
+
+def _run_formula(name: str, A, ops: dict) -> CheckResult:
     check = named_check(name)
-    if algebra is None:
-        return run_check(check, tables)
-
-    def verdict() -> CheckResult:  # a decided verdict holds, so it is true
-        return decide(name, algebra, tables) or run_check(check, tables)
-
-    if {node[0] for node in _plan(check).nodes} <= {"v", "m", "j", "eq", "ne"}:  # ∧ and ∨ alone
-        return algebra.cached(f"verdict:{name}", verdict)
-    return verdict()
+    # the tables and constants the formula reads, named as in bind
+    reads = {node[1] if node[0] == "c" else node[0] for node in _plan(check).nodes} - {"v", "eq", "ne"}
+    if reads <= {"m", "j"}:  # ∧ and ∨ alone
+        return A.cached(f"verdict:{name}", lambda: _verdict(name, check, A, ops, reads))
+    return _verdict(name, check, A, ops, reads)
 
 
-def run_identity(name: str, tables, algebra=None) -> CheckResult:
-    """Evaluate the group or the check reported as ``name``.  A group stops
-    at its first failing formula and names it in the detail field.
+def run_identity(name: str, A, **ops) -> CheckResult:
+    """Evaluate the group or the check reported as ``name`` on ``A``.  A
+    group stops at its first failing formula and names it in the detail field.
 
-    ``algebra`` is the algebra ``tables`` are bound from; where it is given,
-    a formula of :data:`DECIDERS` is decided where :func:`decide` proves it,
-    and scanned otherwise, and the verdict of a formula of ∧ and ∨ alone is
-    cached on ``algebra``."""
+    A formula reads meet, join, arrow, 0, 1, ≤ and ⪯ from ``A``; ``ops`` gives
+    only the differences ``d=`` and ``dd=``, refused as a table of
+    :func:`core.make_algebra` is, and what nothing binds raises
+    PreconditionFailed.  A formula of :data:`DECIDERS` is decided where
+    :func:`decide` proves it, and scanned otherwise, and the verdict of a
+    formula of ∧ and ∨ alone is cached on ``A``."""
+    if not ops.keys() <= {"d", "dd"}:
+        raise TypeError(f"run_identity takes only d= and dd= as ops, not {sorted(ops.keys() - {'d', 'dd'})}")
+    ops = {k: coerce_table(t, A.names, _LACKED[k]) for k, t in ops.items()}
     if name not in GROUPS:
-        return _run_formula(name, tables, algebra)
+        return _run_formula(name, A, ops)
     checked = evaluated = 0
     for formula in GROUPS[name]:
-        res = _run_formula(formula, tables, algebra)
+        res = _run_formula(formula, A, ops)
         checked += res.checked
         evaluated += res.evaluated
         if not res.holds:

@@ -444,12 +444,8 @@ def from_skew_boolean(A_sba: Algebra, diff_table) -> Algebra:
     outcome = check_skew_boolean(A_sba, diff_table)
     if not outcome:
         raise PreconditionFailed(f"not a skew Boolean algebra: {outcome.detail}", outcome.witness or ())
-    diff = np.asarray(diff_table)
-    dual = vertical_dual(A_sba)
-    arrow = np.ascontiguousarray(diff.T, dtype=np.int16)
-    result = dual.with_arrow(arrow)
-    axioms = check_sh_axioms(result, arrow)
-    if not axioms.all_hold() or not np.array_equal(derive_arrow(dual), arrow):
+    result = vertical_dual(A_sba).with_arrow(np.asarray(diff_table).T)
+    if not check_sh_axioms(result).all_hold() or not np.array_equal(derive_arrow(result), result.arrow):
         raise InconsistencyDetected(
             "difference-induced arrow fails the axioms or differs from the derived arrow"
         )

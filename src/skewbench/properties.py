@@ -38,7 +38,7 @@ from .errors import (
     PreconditionFailed,
     SkewbenchError,
 )
-from .identities import GROUPS, bind, run_identity
+from .identities import GROUPS, run_identity
 from .property_names import PROPERTY_NAMES, SKEW_AXIOMS
 
 
@@ -80,7 +80,7 @@ def property_result(A: Algebra, name: str) -> CheckResult:
     if name == "quasi-distributive":
         return _quasi_distributive(A)
     if name != "skew-lattice":
-        return run_identity(name, bind(A), A)
+        return run_identity(name, A)
     axioms = [property_result(A, axiom) for axiom in SKEW_AXIOMS]
     checked = sum(e.checked for e in axioms)
     fail = next((e for e in axioms if not e.holds), None)
@@ -114,7 +114,7 @@ def _quasi_distributive(A: Algebra) -> CheckResult:
     if axiom is not None:
         res, detail = property_result(Q, "skew-lattice"), f"S/D is not a lattice ({axiom.detail})"
     else:  # both distributive laws of the lattice S/D, in their lattice form
-        res = run_identity("lattice-distributive", bind(Q), Q)
+        res = run_identity("lattice-distributive", Q)
         detail = "evaluated in S/D on class representatives"
     if res.holds:
         return CheckResult(name, True, None, res.checked)
@@ -208,7 +208,7 @@ def _complemented_distributive(sub: Algebra) -> CheckResult:
     name = "boolean-algebra"
     if not (np.array_equal(sub.meet, sub.meet.T) and np.array_equal(sub.join, sub.join.T)):
         return CheckResult(name, False, None, 0, detail="not commutative")
-    res = run_identity(GROUPS["strongly-distributive"][0], bind(sub))
+    res = run_identity(GROUPS["strongly-distributive"][0], sub)
     if not res.holds:
         return CheckResult(name, False, res.witness, 0, detail="not distributive")
     if sub.top is None or sub.bottom is None:
@@ -225,7 +225,8 @@ def _complemented_distributive(sub: Algebra) -> CheckResult:
 def check_skew_boolean(A: Algebra, diff_table) -> CheckResult:
     """Strongly distributive skew lattice with bottom whose difference
     satisfies the four defining identities; every principal downset must be
-    a Boolean algebra with the class sandwich x∧y∧x complemented by x∖y."""
+    a Boolean algebra with the class sandwich x∧y∧x complemented by x∖y.
+    A cell of ``diff_table`` that is no element raises MalformedTable."""
     name = "skew-boolean"
     if A.bottom is None:
         return CheckResult(name, False, None, 0, detail="no bottom")
@@ -235,7 +236,7 @@ def check_skew_boolean(A: Algebra, diff_table) -> CheckResult:
     strong = property_result(A, "strongly-distributive")
     if not strong:
         return CheckResult(name, False, strong.witness, 0, detail="not strongly distributive")
-    res = run_identity("skew-boolean-identities", bind(A, d=diff_table))
+    res = run_identity("skew-boolean-identities", A, d=diff_table)
     if not res.holds:
         return CheckResult(name, False, res.witness, 0, detail=res.detail)
     leq = leq_matrix(A)
@@ -254,7 +255,7 @@ def check_skew_boolean(A: Algebra, diff_table) -> CheckResult:
 
 def check_dual_skew_boolean(A: Algebra, ddiff_table) -> CheckResult:
     """Co-strongly distributive skew lattice with top whose dual difference
-    satisfies the four sandwich identities."""
+    satisfies the four sandwich identities; a bad cell raises MalformedTable."""
     name = "dual-skew-boolean"
     if A.top is None:
         return CheckResult(name, False, None, 0, detail="no top")
@@ -264,5 +265,5 @@ def check_dual_skew_boolean(A: Algebra, ddiff_table) -> CheckResult:
     costrong = property_result(A, "co-strongly-distributive")
     if not costrong:
         return CheckResult(name, False, costrong.witness, 0, detail="not co-strongly distributive")
-    res = run_identity("dual-skew-boolean-identities", bind(A, dd=ddiff_table))
+    res = run_identity("dual-skew-boolean-identities", A, dd=ddiff_table)
     return CheckResult(name, res.holds, res.witness, 0, detail=res.detail)

@@ -41,7 +41,7 @@ from .errors import (
     PreconditionFailed,
 )
 from .heyting import coherence_failure, dual_gb_diff, generalized_heyting_arrow
-from .identities import bind, run_identity
+from .identities import run_identity
 from .properties import PropertyReport, failing_skew_axiom, property_result
 
 
@@ -114,8 +114,8 @@ def _derive_arrow(A: Algebra) -> np.ndarray:
     return table
 
 
-def check_sh_axioms(A: Algebra, arrow) -> PropertyReport:
-    """Exhaustive verdicts for the skew Heyting axioms.
+def check_sh_axioms(A: Algebra) -> PropertyReport:
+    """Exhaustive verdicts for the skew Heyting axioms on ``A``'s arrow.
 
     The quadruple axiom SH4 is scanned in full, without exploiting its
     sandwiched reduction; the reduction SH4-prime is then checked
@@ -127,27 +127,23 @@ def check_sh_axioms(A: Algebra, arrow) -> PropertyReport:
     """
     if A.top is None:
         raise NoTop("skew Heyting axioms need a top")
-    tables = bind(A, r=arrow)
     names = ("SH0", "SH1", "SH2", "SH3", "SH4", "SH4-prime")
-    entries = [run_identity(name, tables, A) for name in names]
-    return PropertyReport(tuple(entries))
+    return PropertyReport(tuple(run_identity(name, A) for name in names))
 
 
-def check_sha(A: Algebra, arrow) -> CheckResult:
-    """The preorder adjunction: x ⪯ y→z iff x∧y ⪯ z, plus x→y = 1 iff x ⪯ y.
+def check_sha(A: Algebra) -> CheckResult:
+    """The preorder adjunction of ``A``'s arrow: x ⪯ y→z iff x∧y ⪯ z, plus x→y = 1 iff x ⪯ y.
 
     When the reduct is a co-strongly distributive skew lattice with top and
     y ≤ x→y holds throughout, the adjunction is known to pin the arrow down;
     in that case agreement with the derived arrow is verified as well.
     """
-    R = np.asarray(arrow)
-    tables = bind(A, r=R, pre=preceq_matrix(A))
-    adj = run_identity("SHA", tables)
+    adj = run_identity("SHA", A)
     if not adj.holds:
         return CheckResult("SHA", False, adj.witness, 0, detail="adjunction fails")
     if A.top is None:
         return CheckResult("SHA", False, None, 0, detail="no top: x→y=1 clause unverifiable")
-    unit = run_identity("x→y=1 ⇔ x⪯y", tables)
+    unit = run_identity("x→y=1 ⇔ x⪯y", A)
     if not unit.holds:
         return CheckResult("SHA", False, unit.witness, 0, detail="x→y=1 iff x⪯y fails")
 
@@ -156,19 +152,19 @@ def check_sha(A: Algebra, arrow) -> CheckResult:
     except PreconditionFailed:
         detail = "adjunction holds; sufficiency direction not applicable"
         return CheckResult("SHA", True, None, 0, detail=detail)
-    if not leq_matrix(A)[np.arange(A.n), R].all():  # y ≤ x→y at [x, y]
+    if not leq_matrix(A)[np.arange(A.n), A.arrow].all():  # y ≤ x→y at [x, y]
         detail = "adjunction holds; y ≤ x→y fails so sufficiency not applicable"
         return CheckResult("SHA", True, None, 0, detail=detail)
-    witness = first_true(derive_arrow(A) != R)
+    witness = first_true(derive_arrow(A) != A.arrow)
     if witness is not None:
         detail = "sufficiency conditions hold but arrow differs from derived"
         return CheckResult("SHA", False, witness, 0, detail=detail)
     return CheckResult("SHA", True, None, 0)
 
 
-def check_imp_or(A: Algebra, arrow) -> CheckResult:
-    """(x∨y∨x)→z = (x→z)∧(y→z)∧(x→z), quantified over all triples."""
-    res = run_identity("imp-or", bind(A, r=arrow))
+def check_imp_or(A: Algebra) -> CheckResult:
+    """(x∨y∨x)→z = (x→z)∧(y→z)∧(x→z) on ``A``'s arrow, quantified over all triples."""
+    res = run_identity("imp-or", A)
     return CheckResult("imp-or", res.holds, res.witness, 0)
 
 
@@ -204,14 +200,15 @@ def check_lifting(A: Algebra) -> CheckResult:
     return CheckResult("lifting", True, None, 0)
 
 
-def check_arrow_congruences(A: Algebra, arrow) -> CheckResult:
+def check_arrow_congruences(A: Algebra) -> CheckResult:
     """D, L and R must be congruences for every operation including the
-    arrow, and the arrows of A, A/L and A/R must derive (each derivation
-    verifies itself and raises when it fails)."""
-    enriched = A.with_arrow(arrow)
+    arrow ``A`` carries, and the arrows of A, A/L and A/R must derive (each
+    derivation verifies itself and raises when it fails)."""
+    if A.arrow is None:
+        raise PreconditionFailed("arrow congruences need an arrow")
     D, L, R = greens(A)
     for label, part in (("D", D), ("L", L), ("R", R)):
-        cong = is_congruence(enriched, part)
+        cong = is_congruence(A, part)
         if not cong:
             return CheckResult("arrow-congruences", False, cong.witness, 0, detail=f"{label} fails")
     derive_arrow(A)
@@ -222,8 +219,8 @@ def check_arrow_congruences(A: Algebra, arrow) -> CheckResult:
     return CheckResult("arrow-congruences", True, None, 0)
 
 
-def special_case_arrows(A: Algebra, arrow=None) -> PropertyReport:
-    """Closed forms for special classes, checked against the derived arrow.
+def special_case_arrows(A: Algebra) -> PropertyReport:
+    """Closed forms for special classes, checked against ``A``'s arrow.
 
     Skew chains (S/D a chain) must satisfy x→y = 1 if x⪯y else y; when the
     dual difference is solvable, x→y = y∖∖x must hold.  Cases that do not
@@ -231,9 +228,9 @@ def special_case_arrows(A: Algebra, arrow=None) -> PropertyReport:
     """
     if A.top is None:
         raise NoTop("special case comparison needs a top")
-    if arrow is None:
-        arrow = derive_arrow(A)
-    R = np.asarray(arrow)
+    if A.arrow is None:
+        raise PreconditionFailed("special case comparison needs an arrow")
+    R = A.arrow
     entries: list[CheckResult] = []
 
     def compare(name: str, expected: np.ndarray) -> CheckResult:

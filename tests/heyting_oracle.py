@@ -12,7 +12,7 @@ obviously right, so the tests cross-check the library against it.
 import numpy as np
 
 from skewbench.core import Algebra, greens, leq_matrix, quotient, subalgebra
-from skewbench.errors import AmbiguousDiff, CoherenceFailure, InconsistencyDetected
+from skewbench.errors import AmbiguousDiff, CoherenceFailure, InconsistencyDetected, NoTop
 from skewbench.heyting import ArrowResult
 from skewbench import models
 from skewbench.models import Poset, SurjectionModel, partial_function_algebra, poset_sections_algebra
@@ -123,7 +123,7 @@ def dual_gb_diff(L: Algebra) -> ArrowResult:
     n = L.n
     M, J, top = L.meet, L.join, L.top
     if top is None:
-        return ArrowResult(None, (0, 0))
+        raise NoTop("the dual difference needs a declared top")
     table = np.zeros((n, n), dtype=np.int16)
     for y in range(n):
         for x in range(n):

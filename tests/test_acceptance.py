@@ -116,15 +116,16 @@ def test_criterion_2_axiomatization_and_uniqueness():
     failures = []
     for nx, ny in FAMILY:
         A = _family_instance(nx, ny)
-        rep = check_sh_axioms(A, A.arrow)
+        rep = check_sh_axioms(A)
         if not rep.all_hold():
             failures.append((nx, ny, "axioms"))
             continue
         for x, y, v in _mutations(A):
             arrow = np.array(A.arrow)
             arrow[x, y] = v
-            mutated = check_sh_axioms(A, arrow)
-            if mutated.all_hold() and check_sha(A, arrow).holds:
+            M = A.with_arrow(arrow)
+            mutated = check_sh_axioms(M)
+            if mutated.all_hold() and check_sha(M).holds:
                 failures.append((nx, ny, f"undetected mutation at ({x},{y})->{v}"))
                 break
     _announce(2, "axiomatization and uniqueness", not failures)
@@ -135,7 +136,7 @@ def test_criterion_3_congruence_suite():
     failures = []
     for nx, ny in FAMILY:
         A = _family_instance(nx, ny)
-        if not check_arrow_congruences(A.drop_arrow(), A.arrow):
+        if not check_arrow_congruences(A):
             failures.append((nx, ny, "congruences"))
             continue
         _, L, R = greens(A)
@@ -236,13 +237,13 @@ def test_criterion_7_section_theorem_and_formula_resolution():
         if not (rep.holds("skew-lattice") and rep.holds("co-strongly-distributive")):
             failures.append(("classify", model))
             continue
-        if not check_sh_axioms(A, A.arrow).all_hold():
+        if not check_sh_axioms(A).all_hold():
             failures.append(("axioms", model))
-        if not (check_sha(A, A.arrow) and check_imp_or(A, A.arrow)):
+        if not (check_sha(A) and check_imp_or(A)):
             failures.append(("sha/imp-or", model))
         if not check_lifting(A.drop_arrow()):
             failures.append(("lifting", model))
-        if not check_arrow_congruences(A.drop_arrow(), A.arrow):
+        if not check_arrow_congruences(A):
             failures.append(("congruences", model))
         derived = derive_arrow(A.drop_arrow())
         verdicts = section_arrow_candidates(model, derived)
@@ -272,9 +273,9 @@ def test_criterion_8_imp_or_and_sha_everywhere():
         for i, m in enumerate(_poset_section_models())
     ]
     for label, A in instances:
-        if not check_sha(A, A.arrow):
+        if not check_sha(A):
             failures.append((label, "SHA"))
-        if not check_imp_or(A, A.arrow):
+        if not check_imp_or(A):
             failures.append((label, "imp-or"))
     _announce(8, f"imp-or and SHA on {len(instances)} instances", not failures)
     assert not failures, failures

@@ -580,7 +580,7 @@ def test_failing_sh2_witness_names_pair_and_sides(pf22):
         for y in range(pf22.n):
             arrow = np.array(pf22.arrow)
             arrow[x, y] = (arrow[x, y] + 1) % pf22.n
-            rep = check_sh_axioms(pf22, arrow)
+            rep = check_sh_axioms(pf22.with_arrow(arrow))
             if not rep.holds("SH2"):
                 entry = _entry_from_check(rep["SH2"], pf22.names)
                 break

@@ -24,7 +24,7 @@ from skewbench import (
     vertical_dual,
 )
 from skewbench import heyting
-from skewbench.errors import AmbiguousDiff, InconsistencyDetected
+from skewbench.errors import AmbiguousDiff, InconsistencyDetected, NoTop
 from skewbench.heyting import ArrowResult, _arrow_by_candidates
 from skewbench.identities import bind, named_check, values_at
 from skewbench.models import (
@@ -83,25 +83,25 @@ class TestHeytingArrow:
 class TestHeytingAxioms:
     def test_chain2_all_hold(self, chain2):
         arrow = heyting_arrow(chain2).table
-        rep = check_heyting_axioms(chain2, arrow)
+        rep = check_heyting_axioms(chain2.with_arrow(arrow))
         assert rep.all_hold()
 
     def test_perturbed_arrow_breaks_ha(self, boolean4):
         arrow = np.array(heyting_arrow(boolean4).table)
         arrow[1, 0] = (arrow[1, 0] + 1) % 4
-        rep = check_heyting_axioms(boolean4, arrow)
+        rep = check_heyting_axioms(boolean4.with_arrow(arrow))
         assert not rep.holds("HA")
         assert rep["HA"].witness is not None
 
     def test_esakia_upsets_of_two_chain(self):
         L = upset_heyting(Poset.chain(2, ["a", "b"]))
-        rep = check_heyting_axioms(L.drop_arrow(), L.arrow)
+        rep = check_heyting_axioms(L)
         assert rep.all_hold()
 
     def test_join_reduction_lemma(self, chain3, boolean4):
         for L in (chain3, boolean4):
             arrow = heyting_arrow(L).table
-            rep = check_heyting_axioms(L, arrow)
+            rep = check_heyting_axioms(L.with_arrow(arrow))
             assert rep.holds("arrow-join-reduction")
 
 
@@ -173,6 +173,15 @@ class TestDualDiff:
         m3 = make_algebra(["0", "a", "b", "c", "1"], meet, join, top=4, bottom=0)
         with pytest.raises(AmbiguousDiff):
             dual_gb_diff(m3)
+
+    def test_no_top_raises_instead_of_naming_a_pair(self, chain2):
+        # the dual difference of a topless algebra is not unsolvable at
+        # some pair: its identities name a top that is not there
+        for L in (vertical_dual(partial_function_algebra(2, 2)), chain2.replace(top=None)):
+            assert L.top is None
+            for solve in (dual_gb_diff, heyting_oracle.dual_gb_diff):
+                with pytest.raises(NoTop):
+                    solve(L)
 
 
 def _assert_kernel_agrees(L):

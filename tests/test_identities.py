@@ -13,7 +13,9 @@ from test_heyting import DEEP_INSTANCES
 
 from skewbench import (
     binormal_factorization,
+    check_arrow_congruences,
     check_costrong_equivalence,
+    check_heyting_axioms,
     check_imp_or,
     check_sh_axioms,
     check_sha,
@@ -26,10 +28,12 @@ from skewbench import (
     leq_matrix,
     make_algebra,
     preceq_matrix,
+    special_case_arrows,
     vertical_dual,
 )
 from skewbench.cli import emit_algebra_file, run_command
 from skewbench.core import maximal_elements, minimal_elements
+from skewbench.errors import PreconditionFailed
 from skewbench.identities import (
     DECIDERS,
     GROUPS,
@@ -42,7 +46,7 @@ from skewbench.identities import (
     run_identity,
     values_at,
 )
-from skewbench.models import partial_function_algebra, search_family
+from skewbench.models import partial_function_algebra, partial_function_boolean, search_family
 from skewbench.properties import PROPERTY_NAMES, property_result
 from skewbench.property_names import SKEW_AXIOMS
 
@@ -80,8 +84,50 @@ class TestFormulas:
         assert named_check("SH1").lhs == named_check("H1").lhs == ("r", 0, 0)
 
     def test_constants_bound_to_bottom_and_top(self, chain2):
-        assert run_identity("x∧0=0", bind(chain2)).holds
-        assert not run_identity("x∧1=0", bind(chain2)).holds
+        assert run_identity("x∧0=0", chain2).holds
+        assert not run_identity("x∧1=0", chain2).holds
+
+
+class TestBinding:
+    """run_identity reads every table a formula names from the algebra;
+    only the differences, which no algebra carries, are given beside it."""
+
+    @pytest.mark.parametrize("op", ["m", "j", "r", "leq", "pre"])
+    def test_a_table_the_algebra_carries_is_not_an_op(self, pf22, op):
+        with pytest.raises(TypeError, match=op):
+            run_identity("x∧x=x", pf22, **{op: pf22.meet})
+
+    def test_a_formula_reading_what_is_not_bound_is_refused(self, pf22):
+        sba, diff = partial_function_boolean(2, 2)
+        for name, A, what in (
+            ("SH1", pf22.drop_arrow(), "the arrow"),
+            ("x∧0=0", pf22, "the bottom"),
+            ("x→x=1", vertical_dual(pf22).with_arrow(diff), "the top"),
+            ("skew-boolean-identities", sba, "the difference"),
+        ):
+            with pytest.raises(PreconditionFailed, match=f"reads {what}, and none is bound"):
+                run_identity(name, A)
+        assert run_identity("skew-boolean-identities", sba, d=diff).holds
+
+    def test_every_suite_checks_the_arrow_the_algebra_carries(self, pf22):
+        arrowless = pf22.drop_arrow()
+        suites = (
+            check_sh_axioms,
+            check_sha,
+            check_imp_or,
+            check_arrow_congruences,
+            special_case_arrows,
+            check_heyting_axioms,
+        )
+        for suite in suites:
+            with pytest.raises(PreconditionFailed, match="arrow"):
+                suite(arrowless)
+
+    def test_a_law_of_meet_and_join_builds_no_order(self):
+        A = partial_function_algebra(2, 2)
+        assert property_result(A, "symmetric").holds
+        assert "leq" not in A._facts and "preceq" not in A._facts
+        assert check_sha(A) and {"leq", "preceq"} <= A._facts.keys()
 
 
 @pytest.fixture
@@ -173,7 +219,7 @@ class TestDeciders:
         if decided is not None:
             assert decided == scan and decided.holds
         else:
-            assert run_identity(formula, tables, A) == scan
+            assert run_identity(formula, A) == scan
             assert not (formula in _IFF and scan.holds), "a holding law the decider missed"
         if not scan.holds:
             lhs, rhs = values_at(check, tables, scan.witness)
@@ -226,7 +272,7 @@ class TestDeciders:
     def test_the_deciders_store_nothing_on_the_algebra(self):
         A = partial_function_algebra(3, 2)
         classify(A)
-        check_sh_axioms(A, A.arrow)
+        check_sh_axioms(A)
         assert not [key for key in A._facts if key.startswith("decider:")]
 
     @pytest.mark.parametrize("formula,dual", [(GROUPS["conormal"][0], False), (GROUPS["normal"][0], True)])
@@ -308,11 +354,12 @@ class TestArrowMeetDecider:
     @given(drawn=_costrong_with_arrow())
     def test_decided_exactly_where_the_scan_holds(self, drawn):
         A, arrow = drawn
-        check, tables = named_check("SH4-prime"), bind(A, r=arrow)
+        A = A.with_arrow(arrow)
+        check, tables = named_check("SH4-prime"), bind(A)
         scan = run_check(check, tables)
         decided = decide("SH4-prime", A, tables)
         assert (decided is not None) == scan.holds
-        assert run_identity("SH4-prime", tables, A) == scan
+        assert run_identity("SH4-prime", A) == scan
         if decided is not None:
             assert decided == scan and decided.evaluated == _cubes_of_minimal_upsets(A)
         else:
@@ -321,17 +368,17 @@ class TestArrowMeetDecider:
     @pytest.mark.parametrize("x,y,cells", [(4, 2, 65_536), (6, 1, 262_144)])
     def test_cells_compared_on_partial_function_algebras(self, x, y, cells):
         A = partial_function_algebra(x, y)
-        res = check_sh_axioms(A, derive_arrow(A.drop_arrow()))["SH4-prime"]
+        res = check_sh_axioms(A.with_arrow(derive_arrow(A)))["SH4-prime"]
         assert res.holds and res.checked == A.n**4 and res.evaluated == cells
 
     def test_a_mutated_arrow_after_a_good_one_fails(self):
         # nothing the decider proves for one arrow is kept for the next
         A = partial_function_algebra(2, 2)
         good = derive_arrow(A.drop_arrow())
-        assert check_sh_axioms(A, good)["SH4-prime"].holds
+        assert check_sh_axioms(A.with_arrow(good))["SH4-prime"].holds
         arrow = np.array(good)
         arrow[A.top, A.top] = A.index("{p:0}")
-        res = check_sh_axioms(A, arrow)["SH4-prime"]
+        res = check_sh_axioms(A.with_arrow(arrow))["SH4-prime"]
         assert not res.holds and res.checked == A.n**4
         _assert_failure_confirmed(res, named_check("SH4-prime"), bind(A, r=arrow))
         assert res == run_check(named_check("SH4-prime"), bind(A, r=arrow))
@@ -340,18 +387,19 @@ class TestArrowMeetDecider:
         # N5 is a lattice but not distributive; SH4-prime holds for the
         # constant arrow, and the scan must say so, not the decider
         arrow = np.full((n5.n, n5.n), n5.top, dtype=np.int16)
-        tables = bind(n5, r=arrow)
+        n5 = n5.with_arrow(arrow)
+        tables = bind(n5)
         assert property_result(n5, "skew-lattice")
         assert not property_result(n5, "co-strongly-distributive")
         assert decide("SH4-prime", n5, tables) is None
-        assert run_identity("SH4-prime", tables, n5) == run_check(named_check("SH4-prime"), tables)
-        assert run_identity("SH4-prime", tables, n5).holds
+        assert run_identity("SH4-prime", n5) == run_check(named_check("SH4-prime"), tables)
+        assert run_identity("SH4-prime", n5).holds
 
     @pytest.mark.parametrize("x,y,cells", [(4, 2, 65_536), (6, 1, 262_144)])
     def test_decided_on_a_fresh_algebra(self, x, y, cells):
         # no verdict cached beforehand: the decider asks for its own
         A = partial_function_algebra(x, y)
-        res = check_sh_axioms(A, A.arrow)["SH4-prime"]
+        res = check_sh_axioms(A)["SH4-prime"]
         assert res.holds and res.checked == A.n**4 and res.evaluated == cells
 
     def test_peak_memory_on_a_chain_of_160(self):
@@ -407,14 +455,14 @@ def test_every_failing_witness_is_a_violation(drawn, with_n5, n5):
     of quasi-distributive on the member or its product with the
     nondistributive N5, re-evaluate to a violation of their formula."""
     A, arrow = drawn
-    sha = check_sha(A, arrow)
+    sha = check_sha(A.with_arrow(arrow))
     if not sha.holds and sha.detail in _SHA_FORMULAS:
         tables = bind(A, r=arrow, pre=preceq_matrix(A))
         _assert_violated([_SHA_FORMULAS[sha.detail]], tables, sha.witness)
     elif not sha.holds:
         assert sha.detail == "sufficiency conditions hold but arrow differs from derived"
         assert arrow[sha.witness] != derive_arrow(A.drop_arrow())[sha.witness]
-    imp = check_imp_or(A, arrow)
+    imp = check_imp_or(A.with_arrow(arrow))
     if not imp.holds:
         _assert_violated(["imp-or"], bind(A, r=arrow), imp.witness)
     B = direct_product(A, n5) if with_n5 else A
@@ -477,10 +525,10 @@ class TestBoxedEngine:
     @pytest.mark.parametrize("name", ["SH4", "SH4-prime"])
     def test_peak_memory_of_a_four_variable_check(self, name):
         A = partial_function_algebra(4, 2)
-        tables = bind(A, r=A.arrow)
+        tables = bind(A)
         tracemalloc.start()
         try:
-            res = run_identity(name, tables)
+            res = run_check(named_check(name), tables)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -538,12 +586,12 @@ class TestImageEngine:
     @pytest.mark.parametrize("name", ["SH4", "SH4-prime"])
     def test_images_shrink_the_four_variable_checks(self, name):
         A = partial_function_algebra(4, 2)
-        res = run_identity(name, bind(A, r=A.arrow))
+        res = run_check(named_check(name), bind(A))
         assert res.holds and res.checked == 81**4
         assert res.evaluated <= res.checked / 25
 
     def test_a_check_in_one_box_evaluates_every_tuple(self, pf22):
-        res = run_identity("imp-or", bind(pf22, r=pf22.arrow))
+        res = run_identity("imp-or", pf22)
         assert res.holds and res.evaluated == res.checked == 9**3
 
     def test_images_not_fewer_than_tuples_fall_back_after_one_box(self):
@@ -554,9 +602,8 @@ class TestImageEngine:
         assert res.holds and res.checked < res.evaluated <= res.checked + identities._BOX
 
     def test_evaluated_is_outside_equality_and_summed_by_groups(self, pf22):
-        tables = bind(pf22)
-        res = run_identity("absorption", tables)
-        parts = [run_identity(f, tables) for f in GROUPS["absorption"]]
+        res = run_identity("absorption", pf22)
+        parts = [run_identity(f, pf22) for f in GROUPS["absorption"]]
         assert res.evaluated == sum(p.evaluated for p in parts) > 0
         assert res == res.replace(evaluated=0)
 

@@ -1,7 +1,8 @@
 """No module of the package imports a private name from another: a helper
 that two modules need is public in one of them, or lives where it is used.
 Every name a module imports is referenced in it, no module imports
-``dataclasses``, and the modules import one another without a cycle."""
+``dataclasses``, the modules import one another without a cycle, and only
+``identities`` binds the tables a formula reads."""
 
 import ast
 from pathlib import Path
@@ -221,4 +222,49 @@ def test_the_check_sees_a_closure_cycle(tmp_path):
         "line 2: parse.atom names term",
         "line 4: parse.term names atom",
         "line 7: parse.walk names walk",
+    ]
+
+
+# the tables an algebra carries, which run_identity reads from it
+_CARRIED = {"m", "j", "r", "leq", "pre"}
+
+
+def _side_channels(path: Path) -> list[str]:
+    """The imports and calls of ``bind`` outside ``identities``, and the
+    calls of ``run_identity`` that pass a table the algebra carries.  Only
+    ``identities`` decides which tables a formula reads, so a verdict
+    cached on an algebra is the verdict of that algebra's tables."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.ImportFrom) and path.stem != "identities":
+            found += [f"line {node.lineno}: imports bind" for alias in node.names if alias.name == "bind"]
+        elif isinstance(node, ast.Call):
+            func = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+            if func == "bind" and path.stem != "identities":
+                found.append(f"line {node.lineno}: calls bind")
+            elif func == "run_identity":
+                found += [
+                    f"line {node.lineno}: run_identity passes {kw.arg}" for kw in node.keywords if kw.arg in _CARRIED
+                ]
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_identities_binds_the_tables_of_a_formula(path):
+    assert _side_channels(path) == []
+
+
+def test_the_check_sees_a_side_channel(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "from .identities import bind, run_identity\n"
+        "from . import identities\n"
+        "def f(A, t):\n"
+        "    run_identity('SHA', A, d=t, pre=t)\n"
+        "    return identities.bind(A, r=t)\n"
+    )
+    assert _side_channels(bad) == [
+        "line 1: imports bind",
+        "line 4: run_identity passes pre",
+        "line 5: calls bind",
     ]

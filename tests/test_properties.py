@@ -15,9 +15,9 @@ from skewbench import (
     subalgebra,
     vertical_dual,
 )
-from skewbench.errors import NotUnique, PreconditionFailed
+from skewbench.errors import MalformedTable, NotUnique, PreconditionFailed
 from skewbench.heyting import dual_gb_diff
-from skewbench.models import partial_function_boolean
+from skewbench.models import partial_function_algebra, partial_function_boolean
 from skewbench.properties import property_result
 
 
@@ -165,6 +165,20 @@ class TestSkewBoolean:
         bad = np.array(diff)
         bad[1, 1] = (bad[1, 1] + 1) % sba.n
         assert not check_skew_boolean(sba, bad)
+
+    @pytest.mark.parametrize("cell,shown", [(-1, "index -1"), (9, "index 9"), (1.5, "1.5"), (True, "True")])
+    def test_a_difference_cell_that_is_no_element_is_refused(self, cell, shown):
+        # refused as make_algebra refuses a table cell, not read as an element
+        sba, diff = partial_function_boolean(2, 2)
+        pf = partial_function_algebra(2, 2)
+        for check, A, table, label in (
+            (check_skew_boolean, sba, diff, "difference"),
+            (check_dual_skew_boolean, pf, dual_gb_diff(pf).table, "dual difference"),
+        ):
+            rows = table.tolist()
+            rows[0][1] = cell
+            with pytest.raises(MalformedTable, match=rf"^{label}\[0\]\[1\]: {shown}"):
+                check(A, rows)
 
     def test_non_skew_lattice_names_the_failing_axiom(self, left_zero_top):
         # the skew lattice check runs first, whatever the difference table
