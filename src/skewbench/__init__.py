@@ -17,7 +17,6 @@ _HOMES = {
     "Algebra": "core",
     "ArrowResult": "heyting",
     "CheckResult": "core",
-    "Partition": "core",
     "PropertyReport": "properties",
     "adjunction_failure": "heyting",
     "binormal_factorization": "properties",
@@ -48,6 +47,7 @@ _HOMES = {
     "make_algebra": "core",
     "models": "models",
     "natural_orders": "core",
+    "partition_of": "core",
     "preceq_matrix": "core",
     "pullback_check": "core",
     "quotient": "core",

@@ -395,9 +395,7 @@ def _cmd_quotient(args, report: Report) -> None:
     A = parse_algebra_file(_read(args.file, report))
     from .core import greens, quotient
 
-    D, L, R = greens(A)
-    part = {"D": D, "L": L, "R": R}[args.rel]
-    Q, _ = quotient(A, part)
+    Q, _ = quotient(A, greens(A)["DLR".index(args.rel)])
     report.payload = emit_algebra_file(Q)
     report.settle()
 

@@ -1,16 +1,17 @@
 """Finite double-band algebras as operation tables.
 
 Elements are dense integer indices; display names ride along as a sidecar
-tuple.  Operation tables are the single source of truth.  The facts derived
-from them here are built on first use and cached on the algebra: ≤
-(:func:`leq_matrix`), ⪯ (:func:`preceq_matrix`), Green's relations
-(:func:`greens`), the partition ⪯ ∩ ⪰ (:func:`d_partition`) and S/D with
-its projection (:func:`lattice_image`), where S/D is not the algebra
-itself.  Algebra values are immutable (cached arrays are read-only) and
-every function here is pure, so values may be shared freely between
-threads.  :class:`CheckResult` is the verdict
-of every check in the workbench, and :class:`Record` the base of every
-record type.
+tuple.  Operation tables are the single source of truth.  Maps and
+partitions are read-only int16 index arrays; a partition labels each
+element with its block, blocks numbered 0…k−1 by least member
+(:func:`partition_of`), so a quotient's projection is its partition.
+Facts derived from the tables are built on first use and cached on the
+algebra: ≤ and ⪯ (:func:`leq_matrix`, :func:`preceq_matrix`), Green's
+relations (:func:`greens`), the partition ⪯ ∩ ⪰ (:func:`d_partition`) and
+S/D with its projection (:func:`lattice_image`) where S/D is not the
+algebra itself.  Algebras are immutable and every function here is pure,
+so values may be shared freely between threads.  :class:`CheckResult` is
+the verdict of every check, and :class:`Record` the base of every record.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .errors import (
 )
 
 _DTYPE = np.int16
+ISOMORPHISM_BOUND = 12  # the largest carriers find_isomorphism compares by default
 
 
 def _freeze(arr: np.ndarray, dtype=_DTYPE) -> np.ndarray:
@@ -414,86 +416,53 @@ def natural_orders(A: Algebra) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Partitions and Green's relations
+# Green's relations, partitions and quotients
 
 
-class Partition(Record):
-    """Equivalence partition of a carrier; blocks are sorted by least member."""
-
-    __slots__ = ("blocks", "block_of")
-
-    def __init__(self, blocks: tuple[tuple[int, ...], ...], block_of: tuple[int, ...]):
-        self._init(blocks, block_of)
-
-    @property
-    def n(self) -> int:
-        return len(self.block_of)
-
-    @property
-    def num_blocks(self) -> int:
-        return len(self.blocks)
-
-    @classmethod
-    def from_blocks(cls, blocks, n: int) -> "Partition":
-        norm = sorted(tuple(sorted(int(x) for x in blk)) for blk in blocks)
-        seen: list[int] = []
-        for blk in norm:
-            if not blk:
-                raise ValueError("empty block")
-            seen.extend(blk)
-        if sorted(seen) != list(range(n)):
-            raise ValueError("blocks do not partition the carrier")
-        block_of = [0] * n
-        for i, blk in enumerate(norm):
-            for x in blk:
-                block_of[x] = i
-        return cls(tuple(norm), tuple(block_of))
-
-    @classmethod
-    def from_relation(cls, rel: np.ndarray) -> "Partition":
-        n = rel.shape[0]
-        if not rel.diagonal().all():
-            x = int(np.argmin(rel.diagonal()))
-            raise ValueError(f"relation not reflexive at {x}")
-        if not np.array_equal(rel, rel.T):
-            raise ValueError("relation not symmetric")
-        bad = first_true((rel @ rel) & ~rel)
-        if bad is not None:
-            raise ValueError(f"relation not transitive at ({bad[0]}, {bad[1]})")
-        blocks = []
-        done = set()
-        for x in range(n):
-            if x in done:
-                continue
-            blk = tuple(int(v) for v in np.flatnonzero(rel[x]))
-            done.update(blk)
-            blocks.append(blk)
-        return cls.from_blocks(blocks, n)
-
-    @classmethod
-    def singletons(cls, n: int) -> "Partition":
-        return cls.from_blocks([(i,) for i in range(n)], n)
-
-    def same(self, x: int, y: int) -> bool:
-        return self.block_of[x] == self.block_of[y]
+def partition_of(rel: np.ndarray) -> np.ndarray:
+    """The partition of the bool matrix ``rel``, numbered by least member;
+    raises ValueError when ``rel`` is not an equivalence."""
+    if not rel.diagonal().all():
+        x = int(np.argmin(rel.diagonal()))
+        raise ValueError(f"relation not reflexive at {x}")
+    if not np.array_equal(rel, rel.T):
+        raise ValueError("relation not symmetric")
+    bad = first_true((rel @ rel) & ~rel)
+    if bad is not None:
+        raise ValueError(f"relation not transitive at ({bad[0]}, {bad[1]})")
+    # np.unique numbers each element's least block-mate in ascending order
+    return _freeze(np.unique(rel.argmax(axis=0), return_inverse=True)[1])
 
 
-def d_partition(A: Algebra) -> Partition:
-    """The partition of ⪯ ∩ ⪰, which is Green's D on a skew lattice.
-    Cached; raises NotComposable when the relation is not an equivalence."""
-    return A.cached("D", lambda: _d_partition(A))
+def _representatives(A: Algebra, part) -> tuple[np.ndarray, np.ndarray]:
+    """``part`` as an index array and its blocks' least members, in label
+    order; raises ValueError unless ``part`` is a partition of ``A``."""
+    part = np.asarray(part)
+    if part.shape != (A.n,) or part.dtype.kind not in "iu":
+        raise ValueError(f"a partition is {A.n} integer labels, not {part.dtype} {part.shape}")
+    part = part.astype(np.intp)
+    new = np.r_[0, np.maximum.accumulate(part)[:-1] + 1]  # the label of a block first met there
+    bad = first_true((part < 0) | (part > new))
+    if bad is not None:
+        raise ValueError(f"partition labels are not 0…k−1 by least member: element {bad[0]} has label {part[bad]}")
+    return part, np.flatnonzero(part == new)
 
 
-def _d_partition(A: Algebra) -> Partition:
-    pre = preceq_matrix(A)
+def _equivalence(rel: np.ndarray, what: str) -> np.ndarray:
     try:
-        return Partition.from_relation(pre & pre.T)
+        return partition_of(rel)
     except ValueError as exc:
-        raise NotComposable(f"D is not an equivalence: {exc}") from exc
+        raise NotComposable(f"{what} is not an equivalence: {exc}") from exc
 
 
-def greens(A: Algebra) -> tuple[Partition, Partition, Partition]:
-    """Green's relations (D, L, R) as partitions, cached.
+def d_partition(A: Algebra) -> np.ndarray:
+    """The partition ⪯ ∩ ⪰, Green's D on a skew lattice, as an index array.
+    Cached; raises NotComposable when the relation is not an equivalence."""
+    return A.cached("D", lambda: _equivalence(preceq_matrix(A) & preceq_matrix(A).T, "D"))
+
+
+def greens(A: Algebra) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Green's relations (D, L, R) as partitions, index arrays, cached.
 
     Verifies on the instance that the meet and join characterizations of L
     and R agree, that all three are equivalences and that L∘R = R∘L = D; a
@@ -502,7 +471,7 @@ def greens(A: Algebra) -> tuple[Partition, Partition, Partition]:
     return A.cached("greens", lambda: _greens(A))
 
 
-def _greens(A: Algebra) -> tuple[Partition, Partition, Partition]:
+def _greens(A: Algebra) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     M, J = A.meet, A.join
     row, col = np.arange(A.n)[:, None], np.arange(A.n)[None, :]
     # x L y by x∧y = x and y∧x = y, or by x∨y = y and y∨x = x; R dually
@@ -518,13 +487,8 @@ def _greens(A: Algebra) -> tuple[Partition, Partition, Partition]:
             )
 
     D = d_partition(A)
-    try:
-        L = Partition.from_relation(Lrel)
-        R = Partition.from_relation(Rrel)
-    except ValueError as exc:
-        raise NotComposable(f"Green's relation is not an equivalence: {exc}") from exc
-    bof = np.array(D.block_of)
-    Drel = bof[:, None] == bof[None, :]
+    L, R = (_equivalence(rel, "Green's relation") for rel in (Lrel, Rrel))
+    Drel = D[:, None] == D[None, :]
     bad = first_true((Lrel @ Rrel != Drel) | (Rrel @ Lrel != Drel))
     if bad is not None:
         x, y = bad
@@ -532,34 +496,32 @@ def _greens(A: Algebra) -> tuple[Partition, Partition, Partition]:
     return D, L, R
 
 
-def is_congruence(A: Algebra, partition: Partition) -> CheckResult:
-    """Check that a partition respects every operation table present.
+def is_congruence(A: Algebra, part) -> CheckResult:
+    """Check that the partition ``part``, an index array, respects every
+    operation table present; raises ValueError if ``part`` is no partition.
 
     A failing result carries a witness ``(op, a, b, c, d)`` with a ≈ c and
     b ≈ d but op(a,b) not ≈ op(c,d); the pair (a, b) is the lexicographically
-    first violation against block representatives.
+    first violation against block representatives, the least members.
     """
-    bof = np.array(partition.block_of)
-    reps = np.array([blk[0] for blk in partition.blocks])
+    part, reps = _representatives(A, part)
     for label, table in A.tables().items():
-        classes = bof[table]
-        bad = first_true(classes != classes[np.ix_(reps, reps)][np.ix_(bof, bof)])
+        classes = part[table]
+        bad = first_true(classes != classes[np.ix_(reps, reps)][np.ix_(part, part)])
         if bad is not None:
             a, b = bad
             name = {"m": "meet", "j": "join", "r": "arrow"}[label]
-            return CheckResult("congruence", False, (name, a, b, int(reps[bof[a]]), int(reps[bof[b]])), 0)
+            return CheckResult("congruence", False, (name, a, b, int(reps[part[a]]), int(reps[part[b]])), 0)
     return CheckResult("congruence", True, None, 0)
 
 
-def quotient(A: Algebra, partition: Partition) -> tuple[Algebra, np.ndarray]:
-    """Quotient by a congruence; returns the block algebra and the projection
-    as a read-only index array.
-
-    Blocks are named by their members and ordered by least member index so
-    that output is deterministic.  When the partition is Green's D the result
-    is verified commutative; failure signals a non-skew-lattice input.
-    """
-    cong = is_congruence(A, partition)
+def quotient(A: Algebra, part) -> tuple[Algebra, np.ndarray]:
+    """Quotient by the congruence ``part``, an index array; returns the
+    block algebra, whose element i is block i named by its members, and
+    the projection, a read-only copy of ``part``.  When ``part`` is Green's
+    D the result is verified commutative; failure signals a non-skew-lattice
+    input."""
+    cong = is_congruence(A, part)
     if not cong:
         op, a, b, c, d = cong.witness
         raise NotACongruence(
@@ -567,24 +529,28 @@ def quotient(A: Algebra, partition: Partition) -> tuple[Algebra, np.ndarray]:
             f"{op}({A.names[c]},{A.names[d]}) land in different blocks",
             witness=cong.witness,
         )
-    bof = np.array(partition.block_of)
-    reps = np.array([blk[0] for blk in partition.blocks])
-    qnames = tuple("{" + ",".join(A.names[x] for x in blk) + "}" for blk in partition.blocks)
-    qmeet = bof[A.meet[np.ix_(reps, reps)]]
-    qjoin = bof[A.join[np.ix_(reps, reps)]]
-    qarrow = bof[A.arrow[np.ix_(reps, reps)]] if A.arrow is not None else None
-    qtop = int(bof[A.top]) if A.top is not None else None
-    qbottom = int(bof[A.bottom]) if A.bottom is not None else None
+    part, reps = _representatives(A, part)
+    blocks = np.split(np.argsort(part, kind="stable"), np.cumsum(np.bincount(part))[:-1])
+    qnames = tuple("{" + ",".join(A.name_tuple(blk)) + "}" for blk in blocks)
+    qmeet = part[A.meet[np.ix_(reps, reps)]]
+    qjoin = part[A.join[np.ix_(reps, reps)]]
+    qarrow = part[A.arrow[np.ix_(reps, reps)]] if A.arrow is not None else None
+    qtop = int(part[A.top]) if A.top is not None else None
+    qbottom = int(part[A.bottom]) if A.bottom is not None else None
     Q = make_algebra(qnames, qmeet, qjoin, top=qtop, bottom=qbottom, arrow=qarrow)
 
     try:
-        is_d = d_partition(A) == partition
+        is_d = np.array_equal(d_partition(A), part)
     except NotComposable:
         is_d = False
-    if is_d:
-        if not (np.array_equal(Q.meet, Q.meet.T) and np.array_equal(Q.join, Q.join.T)):
-            raise NotComposable("quotient by D is not commutative; input is not a skew lattice")
-    return Q, _freeze(bof)
+    if is_d and not is_commutative(Q):
+        raise NotComposable("quotient by D is not commutative; input is not a skew lattice")
+    return Q, _freeze(part)
+
+
+def is_commutative(A: Algebra) -> bool:
+    """Whether both meet and join of ``A`` commute."""
+    return np.array_equal(A.meet, A.meet.T) and np.array_equal(A.join, A.join.T)
 
 
 def lattice_image(A: Algebra) -> tuple[Algebra, np.ndarray]:
@@ -595,8 +561,7 @@ def lattice_image(A: Algebra) -> tuple[Algebra, np.ndarray]:
     identity projection, and is not stored: it would hold the facts that
     hold it.  Otherwise cached; raises as :func:`d_partition` and
     :func:`quotient` do."""
-    commutative = np.array_equal(A.meet, A.meet.T) and np.array_equal(A.join, A.join.T)
-    if commutative and d_partition(A).num_blocks == A.n:
+    if is_commutative(A) and d_partition(A).max() == A.n - 1:
         return A.drop_arrow(), _freeze(np.arange(A.n))
     return A.cached("S/D", lambda: quotient(A.drop_arrow(), d_partition(A)))
 
@@ -609,16 +574,17 @@ def pullback_check(A: Algebra) -> CheckResult:
     """
     D, L, R = greens(A)
     image = {}
-    for a in range(A.n):
-        key = (R.block_of[a], L.block_of[a])
+    for a, key in enumerate(zip(R.tolist(), L.tolist())):
         if key in image:
             return CheckResult("pullback", False, (image[key], a), 0, detail="canonical map not injective")
         image[key] = a
-    d_of_r = [D.block_of[blk[0]] for blk in R.blocks]
-    d_of_l = [D.block_of[blk[0]] for blk in L.blocks]
-    for i, j in itertools.product(range(R.num_blocks), range(L.num_blocks)):
-        if d_of_r[i] == d_of_l[j] and (i, j) not in image:
-            return CheckResult("pullback", False, (i, j), 0, detail="fiber element not hit")
+    # R and L lie inside D: each class's D-class, read at its least member
+    d_of_r, d_of_l = (D[np.unique(part, return_index=True)[1]] for part in (R, L))
+    hit = np.zeros((d_of_r.size, d_of_l.size), dtype=bool)
+    hit[R, L] = True
+    miss = first_true((d_of_r[:, None] == d_of_l[None, :]) & ~hit)
+    if miss is not None:
+        return CheckResult("pullback", False, miss, 0, detail="fiber element not hit")
     return CheckResult("pullback", True, None, 0)
 
 
@@ -675,7 +641,7 @@ def isomorphism_key(A: Algebra) -> tuple:
     return A.cached("isomorphism_key", lambda: (A.n, tuple(sorted(_profiles(A, False)))))
 
 
-def find_isomorphism(A: Algebra, B: Algebra, bound: int = 12) -> np.ndarray | None:
+def find_isomorphism(A: Algebra, B: Algebra, bound: int = ISOMORPHISM_BOUND) -> np.ndarray | None:
     """Backtracking search for an isomorphism respecting all shared operation
     tables and shared constants.  Intended for desk-scale carriers; raises
     TooLarge beyond ``bound``.

@@ -82,7 +82,7 @@ class NotComposable(SkewbenchError):
 
 
 class NotACongruence(SkewbenchError):
-    """Partition does not respect some operation table; witness quadruple attached."""
+    """A partition does not respect some operation table; witness quadruple attached."""
 
 
 class PreconditionFailed(SkewbenchError):

@@ -7,10 +7,11 @@ preorder).  A term is a variable ``x y z w u v``, a constant ``0`` or ``1``,
 a parenthesized term, or terms joined by one operator: ``∧`` (meet), ``∨``
 (join), ``→`` (arrow), ``∖`` (difference) or ``∖∖`` (dual difference).  A
 chain of one operator associates to the left (``x∧y∧z`` is ``(x∧y)∧z``), and
-mixing operators needs parentheses.  Variables are numbered in the fixed
-order x y z w u v, skipping absent ones, so ``(y∨x∨y)→y`` binds x to
-position 0 and y to position 1, and a witness lists values in that order.
-``0`` and ``1`` are the algebra's bottom and top, bound when the check runs.
+mixing operators needs parentheses.  A formula has at least one variable,
+and they are numbered in the fixed order x y z w u v, skipping absent
+ones, so ``(y∨x∨y)→y`` binds x to position 0 and y to position 1, and a
+witness lists values in that order.  ``0`` and ``1`` are the algebra's
+bottom and top, bound when the check runs.
 
 The registry.  A property of :data:`GROUPS` holds when each of its formulas
 holds, and a failure names the first failing formula; a verdict reported
@@ -23,7 +24,7 @@ algebra, which binds from it every table the formula reads but a difference.
 Deciders.  Five formulas have a decider, a decision procedure with a
 theorem behind it, registered in :data:`DECIDERS` with the groups it needs,
 which :func:`decide` runs through :func:`run_identity` on the algebra.
-A decider is a pure function of the algebra and the tables, and reads only
+A decider is a pure function of the algebra alone, and reads only
 maximal local lattices: ↑m for ≤-minimal m and ↓M for ≤-maximal M.  Every
 ↑x lies inside some ↑m and every ↓x inside some ↓M, and a law that holds
 on a block holds on its sub-blocks.
@@ -247,6 +248,8 @@ def parse(formula: str, name: str | None = None) -> Check:
         raise ValueError(f"{formula!r}: a single relation must be an equation")
     if p.more():
         raise ValueError(f"{formula!r}: trailing {p.tokens[p.pos]!r}")
+    if not p.variables:
+        raise ValueError(f"{formula!r}: no variable to quantify over")
     return Check(name or formula, len(p.variables), lhs, rhs)
 
 
@@ -488,12 +491,7 @@ def run_check(check: Check, tables) -> CheckResult:
     """Evaluate a check exhaustively in lexicographic order, and stop at the
     first failing tuple; ``checked`` counts the tuples covered and
     ``evaluated`` the tuples the engine computed to cover them."""
-    n = tables["m"].shape[0]
-    k = check.arity
-    if k == 0:
-        lhs, rhs = values_at(check, tables, ())
-        ok = bool(np.all(lhs == rhs))
-        return CheckResult(check.name, ok, None if ok else (), 1, lhs, rhs, evaluated=1)
+    n, k = tables["m"].shape[0], check.arity
     witness, evaluated = _first_failure(check, tables, n)
     if witness is None:
         return CheckResult(check.name, True, None, n**k, evaluated=evaluated)
@@ -509,21 +507,23 @@ def _commutes_on(table, row) -> int | None:
     return members.size**2 if np.array_equal(block, block.T) else None
 
 
-def _downsets_commute(A, tables) -> int | None:
+def _downsets_commute(A) -> int | None:
     """|↓M|² for the first ≤-maximal M where ↓M commutes under ∧, else None."""
     return _commutes_on(A.meet, leq_matrix(A)[:, maximal_elements(A)[0]])
 
 
-def _upsets_commute(A, tables) -> int | None:
+def _upsets_commute(A) -> int | None:
     """|↑m|² for the first ≤-minimal m where ↑m commutes under ∨, else None."""
     return _commutes_on(A.join, leq_matrix(A)[minimal_elements(A)[0]])
 
 
-def _arrow_meets_on_minimal_upsets(A, tables) -> int | None:
+def _arrow_meets_on_minimal_upsets(A) -> int | None:
     """Σ|↑m|³ over the ≤-minimal m where u→(a∧b) = (u→a)∧(u→b) for all u,
-    a, b in every ↑m, else None.  Each ↑m is compared in boxes of at most
-    _BOX cells: a range of pairs (u, a) with every b."""
-    leq, meet, arrow = leq_matrix(A), tables["m"], tables["r"]
+    a, b in every ↑m, else None, as without an arrow.  Each ↑m is compared
+    in boxes of at most _BOX cells: a range of pairs (u, a) with every b."""
+    leq, meet, arrow = leq_matrix(A), A.meet, A.arrow
+    if arrow is None:
+        return None
     n, cells = A.n, 0
     for m in minimal_elements(A):
         U = np.flatnonzero(leq[m])
@@ -557,16 +557,16 @@ DECIDERS = {
 }
 
 
-def decide(name: str, A, tables) -> CheckResult | None:
+def decide(name: str, A) -> CheckResult | None:
     """The verdict the scan gives the check reported as ``name`` (as in
-    :func:`named_check`) on ``tables``, bound from ``A``, where ``A`` has
-    every group the formula's decider needs and the decider proves that
-    the formula holds, with ``evaluated`` the cells the decider compared;
-    else None."""
+    :func:`named_check`) on ``A``, where ``A`` has every group the
+    formula's decider needs and the decider proves, from ``A``'s own
+    tables, that the formula holds, with ``evaluated`` the cells the
+    decider compared; else None."""
     needs, decider = DECIDERS.get(NAMED.get(name, name), ((), None))
     if decider is None or not all(run_identity(need, A) for need in needs):
         return None
-    cells = decider(A, tables)
+    cells = decider(A)
     if cells is None:
         return None
     check = named_check(name)
@@ -585,7 +585,7 @@ def _verdict(name: str, check: Check, A, ops: dict, reads: set) -> CheckResult:
     if missing:
         what = " and ".join(f"the {_LACKED[k]}" for k in sorted(missing))
         raise PreconditionFailed(f"{name} reads {what}, and none is bound")
-    return decide(name, A, tables) or run_check(check, tables)  # a decided verdict holds, so it is true
+    return decide(name, A) or run_check(check, tables)  # a decided verdict holds, so it is true
 
 
 def _run_formula(name: str, A, ops: dict) -> CheckResult:

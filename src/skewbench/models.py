@@ -37,6 +37,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .core import (
+    ISOMORPHISM_BOUND,
     Algebra,
     Record,
     direct_product,
@@ -585,12 +586,12 @@ def search_family(family: str, max_size: int):
     module-level function that returns the instance's arrowless reduct, so
     whoever evaluates an instance builds it, a ``--jobs`` worker included,
     and the stream itself holds no tables.  Only the 'enum' family builds
-    here: it skips an instance isomorphic to an earlier one, up to 12
-    elements, by the bucketed comparison of :func:`_new_class`, and the
-    recipe of a kept one returns the reduct already built; the key is
-    cached per algebra.  ``max_size`` bounds every instance built; past the
-    int16 carrier limit it is refused with TooLarge before any pool is
-    built."""
+    here: it skips an instance isomorphic to an earlier one, up to
+    ISOMORPHISM_BOUND elements, by the bucketed comparison of
+    :func:`_new_class`, and the recipe of a kept one returns the reduct
+    already built; the key is cached per algebra.  ``max_size`` bounds every
+    instance built; past the int16 carrier limit it is refused with TooLarge
+    before any pool is built."""
     check_size("the largest search instance", [[max_size]], max_size)
     if family == "pfn":
         pool = _pfn_pool(max_size)
@@ -603,7 +604,7 @@ def search_family(family: str, max_size: int):
     pool.sort(key=lambda item: item[:2])
     buckets: dict[tuple, list[Algebra]] = {}
     for size, label, build in pool:
-        if family == "enum" and size <= 12:
+        if family == "enum" and size <= ISOMORPHISM_BOUND:
             alg = build()
             if not _new_class(buckets, alg):
                 continue

@@ -24,6 +24,7 @@ from .core import (
     direct_product,
     find_isomorphism,
     greens,
+    is_commutative,
     lattice_image,
     leq_matrix,
     preceq_matrix,
@@ -183,8 +184,8 @@ def binormal_factorization(A: Algebra) -> tuple[Algebra, Algebra, np.ndarray] | 
     (maximal lattice image) x (one D-class), with the isomorphism onto the
     product as an index array; ``None`` when not binormal.
 
-    Cheap necessary conditions (equipotent D-classes, multiplicative size)
-    are tested before any isomorphism search.
+    A cheap necessary condition, equipotent D-classes, is tested before any
+    isomorphism search.
     """
     strong, costrong = (
         property_result(A, name) for name in ("strongly-distributive", "co-strongly-distributive")
@@ -192,11 +193,10 @@ def binormal_factorization(A: Algebra) -> tuple[Algebra, Algebra, np.ndarray] | 
     if not (strong.holds and costrong.holds):
         return None
     D, _, _ = greens(A)
-    sizes = {len(blk) for blk in D.blocks}
-    if len(sizes) != 1 or D.num_blocks * sizes.pop() != A.n:
+    if np.ptp(np.bincount(D)) > 0:
         raise FactorizationNotFound("binormal by classification but D-classes are not equipotent")
     L, _ = quotient(A, D)
-    B, _ = subalgebra(A, D.blocks[0])
+    B, _ = subalgebra(A, np.flatnonzero(D == 0))
     iso = find_isomorphism(A, direct_product(L, B), bound=A.n)
     if iso is None:
         raise FactorizationNotFound("binormal by classification but no product isomorphism found")
@@ -206,7 +206,7 @@ def binormal_factorization(A: Algebra) -> tuple[Algebra, Algebra, np.ndarray] | 
 def _complemented_distributive(sub: Algebra) -> CheckResult:
     """Commutative, distributive and complemented, i.e. a Boolean algebra."""
     name = "boolean-algebra"
-    if not (np.array_equal(sub.meet, sub.meet.T) and np.array_equal(sub.join, sub.join.T)):
+    if not is_commutative(sub):
         return CheckResult(name, False, None, 0, detail="not commutative")
     res = run_identity(GROUPS["strongly-distributive"][0], sub)
     if not res.holds:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import skewbench
 from skewbench import (
-    Partition,
     classify,
     direct_product,
     find_isomorphism,
@@ -20,6 +19,7 @@ from skewbench import (
     leq_matrix,
     make_algebra,
     natural_orders,
+    partition_of,
     preceq_matrix,
     pullback_check,
     quotient,
@@ -162,20 +162,20 @@ class TestNaturalOrders:
 class TestGreens:
     def test_chain2_all_singletons(self, chain2):
         D, L, R = greens(chain2)
-        assert D.blocks == L.blocks == R.blocks == ((0,), (1,))
+        assert D.tolist() == L.tolist() == R.tolist() == [0, 1]
 
     def test_rect2_left_handed(self, rect2):
         D, L, R = greens(rect2)
-        assert D.blocks == L.blocks == ((0, 1),)
-        assert R.blocks == ((0,), (1,))
+        assert D.tolist() == L.tolist() == [0, 0]
+        assert R.tolist() == [0, 1]
 
     def test_pf22_domain_classes(self, pf22):
         D, L, R = greens(pf22)
-        assert sorted(len(b) for b in D.blocks) == [1, 2, 2, 4]
+        assert sorted(np.bincount(D).tolist()) == [1, 2, 2, 4]
         # the override meet keeps the first argument, which makes the family
         # left-handed: D coincides with L and R is trivial
-        assert D.blocks == L.blocks
-        assert all(len(b) == 1 for b in R.blocks)
+        assert np.array_equal(D, L)
+        assert R.tolist() == list(range(pf22.n))
 
 
 class TestPartition:
@@ -187,7 +187,29 @@ class TestPartition:
         rel[1:257, 1:257] = True
         rel[0, 1:257] = rel[1:257, 0] = rel[257, 1:257] = rel[1:257, 257] = True
         with pytest.raises(ValueError, match=r"^relation not transitive at \(0, 257\)$"):
-            Partition.from_relation(rel)
+            partition_of(rel)
+
+    def test_blocks_are_numbered_by_least_member(self):
+        # blocks {0, 3}, {1}, {2, 4}
+        labels = np.array([0, 1, 2, 0, 2])
+        part = partition_of(labels[:, None] == labels[None, :])
+        assert part.tolist() == [0, 1, 2, 0, 2]
+        labels = np.array([5, 5, 1, 9, 1])
+        assert partition_of(labels[:, None] == labels[None, :]).tolist() == [0, 0, 1, 2, 1]
+
+    @pytest.mark.parametrize(
+        "part,message",
+        [
+            ([0, 1, 1], "9 integer labels"),
+            ([0, 1, 1, 3, 3, 3, 3, 3, 3], "by least member: element 3 has label 3$"),
+            ([0, 2, 2, 1, 1, 3, 3, 3, 3], "by least member: element 1 has label 2$"),
+        ],
+        ids=["wrong-length", "skipped-label", "out-of-order"],
+    )
+    def test_an_outside_array_that_is_no_partition_is_refused(self, pf22, part, message):
+        for use in (is_congruence, quotient):
+            with pytest.raises(ValueError, match=message):
+                use(pf22, np.array(part))
 
 
 class TestFactsCache:
@@ -199,26 +221,22 @@ class TestFactsCache:
         path = tmp_path / "in.alg"
         path.write_text(cli.emit_algebra_file(partial_function_algebra(x, y)))
         parsed, relations, partitions = [], [], []
-        real_parse, real_relation, real_quotient = (
-            cli.parse_algebra_file,
-            Partition.from_relation.__func__,
-            core.quotient,
-        )
+        real_parse, real_relation, real_quotient = cli.parse_algebra_file, core.partition_of, core.quotient
 
         def parse(text):
             parsed.append(real_parse(text))
             return parsed[-1]
 
-        def from_relation(cls, rel):
+        def counting_partition_of(rel):
             relations.append(rel.shape)
-            return real_relation(cls, rel)
+            return real_relation(rel)
 
         def counting_quotient(A, partition):
             partitions.append(partition)
             return real_quotient(A, partition)
 
         monkeypatch.setattr(cli, "parse_algebra_file", parse)
-        monkeypatch.setattr(Partition, "from_relation", classmethod(from_relation))
+        monkeypatch.setattr(core, "partition_of", counting_partition_of)
         monkeypatch.setattr(core, "quotient", counting_quotient)
         monkeypatch.setattr(skew_heyting, "quotient", counting_quotient)
         code, _ = cli.run_command(["verify", str(path)])
@@ -253,13 +271,20 @@ class TestFactsCache:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0, 0] = False
+        D = core.d_partition(pf22)
+        assert core.d_partition(other) is D and greens(pf22)[0] is D
+        for part in greens(pf22):
+            assert part.dtype == np.int16 and not part.flags.writeable
+            with pytest.raises(ValueError):
+                part[0] = 1
 
     def test_equal_algebras_built_apart_compute_apart(self):
         A, B = partial_function_algebra(2, 2), partial_function_algebra(2, 2)
         assert A == B
         assert leq_matrix(A) is not leq_matrix(B)
         assert np.array_equal(leq_matrix(A), leq_matrix(B))
-        assert greens(A) is not greens(B) and greens(A) == greens(B)
+        assert greens(A) is not greens(B)
+        assert all(np.array_equal(p, q) for p, q in zip(greens(A), greens(B)))
 
     def test_a_failure_is_raised_afresh_on_every_call(self):
         # left-zero meet and left-zero join: L is total by meet, trivial by join
@@ -308,6 +333,16 @@ class TestQuotient:
                 for a, q in ((A.top, Q.top), (A.bottom, Q.bottom)):
                     assert (a is None) == (q is None) and (a is None or proj[a] == q)
 
+    def test_the_projection_is_the_partition(self, pf22):
+        # the partition a quotient takes is the projection it returns, and
+        # the caller's array is neither returned nor frozen
+        for part in greens(pf22):
+            assert np.array_equal(quotient(pf22, part)[1], part)
+        total = np.zeros(pf22.n, dtype=np.int64)
+        Q, proj = quotient(pf22, total)
+        assert Q.n == 1 and np.array_equal(proj, total) and proj is not total
+        assert total.flags.writeable
+
 
 class TestIsCongruence:
     def test_d_with_arrow_on_pf22(self, pf22):
@@ -315,35 +350,32 @@ class TestIsCongruence:
         assert is_congruence(pf22, D)
 
     def test_identity_partition(self, rect2):
-        assert is_congruence(rect2, Partition.singletons(2))
+        assert is_congruence(rect2, np.arange(2))
 
     def test_total_partition_is_congruence(self, pf22):
         # collapsing everything respects every operation trivially
-        total = Partition.from_blocks([tuple(range(pf22.n))], pf22.n)
-        assert is_congruence(pf22, total)
+        assert is_congruence(pf22, np.zeros(pf22.n, dtype=np.int16))
 
     def test_splitting_a_d_class_is_not(self, pf22):
         # refine D by splitting the two-element class of domain {p}
         D, _, _ = greens(pf22)
-        blocks = []
-        for blk in D.blocks:
-            if len(blk) == 2:
-                blocks.extend([(blk[0],), (blk[1],)])
-            else:
-                blocks.append(blk)
-        part = Partition.from_blocks(blocks, pf22.n)
+        p = pf22.index("{p:1}")
+        assert np.bincount(D)[D[p]] == 2
+        split = D[:, None] == D[None, :]
+        split[p, :] = split[:, p] = False
+        split[p, p] = True
+        part = partition_of(split)
         outcome = is_congruence(pf22, part)
         assert not outcome
         op, a, b, c, d = outcome.witness
         # witness re-evaluates to a genuine violation
         table = {"meet": pf22.meet, "join": pf22.join, "arrow": pf22.arrow}[op]
-        assert part.block_of[a] == part.block_of[c]
-        assert part.block_of[b] == part.block_of[d]
-        assert part.block_of[table[a, b]] != part.block_of[table[c, d]]
+        assert part[a] == part[c]
+        assert part[b] == part[d]
+        assert part[table[a, b]] != part[table[c, d]]
 
     def test_quotient_by_non_congruence_raises(self, pf22):
-        blocks = [(0, 1)] + [(i,) for i in range(2, pf22.n)]
-        part = Partition.from_blocks(blocks, pf22.n)
+        part = np.r_[0, np.arange(pf22.n - 1)]  # blocks {0, 1} and singletons
         if not is_congruence(pf22, part):
             with pytest.raises(NotACongruence):
                 quotient(pf22, part)
@@ -387,7 +419,6 @@ def _records(A):
     return [
         result,
         A,
-        Partition.singletons(3),
         check,
         identities._plan(check),
         Poset.chain(3),
@@ -511,7 +542,6 @@ class TestRecords:
             "CheckResult(name='x', holds=True, witness=None, checked=4, lhs_value=None, "
             "rhs_value=None, detail='', skipped=False, evaluated=0)"
         )
-        assert repr(Partition.singletons(2)) == "Partition(blocks=((0,), (1,)), block_of=(0, 1))"
 
 
 class TestVerticalDual:

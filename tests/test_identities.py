@@ -79,6 +79,12 @@ class TestFormulas:
         with pytest.raises(ValueError):
             parse(bad)
 
+    def test_a_formula_without_a_variable_is_rejected(self):
+        # a check quantifies over at least one variable, as every registered
+        # formula does
+        with pytest.raises(ValueError, match="no variable"):
+            parse("1=1")
+
     def test_names_report_under_their_name(self):
         assert named_check("SH1").name == "SH1"
         assert named_check("SH1").lhs == named_check("H1").lhs == ("r", 0, 0)
@@ -215,7 +221,7 @@ class TestDeciders:
         assert property_result(A, "skew-lattice")
         check, tables = named_check(formula), bind(A)
         scan = run_check(check, tables)
-        decided = decide(formula, A, tables)
+        decided = decide(formula, A)
         if decided is not None:
             assert decided == scan and decided.holds
         else:
@@ -252,10 +258,10 @@ class TestDeciders:
         # the ≤-minimal elements share the bottom D-class and the ≤-maximal
         # ones the top one, and z ↦ e′∨z∨e′ (z ↦ e′∧z∧e′) carries ↑e onto
         # ↑e′ under ∨ (↓e onto ↓e′ under ∧) within a D-class
-        block_of = greens(A)[0].block_of
+        D = greens(A)[0]
         leq = leq_matrix(A)
         for op, ends, blocks in ((A.join, minimal_elements(A), leq), (A.meet, maximal_elements(A), leq.T)):
-            assert len({block_of[e] for e in ends}) == 1
+            assert np.unique(D[ends]).size == 1
             B = np.flatnonzero(blocks[ends[0]])
             for e in ends:
                 f = op[op[e], e]  # z ↦ e∘z∘e
@@ -281,7 +287,7 @@ class TestDeciders:
         # pfn(3,2) is conormal, so its vertical dual is normal
         A = partial_function_algebra(3, 2)
         A = vertical_dual(A) if dual else A
-        decided = decide(formula, A, bind(A))
+        decided = decide(formula, A)
         assert decided is not None and decided == run_check(named_check(formula), bind(A))
 
     def test_check_and_verify_scan_no_decided_join_law(self, scans, tmp_path):
@@ -357,7 +363,7 @@ class TestArrowMeetDecider:
         A = A.with_arrow(arrow)
         check, tables = named_check("SH4-prime"), bind(A)
         scan = run_check(check, tables)
-        decided = decide("SH4-prime", A, tables)
+        decided = decide("SH4-prime", A)
         assert (decided is not None) == scan.holds
         assert run_identity("SH4-prime", A) == scan
         if decided is not None:
@@ -391,9 +397,15 @@ class TestArrowMeetDecider:
         tables = bind(n5)
         assert property_result(n5, "skew-lattice")
         assert not property_result(n5, "co-strongly-distributive")
-        assert decide("SH4-prime", n5, tables) is None
+        assert decide("SH4-prime", n5) is None
         assert run_identity("SH4-prime", n5) == run_check(named_check("SH4-prime"), tables)
         assert run_identity("SH4-prime", n5).holds
+
+    def test_not_decided_without_an_arrow(self, pf22):
+        # the decider reads the arrow the algebra carries, and pf22's
+        # arrowless reduct carries none, however the arrow it had held
+        assert decide("SH4-prime", pf22).holds
+        assert decide("SH4-prime", pf22.drop_arrow()) is None
 
     @pytest.mark.parametrize("x,y,cells", [(4, 2, 65_536), (6, 1, 262_144)])
     def test_decided_on_a_fresh_algebra(self, x, y, cells):
@@ -404,10 +416,10 @@ class TestArrowMeetDecider:
 
     def test_peak_memory_on_a_chain_of_160(self):
         A = _chain(160)
-        tables = bind(A, r=derive_arrow(A))
+        A = A.with_arrow(derive_arrow(A))
         tracemalloc.start()
         try:
-            res = decide("SH4-prime", A, tables)
+            res = decide("SH4-prime", A)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

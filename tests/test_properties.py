@@ -95,14 +95,14 @@ class TestCoverInClass:
     def test_pf22_unique_cover(self, pf22):
         D, _, _ = greens(pf22)
         b = pf22.index("{p:0,q:1}")
-        block = next(blk for blk in D.blocks if pf22.index("{p:0}") in blk)
+        block = np.flatnonzero(D == D[pf22.index("{p:0}")])
         a = cover_in_class(pf22, b, block)
         assert pf22.names[a] == "{p:0}"
 
     def test_own_block_returns_self(self, pf22):
         D, _, _ = greens(pf22)
         b = pf22.index("{p:1}")
-        block = next(blk for blk in D.blocks if b in blk)
+        block = np.flatnonzero(D == D[b])
         assert cover_in_class(pf22, b, block) == b
 
     def test_top_block(self, pf22):
@@ -113,7 +113,7 @@ class TestCoverInClass:
     def test_block_below_rejected(self, pf22):
         D, _, _ = greens(pf22)
         b = pf22.index("{p:0}")
-        low_block = next(blk for blk in D.blocks if len(blk) == 4)
+        low_block = np.flatnonzero(D == np.flatnonzero(np.bincount(D) == 4)[0])
         with pytest.raises(PreconditionFailed):
             cover_in_class(pf22, b, low_block)
 
