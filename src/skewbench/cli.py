@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING
 # Only light stdlib modules and ``errors`` load here: every refusal of a bad
 # argument or input, an oversized model included, happens before a command
 # imports the numeric layers it runs, and a module that only some paths use
-# (hashlib, traceback) is imported where it is used.
+# (the built-in SHA-256, traceback) is imported where it is used.
 from .errors import (
     BadConstant,
     BadPoset,
@@ -290,9 +290,18 @@ def emit_report(report: Report, fmt: str = "text") -> bytes:
 
 
 def _digest(data: bytes) -> str:
-    import hashlib
-
-    return "sha256:" + hashlib.sha256(data).hexdigest()
+    """``sha256:`` and the hex SHA-256 of ``data``, from CPython's built-in
+    module: hashlib would map OpenSSL's libcrypto, a command's largest
+    resident cost, for this one line of the report.  hashlib falls back to
+    the same module where OpenSSL is absent, so the digest is the same."""
+    try:
+        from _sha2 import sha256  # Python 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10 and 3.11
+        except ImportError:
+            from hashlib import sha256
+    return "sha256:" + sha256(data).hexdigest()
 
 
 def _value_name(names, value) -> str | None:

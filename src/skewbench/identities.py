@@ -259,11 +259,14 @@ def named_check(name: str) -> Check:
     return parse(NAMED.get(name, name), name)
 
 
-def bind(A, **ops) -> dict:
+def bind(A, *, d=None, dd=None) -> dict:
     """The tables a check reads on algebra ``A``: its meet, join and arrow,
-    the extra tables ``ops`` as given (``r=``, ``d=``, ``dd=``, ``leq=``,
-    ``pre=``), and the constants ``0`` and ``1`` where ``A`` declares them."""
-    tables = {**A.tables(), **{k: np.ascontiguousarray(t) for k, t in ops.items()}}
+    the differences ``d`` and ``dd`` where given, which no algebra carries,
+    and the constants ``0`` and ``1`` where ``A`` declares them.  Every
+    other table is ``A``'s own: to bind another arrow, bind
+    ``A.with_arrow(arrow)``."""
+    tables = A.tables()
+    tables.update((k, np.ascontiguousarray(t)) for k, t in (("d", d), ("dd", dd)) if t is not None)
     for const, value in (("0", A.bottom), ("1", A.top)):
         if value is not None:
             tables[const] = value

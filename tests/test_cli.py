@@ -1,5 +1,6 @@
 import functools
 import gc
+import hashlib
 import os
 import subprocess
 import sys
@@ -614,7 +615,7 @@ def test_cli_import_loads_no_process_pool():
 
 
 def test_cli_import_loads_nothing_a_refusal_does_not_use():
-    unused = ("dataclasses", "inspect", "hashlib", "traceback")
+    unused = ("dataclasses", "inspect", "hashlib", "_sha2", "_sha256", "traceback")
     code = f"import sys, skewbench.cli; print([m for m in {unused!r} if m in sys.modules])"
     proc = _run_python("-c", code)
     assert (proc.returncode, proc.stdout) == (0, b"[]\n")
@@ -652,6 +653,11 @@ COMMAND_LAYERS = {
         ["search", "--family", "pfn", "--max-size", "10", "--property", "symmetric", "--negate"],
         _CHECK_LAYERS | {"models"},
     ),
+    # the pool's forked workers log their imports to the same stderr
+    "search --jobs 2": (
+        ["--jobs", "2", "search", "--family", "pfn", "--max-size", "10", "--property", "symmetric", "--negate"],
+        _CHECK_LAYERS | {"models"},
+    ),
 }
 
 
@@ -668,6 +674,28 @@ def test_each_command_loads_only_its_layers(tmp_path, pf22, command):
     loaded = {m.split(".", 1)[1] for m in modules if m.startswith("skewbench.")}
     assert loaded == {"cli", "errors"} | layers
     assert "dataclasses" not in modules  # its records would exec code in every process
+    assert not modules & {"hashlib", "_hashlib"}  # _hashlib maps OpenSSL's libcrypto
+
+
+@pytest.mark.parametrize(
+    "data", [b"", b"\xff\xfe\x00 not UTF-8 \x80", bytes(range(256)) * 800], ids=["empty", "non-utf8", "200KB"]
+)
+def test_digest_is_the_sha256_of_the_input(data):
+    assert cli._digest(data) == "sha256:" + hashlib.sha256(data).hexdigest()
+
+
+def test_the_hashlib_fallback_gives_the_same_report_bytes():
+    """Without CPython's built-in SHA-256 modules the digest comes from
+    hashlib, and ``check`` writes the golden report unchanged."""
+    golden = Path(__file__).parent / "golden"
+    code = (
+        "import sys; sys.modules['_sha2'] = sys.modules['_sha256'] = None; "
+        "from skewbench.cli import main; sys.exit(main())"
+    )
+    proc = _run_python("-X", "importtime", "-c", code, "check", str(golden / "pf22.alg"))
+    assert proc.returncode == 0
+    assert proc.stdout == (golden / "check-pf22.text").read_bytes()
+    assert "hashlib" in _imported_modules(proc.stderr)
 
 
 @pytest.mark.parametrize("module", ["skewbench", "skewbench.cli"])

@@ -349,7 +349,7 @@ class TestAdjunctionFailure:
         mutated[a, b] = v + (v >= oracle[a, b])
         got = adjunction_failure(L, members, mutated)
         assert got == first_difference(members, mutated, oracle) == (a, b)
-        ha, tables = named_check("HA"), bind(L, r=mutated, leq=leq)
+        ha, tables = named_check("HA"), {**bind(L.with_arrow(mutated)), "leq": leq}
         assert any(operator.ne(*values_at(ha, tables, (int(c), a, b))) for c in members)
 
     def test_generalized_arrow_witness_is_in_the_lattice_indices(self, monkeypatch):

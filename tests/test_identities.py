@@ -95,13 +95,19 @@ class TestFormulas:
 
 
 class TestBinding:
-    """run_identity reads every table a formula names from the algebra;
-    only the differences, which no algebra carries, are given beside it."""
+    """run_identity and bind read every table a formula names from the
+    algebra; only the differences, which no algebra carries, are given
+    beside it."""
 
     @pytest.mark.parametrize("op", ["m", "j", "r", "leq", "pre"])
     def test_a_table_the_algebra_carries_is_not_an_op(self, pf22, op):
-        with pytest.raises(TypeError, match=op):
+        with pytest.raises(TypeError, match=f"'{op}'"):
             run_identity("x∧x=x", pf22, **{op: pf22.meet})
+
+    @pytest.mark.parametrize("op", ["m", "j", "r", "leq", "pre"])
+    def test_bind_takes_no_table_the_algebra_carries(self, pf22, op):
+        with pytest.raises(TypeError, match=f"'{op}'"):
+            bind(pf22, **{op: pf22.meet})
 
     def test_a_formula_reading_what_is_not_bound_is_refused(self, pf22):
         sba, diff = partial_function_boolean(2, 2)
@@ -386,8 +392,8 @@ class TestArrowMeetDecider:
         arrow[A.top, A.top] = A.index("{p:0}")
         res = check_sh_axioms(A.with_arrow(arrow))["SH4-prime"]
         assert not res.holds and res.checked == A.n**4
-        _assert_failure_confirmed(res, named_check("SH4-prime"), bind(A, r=arrow))
-        assert res == run_check(named_check("SH4-prime"), bind(A, r=arrow))
+        _assert_failure_confirmed(res, named_check("SH4-prime"), bind(A.with_arrow(arrow)))
+        assert res == run_check(named_check("SH4-prime"), bind(A.with_arrow(arrow)))
 
     def test_not_decided_where_not_co_strongly_distributive(self, n5):
         # N5 is a lattice but not distributive; SH4-prime holds for the
@@ -469,14 +475,14 @@ def test_every_failing_witness_is_a_violation(drawn, with_n5, n5):
     A, arrow = drawn
     sha = check_sha(A.with_arrow(arrow))
     if not sha.holds and sha.detail in _SHA_FORMULAS:
-        tables = bind(A, r=arrow, pre=preceq_matrix(A))
+        tables = {**bind(A.with_arrow(arrow)), "pre": preceq_matrix(A)}
         _assert_violated([_SHA_FORMULAS[sha.detail]], tables, sha.witness)
     elif not sha.holds:
         assert sha.detail == "sufficiency conditions hold but arrow differs from derived"
         assert arrow[sha.witness] != derive_arrow(A.drop_arrow())[sha.witness]
     imp = check_imp_or(A.with_arrow(arrow))
     if not imp.holds:
-        _assert_violated(["imp-or"], bind(A, r=arrow), imp.witness)
+        _assert_violated(["imp-or"], bind(A.with_arrow(arrow)), imp.witness)
     B = direct_product(A, n5) if with_n5 else A
     quasi = property_result(B, "quasi-distributive")
     assert quasi.holds != with_n5
@@ -585,7 +591,7 @@ class TestImageEngine:
             arrow = np.array(A.arrow)
             a, b = rng.integers(0, A.n, 2)
             arrow[a, b] = (arrow[a, b] + rng.integers(1, A.n)) % A.n
-            tables = bind(A, r=arrow)
+            tables = bind(A.with_arrow(arrow))
             for name in ("SH4", "SH4-prime", "imp-or"):
                 check = named_check(name)
                 res = run_check(check, tables)
@@ -631,7 +637,7 @@ def test_mutated_arrow_witness_is_the_first_violation(data):
     a, b, v = (data.draw(st.integers(0, A.n - 1)) for _ in range(3))
     arrow = np.array(A.arrow)
     arrow[a, b] = v
-    tables = bind(A, r=arrow)
+    tables = bind(A.with_arrow(arrow))
     box = data.draw(st.sampled_from([identities._BOX, 1 << 6]))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(identities, "_BOX", box)

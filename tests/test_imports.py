@@ -1,8 +1,9 @@
 """No module of the package imports a private name from another: a helper
 that two modules need is public in one of them, or lives where it is used.
 Every name a module imports is referenced in it, no module imports
-``dataclasses``, the modules import one another without a cycle, and only
-``identities`` binds the tables a formula reads."""
+``dataclasses``, ``hashlib`` is only a fallback, the modules import one
+another without a cycle, and only ``identities`` binds the tables a formula
+reads."""
 
 import ast
 from pathlib import Path
@@ -40,20 +41,22 @@ def test_the_check_sees_a_private_import(tmp_path):
     assert _private_imports(bad) == ["line 2: from .heyting import _arrow_by_candidates"]
 
 
+def _absolute_imports(tree: ast.AST):
+    """(node, module) for each module an ``import`` or an absolute
+    ``from ... import`` in ``tree`` names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((node, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node, node.module
+
+
 def _dataclass_imports(path: Path) -> list[str]:
     """The imports of ``dataclasses``.  Defining a dataclass ``exec``s each
     of its generated methods, in every process that loads the module, so
     the records derive from ``core.Record`` instead."""
-    found = []
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
-        if isinstance(node, ast.Import):
-            modules = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            modules = [node.module]
-        else:
-            continue
-        found += [f"line {node.lineno}: {m}" for m in modules if m.split(".")[0] == "dataclasses"]
-    return found
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    return [f"line {node.lineno}: {m}" for node, m in _absolute_imports(tree) if m.split(".")[0] == "dataclasses"]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -71,6 +74,46 @@ def test_the_check_sees_a_dataclass_import(tmp_path):
         "    return dc.replace(r)\n"
     )
     assert _dataclass_imports(bad) == ["line 1: dataclasses", "line 4: dataclasses"]
+
+
+def _hashlib_imports(path: Path) -> list[str]:
+    """The imports of ``hashlib`` or ``_hashlib`` outside an ``except
+    ImportError`` handler.  ``_hashlib`` maps OpenSSL's libcrypto, a
+    command's largest resident cost, and CPython's built-in SHA-256 gives
+    the input digest without it; hashlib is only its fallback."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    fallback = {
+        id(node)
+        for handler in ast.walk(tree)
+        if isinstance(handler, ast.ExceptHandler) and getattr(handler.type, "id", None) == "ImportError"
+        for stmt in handler.body
+        for node in ast.walk(stmt)
+    }
+    return [
+        f"line {node.lineno}: {m}"
+        for node, m in _absolute_imports(tree)
+        if m.split(".")[0] in ("hashlib", "_hashlib") and id(node) not in fallback
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_hashlib_import(path):
+    assert _hashlib_imports(path) == []
+
+
+def test_the_check_sees_a_hashlib_import(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "import hashlib\n"
+        "def f(data):\n"
+        "    from _hashlib import openssl_sha256\n"
+        "    try:\n"
+        "        from _sha256 import sha256\n"
+        "    except ImportError:\n"
+        "        from hashlib import sha256\n"
+        "    return sha256(data), openssl_sha256(data), hashlib\n"
+    )
+    assert _hashlib_imports(bad) == ["line 1: hashlib", "line 3: _hashlib"]
 
 
 def _relative_imports(path: Path) -> set[str]:
@@ -261,7 +304,7 @@ def test_the_check_sees_a_side_channel(tmp_path):
         "from . import identities\n"
         "def f(A, t):\n"
         "    run_identity('SHA', A, d=t, pre=t)\n"
-        "    return identities.bind(A, r=t)\n"
+        "    return identities.bind(A, d=t)\n"
     )
     assert _side_channels(bad) == [
         "line 1: imports bind",

@@ -1,3 +1,4 @@
+import functools
 import gc
 import itertools
 import weakref
@@ -5,6 +6,8 @@ import weakref
 import numpy as np
 import pytest
 from heyting_oracle import DEEP_INSTANCES, derive_by_upsets, generalized_arrow, lifting, upset_arrows
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewbench import (
     Algebra,
@@ -15,6 +18,7 @@ from skewbench import (
     check_sh_axioms,
     check_sha,
     derive_arrow,
+    dual_gb_diff,
     generalized_heyting_arrow,
     greens,
     heyting_arrow,
@@ -371,6 +375,38 @@ class TestSpecialCases:
                 assert entry.witness == (x, y), name
                 assert (entry.lhs_value, entry.rhs_value) == (wrong[x, y], R[x, y]), name
                 assert entry.checked == A.n * A.n, name
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_a_mutated_chain_section_arrow_is_named_at_its_first_difference(self, data):
+        # a skew chain: sections over a chain of 1 to 3 points, fibers 1 or 2
+        points = data.draw(st.integers(1, 3))
+        A = _chain_sections(tuple(data.draw(st.lists(st.integers(1, 2), min_size=points, max_size=points))))
+        x, y, v = (data.draw(st.integers(0, A.n - 1)) for _ in range(3))
+        arrow = np.array(A.arrow)
+        arrow[x, y] = v
+        rep = special_case_arrows(A.with_arrow(arrow))
+        # each closed form, built here from its statement
+        forms = {"case2-skew-chain": np.where(preceq_matrix(A), A.top, np.arange(A.n)[None, :])}
+        diff = dual_gb_diff(A)
+        if diff:
+            forms["case3-dual-boolean-diff"] = diff.table.T
+        else:
+            assert rep["case3-dual-boolean-diff"].verdict == "skipped"
+        for name, expected in forms.items():
+            entry = rep[name]
+            differ = np.argwhere(arrow != expected)
+            if not len(differ):
+                assert entry.verdict == "holds", name
+                continue
+            at = tuple(int(i) for i in differ[0])  # argwhere lists cells in row-major order
+            assert entry.verdict == "fails" and entry.witness == at, name
+            assert (entry.lhs_value, entry.rhs_value) == (arrow[at], expected[at]), name
+
+
+@functools.cache
+def _chain_sections(fibers: tuple[int, ...]):
+    return poset_sections_algebra(SurjectionModel.from_fiber_sizes(Poset.chain(len(fibers)), fibers))
 
 
 def test_d_congruence_at_partition_level(pf22):
