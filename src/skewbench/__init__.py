@@ -15,7 +15,6 @@ __version__ = "0.1.0"
 # public name -> the submodule that defines it; a submodule maps to itself
 _HOMES = {
     "Algebra": "core",
-    "ArrowResult": "heyting",
     "CheckResult": "core",
     "PropertyReport": "properties",
     "adjunction_failure": "heyting",
@@ -23,7 +22,7 @@ _HOMES = {
     "check_arrow_congruences": "skew_heyting",
     "check_costrong_equivalence": "properties",
     "check_dual_skew_boolean": "properties",
-    "check_heyting_axioms": "heyting",
+    "check_heyting_axioms": "skew_heyting",
     "check_imp_or": "skew_heyting",
     "check_lifting": "skew_heyting",
     "check_sh_axioms": "skew_heyting",
@@ -39,7 +38,6 @@ _HOMES = {
     "find_isomorphism": "core",
     "generalized_heyting_arrow": "heyting",
     "greens": "core",
-    "heyting_arrow": "heyting",
     "is_congruence": "core",
     "isomorphism_key": "core",
     "lattice_image": "core",

@@ -31,6 +31,7 @@ from typing import TYPE_CHECKING
 # imports the numeric layers it runs, and a module that only some paths use
 # (the built-in SHA-256, traceback) is imported where it is used.
 from .errors import (
+    MAX_CARRIER,
     BadConstant,
     BadPoset,
     InconsistencyDetected,
@@ -131,11 +132,15 @@ class _Sections:
             raise ParseError(lineno, 1, f"unexpected content {raw.strip()!r}")
 
 
-def parse_algebra_file(text: str) -> Algebra:
+def parse_algebra_file(text: str, *, bound: int = MAX_CARRIER) -> Algebra:
     """Parse the sectioned algebra document: ``elements:``, ``meet:``,
-    ``join:``, then optional ``arrow:``, ``top:``, ``bottom:``."""
+    ``join:``, then optional ``arrow:``, ``top:``, ``bottom:``.
+
+    More than ``bound`` elements, or than an int16 table can index, raise
+    TooLarge once the ``elements:`` line is read, before any table row."""
     doc = _Sections(text)
     names = doc.names("elements")
+    check_size("algebra file", [[len(names)]], bound)
     lookup = {name: i for i, name in enumerate(names)}
     meet, join = (doc.table(section, len(names), lookup, "element") for section in ("meet", "join"))
     arrow = doc.table("arrow", len(names), lookup, "element") if doc.peek() == "arrow" else None
@@ -270,7 +275,7 @@ def emit_report(report: Report, fmt: str = "text") -> bytes:
         lines.append(VERSION)
         lines.append(f"command: {report.command}")
         lines.append(f"input: {report.input_digest}")
-        mark = {"holds": "ok", "fails": "XX", "skipped": "--", "info": "  ", "error": "!!"}
+        mark = {"holds": "ok", "fails": "XX", "skipped": "--", "error": "!!"}
         for e in report.entries:
             extra = []
             if e.witness:
@@ -353,7 +358,7 @@ def _add_classification(report: Report, A: Algebra, entries) -> bool:
 
 
 def _cmd_check(args, report: Report) -> None:
-    A = parse_algebra_file(_read(args.file, report))
+    A = parse_algebra_file(_read(args.file, report), bound=args.bound)
     from .properties import classify
 
     if not _add_classification(report, A, classify(A).entries):
@@ -389,7 +394,7 @@ def _add_declared_match(report: Report, A: Algebra, arrow: np.ndarray) -> None:
 
 
 def _cmd_derive(args, report: Report) -> None:
-    A = parse_algebra_file(_read(args.file, report))
+    A = parse_algebra_file(_read(args.file, report), bound=args.bound)
     from .skew_heyting import check_sh_axioms
 
     arrow = _add_derived_arrow(report, A)
@@ -401,7 +406,7 @@ def _cmd_derive(args, report: Report) -> None:
 
 
 def _cmd_quotient(args, report: Report) -> None:
-    A = parse_algebra_file(_read(args.file, report))
+    A = parse_algebra_file(_read(args.file, report), bound=args.bound)
     from .core import greens, quotient
 
     Q, _ = quotient(A, greens(A)["DLR".index(args.rel)])
@@ -470,7 +475,7 @@ def _verify_suites(A: Algebra):
 
 
 def _cmd_verify(args, report: Report) -> None:
-    A = parse_algebra_file(_read(args.file, report))
+    A = parse_algebra_file(_read(args.file, report), bound=args.bound)
     from .properties import property_result
 
     names = ("skew-lattice", "co-strongly-distributive", "symmetric", "conormal", "quasi-distributive")
@@ -597,7 +602,9 @@ def _positive_ints(text: str) -> list[int]:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="skewbench", add_help=True)
     parser.add_argument("--format", choices=("text", "machine"), default="text")
-    parser.add_argument("--bound", type=_positive_int, default=10000, help="global size bound for models")
+    parser.add_argument(
+        "--bound", type=_positive_int, default=10000, help="element bound for algebra files and models"
+    )
     parser.add_argument("--jobs", type=_positive_int, default=1, help="parallelism degree for search")
     sub = parser.add_subparsers(dest="command")
 

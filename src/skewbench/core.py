@@ -340,32 +340,29 @@ def make_algebra(names, meet, join, top=None, bottom=None, arrow=None) -> Algebr
     return Algebra(names, meet_t, join_t, arrow_t, top_i, bottom_i)
 
 
-def subalgebra(A: Algebra, elements, top=None, bottom=None) -> tuple[Algebra, dict[int, int]]:
+def subalgebra(A: Algebra, elements, top=None, bottom=None) -> Algebra:
     """Restrict ``A`` to a subset closed under its operations.
 
-    Returns the sub-algebra together with the global-to-local index map.
-    Declared constants are inherited when they fall inside the subset unless
-    overridden explicitly.
+    The sub-algebra lists the subset in ascending order, so local index i
+    is the i-th least member.  Declared constants are inherited when they
+    fall inside the subset unless overridden explicitly.
     """
-    members = sorted(int(e) for e in elements)
-    local = {g: i for i, g in enumerate(members)}
-    sel = np.array(members)
-    for label, table in A.tables().items():
-        sub = table[np.ix_(sel, sel)]
-        outside = [v for v in np.unique(sub) if int(v) not in local]
-        if outside:
-            raise MalformedTable(f"subset not closed under {label}: reaches {A.names[int(outside[0])]}")
-    names = A.name_tuple(members)
+    sel = np.unique(np.asarray(elements, dtype=np.intp))
     remap = np.full(A.n, -1, dtype=_DTYPE)
-    remap[sel] = np.arange(len(members), dtype=_DTYPE)
-    meet = remap[A.meet[np.ix_(sel, sel)]]
-    join = remap[A.join[np.ix_(sel, sel)]]
-    arrow = remap[A.arrow[np.ix_(sel, sel)]] if A.arrow is not None else None
-    if top is None and A.top is not None and A.top in local:
-        top = local[A.top]
-    if bottom is None and A.bottom is not None and A.bottom in local:
-        bottom = local[A.bottom]
-    return make_algebra(names, meet, join, top=top, bottom=bottom, arrow=arrow), local
+    remap[sel] = np.arange(len(sel), dtype=_DTYPE)
+    tables = {label: table[np.ix_(sel, sel)] for label, table in A.tables().items()}
+    for label, sub in tables.items():
+        outside = sub[remap[sub] < 0]
+        if len(outside):
+            raise MalformedTable(f"subset not closed under {label}: reaches {A.names[int(outside.min())]}")
+    if top is None and A.top is not None and remap[A.top] >= 0:
+        top = int(remap[A.top])
+    if bottom is None and A.bottom is not None and remap[A.bottom] >= 0:
+        bottom = int(remap[A.bottom])
+    arrow = remap[tables["r"]] if "r" in tables else None
+    return make_algebra(
+        A.name_tuple(sel), remap[tables["m"]], remap[tables["j"]], top=top, bottom=bottom, arrow=arrow
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,9 @@ status 1, and ``InconsistencyDetected`` subclasses map to status 3.  An
 inconsistency means a verified theorem failed on a concrete instance, which
 signals a bug in the workbench itself, never in the input.
 
-The size rule for generated models, :func:`check_size`, lives here too: this
-module imports nothing, so the CLI refuses an oversized request before it
-loads numpy.
+The size rule for generated models and algebra files, :func:`check_size`,
+lives here too: this module imports nothing, so the CLI refuses an oversized
+request before it loads numpy.
 """
 
 
@@ -95,6 +95,12 @@ class NotUnique(SkewbenchError):
 
 class AmbiguousDiff(SkewbenchError):
     """Two candidates satisfy the dual difference identities for some pair."""
+
+
+class NoArrow(SkewbenchError):
+    """An arrow or dual difference has no value at some pair; the witness
+    names the first such pair and, for an arrow, its maximal candidates
+    (two or more incomparable maxima witness non-distributivity)."""
 
 
 class NotCoStronglyDistributive(PreconditionFailed):

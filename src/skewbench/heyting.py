@@ -1,12 +1,14 @@
 """Heyting and generalized Heyting structure on finite commutative lattices.
 
-:func:`heyting_arrow` takes y→z as the maximum of the candidate set
-{x : x∧y ≤ z}: its kernel takes, for all z at once, the candidate with the
-most elements below it, as ``derive_arrow`` does in an upset, and a failed
-pair comes with counterexample data (the pair and its maximal candidates).
-The scalar candidate loop stays in the tests as the reference oracle, and
-the kernel must agree with it on tables and failure data.  ``verify`` calls
-it once, on S/D, for the lifting check.
+Each arrow construction returns its read-only int16 table or raises
+:class:`~skewbench.errors.NoArrow` at the first pair without a value.
+:func:`generalized_heyting_arrow` takes y→z as the maximum of the candidate
+set {x : x∧y ≤ z}: its kernel takes, for all z at once, the candidate with
+the most elements below it, as ``derive_arrow`` does in an upset, and a
+failed pair comes with counterexample data (the pair and its maximal
+candidates).  The scalar candidate loop stays in the tests as the reference
+oracle, and the kernel must agree with it on tables and failure data.
+``verify`` calls it once, on S/D, for the lifting check.
 
 :func:`adjunction_failure` verifies a table on a sublattice such as an upset
 through c∧a ≤ b ⇔ c ≤ a→b, which in a lattice admits one arrow only, and
@@ -15,43 +17,20 @@ through c∧a ≤ b ⇔ c ≤ a→b, which in a lattice admits one arrow only, a
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
-from .core import Algebra, Record, first_true, leq_matrix, minimal_elements, skipped_result
-from .errors import AmbiguousDiff, InconsistencyDetected, NoTop
-
-if TYPE_CHECKING:
-    from .properties import PropertyReport
+from .core import Algebra, first_true, leq_matrix, minimal_elements
+from .errors import AmbiguousDiff, InconsistencyDetected, NoArrow, NoTop
 
 
-class ArrowResult(Record):
-    """Arrow or dual difference table, or absence with the offending pair
-    and, for an arrow, its maximal candidates (two or more incomparable
-    maxima witness non-distributivity)."""
-
-    __slots__ = ("table", "offending", "maximal")
-
-    def __init__(
-        self,
-        table: np.ndarray | None,
-        offending: tuple[int, int] | None = None,
-        maximal: tuple[int, ...] = (),
-    ):
-        self._init(table, offending, maximal)
-
-    def __bool__(self) -> bool:
-        return self.table is not None
-
-
-def _arrow_by_candidates(L: Algebra) -> ArrowResult:
+def _arrow_by_candidates(L: Algebra) -> np.ndarray:
     """The arrow kernel, O(n²) cells per y.
 
     For fixed y, ``cand[z, x]`` says x∧y ≤ z.  A maximum candidate has the
     most elements below it (the rule of ``derive_arrow``), so a pair fails
     iff it has no candidate or some candidate is not below the one with the
-    most.  Only the first failing pair has its maximal candidates listed.
+    most.  The first failing pair raises NoArrow with witness
+    (y, z, *its maximal candidates).
     """
     n = L.n
     leq = leq_matrix(L)
@@ -65,19 +44,14 @@ def _arrow_by_candidates(L: Algebra) -> ArrowResult:
             z = int(bad.argmax())
             c = np.flatnonzero(cand[z])
             lt = leq[np.ix_(c, c)] & (c[:, None] != c)  # [a, b] iff a < b
-            return ArrowResult(None, (y, z), tuple(int(x) for x in c[~lt.any(axis=1)]))
+            maximal = [int(x) for x in c[~lt.any(axis=1)]]
+            raise NoArrow(
+                f"{L.names[y]}→{L.names[z]} has no value: maximal candidates {L.name_tuple(maximal)}",
+                witness=(y, z, *maximal),
+            )
         table[y] = best
     table.setflags(write=False)
-    return ArrowResult(table)
-
-
-def heyting_arrow(L: Algebra) -> ArrowResult:
-    """Relative pseudocomplement table: y→z is the maximum of {x : x∧y ≤ z}.
-
-    Absence (some candidate set has no maximum) is a value, not an error,
-    and pinpoints where distributivity fails.
-    """
-    return _arrow_by_candidates(L)
+    return table
 
 
 def adjunction_failure(L: Algebra, members, arrow) -> tuple[int, int] | None:
@@ -119,42 +93,32 @@ def coherence_failure(L: Algebra, table) -> tuple[int, int, int] | None:
     return None
 
 
-def generalized_heyting_arrow(L: Algebra) -> ArrowResult:
-    """Arrow on a distributive lattice with top but possibly no bottom.
+def generalized_heyting_arrow(L: Algebra) -> np.ndarray:
+    """The relative pseudocomplement table y→z, the maximum of
+    {x : x∧y ≤ z}, on a lattice with top but possibly no bottom.
 
-    Beyond the candidate-set construction this verifies, through
-    :func:`coherence_failure`, that every upset u↑ forms a Heyting algebra
-    under the table, which is the structural reason the arrow exists.
+    Where some candidate set has no maximum, which pinpoints where
+    distributivity fails, the kernel raises NoArrow.  Otherwise this
+    verifies, through :func:`coherence_failure`, that every upset u↑ forms a
+    Heyting algebra under the table, which is the structural reason the
+    arrow exists; on a lattice that cannot fail, so a failure raises
+    InconsistencyDetected.
     """
-    res = _arrow_by_candidates(L)
-    if not res:
-        return res
-    bad = coherence_failure(L, res.table)
+    table = _arrow_by_candidates(L)
+    bad = coherence_failure(L, table)
     if bad is not None:
         raise InconsistencyDetected(
             f"global arrow exists but upset at {L.names[bad[0]]} is not a Heyting algebra", witness=bad
         )
-    return res
+    return table
 
 
-def check_heyting_axioms(L: Algebra) -> PropertyReport:
-    """Verdicts for the Heyting axioms, the adjunction and the reduction
-    x→y = (x∨y)→y on ``L``'s arrow, each quantified exhaustively."""
-    # imported here: `model upsets` loads this module for the adjunction alone
-    from .identities import run_identity
-    from .properties import PropertyReport
-
-    h1 = run_identity("H1", L) if L.top is not None else skipped_result("H1", "no top declared")
-    rest = ("H2", "H3", "H4", "HA", "arrow-join-reduction")
-    return PropertyReport((h1, *(run_identity(name, L) for name in rest)))
-
-
-def dual_gb_diff(L: Algebra) -> ArrowResult:
+def dual_gb_diff(L: Algebra) -> np.ndarray:
     """Solve the dual difference entrywise from its defining identities:
     (y∨x∨y)∨(y∖∖x) = 1 = (y∖∖x)∨(y∨x∨y) and (y∨x∨y)∧(y∖∖x) = y = the
     reverse.  On commutative carriers the sandwich collapses to y∨x.
 
-    Exactly one candidate per pair gives the table; none gives absence, with
+    Exactly one candidate per pair gives the table; none raises NoArrow at
     the first unsolvable pair (y, x); two or more raise AmbiguousDiff, which
     signals non-distributivity.  Without a declared top it raises NoTop.
     """
@@ -170,7 +134,7 @@ def dual_gb_diff(L: Algebra) -> ArrowResult:
         if (counts != 1).any():
             x = int(np.argmax(counts != 1))
             if counts[x] == 0:
-                return ArrowResult(None, (y, x))
+                raise NoArrow(f"no dual-difference candidate for ({L.names[y]} ∖∖ {L.names[x]})", witness=(y, x))
             cands = np.flatnonzero(cond[x])
             raise AmbiguousDiff(
                 f"two dual-difference candidates for ({L.names[y]} ∖∖ {L.names[x]}): "
@@ -179,4 +143,4 @@ def dual_gb_diff(L: Algebra) -> ArrowResult:
             )
         table[y] = cond.argmax(axis=1)
     table.setflags(write=False)
-    return ArrowResult(table)
+    return table

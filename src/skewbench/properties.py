@@ -196,7 +196,7 @@ def binormal_factorization(A: Algebra) -> tuple[Algebra, Algebra, np.ndarray] | 
     if np.ptp(np.bincount(D)) > 0:
         raise FactorizationNotFound("binormal by classification but D-classes are not equipotent")
     L, _ = quotient(A, D)
-    B, _ = subalgebra(A, np.flatnonzero(D == 0))
+    B = subalgebra(A, np.flatnonzero(D == 0))
     iso = find_isomorphism(A, direct_product(L, B), bound=A.n)
     if iso is None:
         raise FactorizationNotFound("binormal by classification but no product isomorphism found")
@@ -243,7 +243,7 @@ def check_skew_boolean(A: Algebra, diff_table) -> CheckResult:
     for u in range(A.n):
         members = [x for x in range(A.n) if leq[x, u]]
         try:
-            sub, _ = subalgebra(A, members, top=members.index(u), bottom=members.index(A.bottom))
+            sub = subalgebra(A, members, top=members.index(u), bottom=members.index(A.bottom))
         except SkewbenchError as exc:
             return CheckResult(name, False, (u,), 0, detail=f"u↓ at {A.names[u]}: {exc}")
         boolean = _complemented_distributive(sub)

@@ -12,13 +12,14 @@ obviously right, so the tests cross-check the library against it.
 import numpy as np
 
 from skewbench.core import Algebra, greens, leq_matrix, quotient, subalgebra
-from skewbench.errors import AmbiguousDiff, CoherenceFailure, InconsistencyDetected, NoTop
-from skewbench.heyting import ArrowResult
+from skewbench.errors import AmbiguousDiff, CoherenceFailure, InconsistencyDetected, NoArrow, NoTop
 from skewbench import models
 from skewbench.models import Poset, SurjectionModel, partial_function_algebra, poset_sections_algebra
 
 
-def arrow_by_candidates(L: Algebra) -> ArrowResult:
+def arrow_by_candidates(L: Algebra) -> np.ndarray:
+    """The arrow table, or NoArrow at the first pair (y, z) whose candidates
+    have no maximum, with its maximal candidates."""
     n = L.n
     M = L.meet
     leq = leq_matrix(L)
@@ -30,10 +31,13 @@ def arrow_by_candidates(L: Algebra) -> ArrowResult:
             cand = np.flatnonzero(cand_by_z[:, z])
             maximal = [int(c) for c in cand if not lt[c, cand].any()]
             if len(maximal) != 1:
-                return ArrowResult(None, (y, z), tuple(maximal))
+                raise NoArrow(
+                    f"{L.names[y]}→{L.names[z]} has no value: maximal candidates {L.name_tuple(maximal)}",
+                    witness=(y, z, *maximal),
+                )
             table[y, z] = maximal[0]
     table.setflags(write=False)
-    return ArrowResult(table)
+    return table
 
 
 def upset_arrows(A: Algebra) -> list[tuple[list[int], np.ndarray | None]]:
@@ -43,9 +47,11 @@ def upset_arrows(A: Algebra) -> list[tuple[list[int], np.ndarray | None]]:
     out = []
     for u in range(A.n):
         members = [int(x) for x in np.flatnonzero(leq[u])]
-        sub, _ = subalgebra(A.drop_arrow(), members, bottom=members.index(u))
-        arrow = arrow_by_candidates(sub)
-        out.append((members, None if arrow.table is None else np.array(members)[arrow.table]))
+        sub = subalgebra(A.drop_arrow(), members, bottom=members.index(u))
+        try:
+            out.append((members, np.array(members)[arrow_by_candidates(sub)]))
+        except NoArrow:
+            out.append((members, None))
     return out
 
 
@@ -78,14 +84,15 @@ def derive_by_upsets(A: Algebra) -> np.ndarray | None:
 def generalized_arrow(L: Algebra) -> np.ndarray | None:
     """The candidate arrow of L, after every upset's own arrow is found to
     exist and to agree with it; None when L has no arrow."""
-    res = arrow_by_candidates(L)
-    if res.table is None:
+    try:
+        table = arrow_by_candidates(L)
+    except NoArrow:
         return None
     for u, (members, arrow) in enumerate(upset_arrows(L)):
         sel = np.ix_(members, members)
-        if arrow is None or not np.array_equal(arrow, res.table[sel]):
+        if arrow is None or not np.array_equal(arrow, table[sel]):
             raise InconsistencyDetected(f"upset at {L.names[u]} is not a Heyting algebra")
-    return res.table
+    return table
 
 
 def lifting(A: Algebra, q_table: np.ndarray) -> tuple[bool, tuple, str]:
@@ -118,8 +125,9 @@ def first_difference(members, arrow: np.ndarray, oracle: np.ndarray) -> tuple[in
     return None
 
 
-def dual_gb_diff(L: Algebra) -> ArrowResult:
-    """The dual difference, one candidate scan per pair (y, x)."""
+def dual_gb_diff(L: Algebra) -> np.ndarray:
+    """The dual difference, one candidate scan per pair (y, x); NoArrow at
+    the first pair without a candidate."""
     n = L.n
     M, J, top = L.meet, L.join, L.top
     if top is None:
@@ -131,7 +139,7 @@ def dual_gb_diff(L: Algebra) -> ArrowResult:
             cond = (J[s, :] == top) & (J[:, s] == top) & (M[s, :] == y) & (M[:, s] == y)
             cands = np.flatnonzero(cond)
             if len(cands) == 0:
-                return ArrowResult(None, (y, x))
+                raise NoArrow(f"no dual-difference candidate for ({L.names[y]} ∖∖ {L.names[x]})", witness=(y, x))
             if len(cands) > 1:
                 raise AmbiguousDiff(
                     f"two dual-difference candidates for ({L.names[y]} ∖∖ {L.names[x]}): "
@@ -140,7 +148,7 @@ def dual_gb_diff(L: Algebra) -> ArrowResult:
                 )
             table[y, x] = int(cands[0])
     table.setflags(write=False)
-    return ArrowResult(table)
+    return table
 
 
 def section_arrow_candidates(model: SurjectionModel, derived: np.ndarray) -> dict:

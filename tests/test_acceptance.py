@@ -23,14 +23,13 @@ from skewbench import (
     dual_gb_diff,
     generalized_heyting_arrow,
     greens,
-    heyting_arrow,
     leq_matrix,
     preceq_matrix,
     quotient,
     subalgebra,
 )
 from skewbench.cli import emit_algebra_file, run_command
-from skewbench.errors import InconsistencyDetected
+from skewbench.errors import InconsistencyDetected, NoArrow
 from skewbench.heyting import _arrow_by_candidates
 from skewbench.models import (
     Poset,
@@ -188,9 +187,11 @@ def test_criterion_5_special_cases():
     # dual difference closed form wherever solving succeeds
     for nx, ny in FAMILY:
         A = _family_instance(nx, ny)
-        diff = dual_gb_diff(A)
-        if diff and not np.array_equal(A.arrow, diff.table.T):
-            failures.append(("case3", nx, ny))
+        try:
+            if not np.array_equal(A.arrow, dual_gb_diff(A).T):
+                failures.append(("case3", nx, ny))
+        except NoArrow:
+            pass
     # skew Boolean round trips
     for nx, ny in FAMILY:
         if (ny + 1) ** nx > 30:
@@ -209,8 +210,10 @@ def test_criterion_6_esakia_formula_all_small_posets():
     for pts in range(1, 6):
         for P in all_posets(pts):
             L = upset_heyting(P)  # raises EsakiaFormulaMismatch on disagreement
-            oracle = heyting_arrow(L.drop_arrow())
-            if not oracle or not np.array_equal(oracle.table, L.arrow):
+            try:
+                if not np.array_equal(generalized_heyting_arrow(L.drop_arrow()), L.arrow):
+                    failures.append(P.canonical_key())
+            except NoArrow:
                 failures.append(P.canonical_key())
             count += 1
     elapsed = time.perf_counter() - t0
@@ -284,9 +287,12 @@ def test_criterion_8_imp_or_and_sha_everywhere():
 def test_criterion_9_negative_controls(tmp_path, monkeypatch, n5, rect2_bottom):
     failures = []
     # N5: candidate-set arrow absent, classification rejects distributivity
-    res = heyting_arrow(n5)
-    if res or len(res.maximal) < 2:
-        failures.append("n5 arrow should be absent with two maximal candidates")
+    try:
+        generalized_heyting_arrow(n5)
+        failures.append("n5 arrow should be absent")
+    except NoArrow as exc:
+        if len(exc.witness) < 2 + 2:
+            failures.append("n5 arrow should be absent with two maximal candidates")
     if classify(n5).holds("distributive"):
         failures.append("n5 should not classify distributive")
     # deliberately non-conormal table produces a conormality witness
@@ -333,15 +339,16 @@ def test_lifting_upset_isomorphism_detail():
     u = A.index("{p:0}")
     leq = leq_matrix(A)
     members = [int(v) for v in np.flatnonzero(leq[u])]
-    sub, _ = subalgebra(A, members, bottom=members.index(u))
+    sub = subalgebra(A, members, bottom=members.index(u))
     D, _, _ = greens(A)
     Q, proj = quotient(A.drop_arrow(), D)
     leq_q = leq_matrix(Q)
     q_members = [int(v) for v in np.flatnonzero(leq_q[proj[u]])]
     assert sorted(proj[members].tolist()) == q_members
-    qsub, _ = subalgebra(Q, q_members, bottom=q_members.index(proj[u]))
-    up_arrow = _arrow_by_candidates(sub)
-    q_arrow = _arrow_by_candidates(qsub)
-    assert up_arrow and q_arrow
-    gha = generalized_heyting_arrow(Q)
-    assert gha
+    qsub = subalgebra(Q, q_members, bottom=q_members.index(proj[u]))
+    # both upset arrows in the indices of their algebras
+    up_arrow = np.array(members)[_arrow_by_candidates(sub)]
+    q_arrow = np.array(q_members)[_arrow_by_candidates(qsub)]
+    local = [q_members.index(int(v)) for v in proj[members]]
+    assert np.array_equal(proj[up_arrow], q_arrow[np.ix_(local, local)])
+    assert np.array_equal(generalized_heyting_arrow(Q)[np.ix_(q_members, q_members)], q_arrow)

@@ -136,6 +136,19 @@ class TestAlgebraFile:
             parse_algebra_file(TWO_NAMES_DOC.format(names))
         assert str(info.value) == f"line 1, col 1: {message}"
 
+    def test_bound_refuses_the_file_at_its_elements_line(self):
+        # the rows after it are never read: a bad one would raise ParseError
+        doc = CHAIN2_DOC.replace("0 0\n0 1\njoin", "0 0\n0 nosuch\njoin")
+        with pytest.raises(errors.TooLarge, match="^algebra file has more than 1 elements, bound is 1$"):
+            parse_algebra_file(doc, bound=1)
+        assert parse_algebra_file(CHAIN2_DOC, bound=2).n == 2
+
+    def test_no_bound_still_refuses_what_int16_cannot_index(self):
+        # without the cap, index 32768 would wrap to -32768 in the tables
+        names = " ".join(f"e{i}" for i in range(errors.MAX_CARRIER + 1))
+        with pytest.raises(errors.TooLarge, match="more than 32768 elements"):
+            parse_algebra_file(f"elements: {names}\nmeet:\n")
+
 
 class TestPosetFile:
     def test_parse(self):
@@ -728,6 +741,7 @@ REFUSED_BEFORE_NUMPY = {
     "search --max-size beyond an int16 carrier": [
         "--bound", "100000", "search", "--family", "pfn", "--max-size", "40000", "--property", "symmetric"
     ],
+    "check above --bound": ["--bound", "1", "check", "{chain2.alg}"],
 }
 
 

@@ -25,7 +25,7 @@ from skewbench import (
     quotient,
     vertical_dual,
 )
-from skewbench import cli, core, heyting, identities, properties, skew_heyting
+from skewbench import cli, core, identities, properties, skew_heyting
 from skewbench.core import CheckResult, first_true, skipped_result
 from skewbench.errors import (
     BadConstant,
@@ -223,8 +223,8 @@ class TestFactsCache:
         parsed, relations, partitions = [], [], []
         real_parse, real_relation, real_quotient = cli.parse_algebra_file, core.partition_of, core.quotient
 
-        def parse(text):
-            parsed.append(real_parse(text))
+        def parse(text, **kwargs):
+            parsed.append(real_parse(text, **kwargs))
             return parsed[-1]
 
         def counting_partition_of(rel):
@@ -423,7 +423,6 @@ def _records(A):
         identities._plan(check),
         Poset.chain(3),
         SurjectionModel.from_fiber_sizes(("p", "q"), (2, 1)),
-        heyting.ArrowResult(None, (0, 1), (2, 3)),
         properties.PropertyReport((result,)),
     ]
 

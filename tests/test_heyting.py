@@ -15,7 +15,6 @@ from skewbench import (
     dual_gb_diff,
     generalized_heyting_arrow,
     greens,
-    heyting_arrow,
     leq_matrix,
     make_algebra,
     quotient,
@@ -24,8 +23,8 @@ from skewbench import (
     vertical_dual,
 )
 from skewbench import heyting
-from skewbench.errors import AmbiguousDiff, InconsistencyDetected, NoTop
-from skewbench.heyting import ArrowResult, _arrow_by_candidates
+from skewbench.errors import AmbiguousDiff, InconsistencyDetected, NoArrow, NoTop
+from skewbench.heyting import _arrow_by_candidates
 from skewbench.identities import bind, named_check, values_at
 from skewbench.models import (
     Poset,
@@ -43,14 +42,13 @@ def boolean4(chain2):
 
 class TestHeytingArrow:
     def test_chain2_table(self, chain2):
-        res = heyting_arrow(chain2)
-        assert res
+        table = generalized_heyting_arrow(chain2)
         # rows indexed by the first argument: 0→0=1, 0→1=1, 1→0=0, 1→1=1
-        assert res.table.tolist() == [[1, 1], [0, 1]]
+        assert table.tolist() == [[1, 1], [0, 1]]
+        assert table.dtype == np.int16 and not table.flags.writeable
 
     def test_boolean4_is_negation_join(self, boolean4):
-        res = heyting_arrow(boolean4)
-        assert res
+        table = generalized_heyting_arrow(boolean4)
         leq = np.asarray(
             (boolean4.join == np.arange(4)[None, :])
             & (boolean4.join.T == np.arange(4)[None, :])
@@ -65,14 +63,15 @@ class TestHeytingArrow:
             )
         for a in range(4):
             for b in range(4):
-                assert res.table[a, b] == boolean4.join[comp[a], b]
+                assert table[a, b] == boolean4.join[comp[a], b]
 
     def test_n5_absent_with_two_maxima(self, n5):
-        res = heyting_arrow(n5)
-        assert not res
-        y, z = res.offending
+        with pytest.raises(NoArrow) as info:
+            generalized_heyting_arrow(n5)
+        y, z, *maximal = info.value.witness
         assert (n5.names[y], n5.names[z]) == ("c", "a")
-        assert sorted(n5.names[m] for m in res.maximal) == ["a", "b"]
+        assert sorted(n5.names[m] for m in maximal) == ["a", "b"]
+        assert str(info.value) == "c→a has no value: maximal candidates ('a', 'b')"
 
     def test_absence_implies_not_distributive(self, n5):
         from skewbench import classify
@@ -82,12 +81,12 @@ class TestHeytingArrow:
 
 class TestHeytingAxioms:
     def test_chain2_all_hold(self, chain2):
-        arrow = heyting_arrow(chain2).table
+        arrow = generalized_heyting_arrow(chain2)
         rep = check_heyting_axioms(chain2.with_arrow(arrow))
         assert rep.all_hold()
 
     def test_perturbed_arrow_breaks_ha(self, boolean4):
-        arrow = np.array(heyting_arrow(boolean4).table)
+        arrow = np.array(generalized_heyting_arrow(boolean4))
         arrow[1, 0] = (arrow[1, 0] + 1) % 4
         rep = check_heyting_axioms(boolean4.with_arrow(arrow))
         assert not rep.holds("HA")
@@ -100,7 +99,7 @@ class TestHeytingAxioms:
 
     def test_join_reduction_lemma(self, chain3, boolean4):
         for L in (chain3, boolean4):
-            arrow = heyting_arrow(L).table
+            arrow = generalized_heyting_arrow(L)
             rep = check_heyting_axioms(L.with_arrow(arrow))
             assert rep.holds("arrow-join-reduction")
 
@@ -110,48 +109,46 @@ class TestGeneralizedArrow:
         meet = [[min(i, j) for j in range(3)] for i in range(3)]
         join = [[max(i, j) for j in range(3)] for i in range(3)]
         L = make_algebra(["0", "1", "2"], meet, join, top=2)
-        res = generalized_heyting_arrow(L)
-        assert res
+        assert generalized_heyting_arrow(L).tolist() == [[2, 2, 2], [0, 2, 2], [0, 1, 2]]
 
     def test_pf22_quotient(self, pf22):
         D, _, _ = greens(pf22)
         Q, _ = quotient(pf22.drop_arrow(), D)
-        assert generalized_heyting_arrow(Q)
+        assert np.array_equal(generalized_heyting_arrow(Q), arrow_by_candidates(Q))
 
     def test_any_finite_distributive_with_top(self, chain3, boolean4):
         for L in (chain3, boolean4):
-            assert generalized_heyting_arrow(L)
+            assert np.array_equal(generalized_heyting_arrow(L), arrow_by_candidates(L))
 
 
 class TestDualDiff:
     def test_chain2_entrywise(self, chain2):
-        res = dual_gb_diff(chain2)
-        assert res.table.tolist() == [[1, 0], [1, 1]]
+        table = dual_gb_diff(chain2)
+        assert table.tolist() == [[1, 0], [1, 1]]
+        assert table.dtype == np.int16 and not table.flags.writeable
 
     def test_boolean4_negation_form_and_arrow_agreement(self, boolean4):
-        res = dual_gb_diff(boolean4)
-        assert res
-        arrow = heyting_arrow(boolean4).table
+        table = dual_gb_diff(boolean4)
+        arrow = generalized_heyting_arrow(boolean4)
         for x in range(4):
             for y in range(4):
-                assert res.table[y, x] == arrow[x, y]
+                assert table[y, x] == arrow[x, y]
         # frozen spot check: top∖∖bottom = top, bottom∖∖top = bottom∨¬top = bottom
-        assert res.table[boolean4.top, boolean4.bottom] == boolean4.top
-        assert res.table[boolean4.bottom, boolean4.top] == boolean4.bottom
+        assert table[boolean4.top, boolean4.bottom] == boolean4.top
+        assert table[boolean4.bottom, boolean4.top] == boolean4.bottom
 
     def test_three_chain_has_no_dual_diff(self, chain3):
         # the middle element has no relative complement in [0, top]: at
         # (y, x) = (0, 1) nothing satisfies both defining identities
-        res = dual_gb_diff(chain3)
-        assert not res
-        assert res.offending == (0, 1)
+        with pytest.raises(NoArrow) as info:
+            dual_gb_diff(chain3)
+        # Python ints, so that a report prints the pair as (0, 1)
+        assert info.value.witness == (0, 1) and str(info.value.witness) == "(0, 1)"
+        assert not isinstance(info.value, (AmbiguousDiff, InconsistencyDetected))
 
     def test_agreement_with_arrow_wherever_solvable(self, chain2, boolean4):
         for L in (chain2, boolean4):
-            res = dual_gb_diff(L)
-            assert res
-            arrow = heyting_arrow(L).table
-            assert np.array_equal(res.table.T, arrow)
+            assert np.array_equal(dual_gb_diff(L).T, generalized_heyting_arrow(L))
 
     def test_ambiguous_on_diamond(self):
         # M3: three incomparable atoms under a common top; 0∖∖a has both
@@ -184,13 +181,17 @@ class TestDualDiff:
                     solve(L)
 
 
+def _outcome(construct, L):
+    """The table as lists, or the exception's class, message and witness."""
+    try:
+        return "table", construct(L).tolist()
+    except (NoArrow, AmbiguousDiff) as exc:
+        return type(exc).__name__, str(exc), exc.witness
+
+
 def _assert_kernel_agrees(L):
-    got, want = _arrow_by_candidates(L), arrow_by_candidates(L)
-    assert (got.offending, got.maximal) == (want.offending, want.maximal)
-    if want.table is None:
-        assert got.table is None
-    else:
-        assert np.array_equal(got.table, want.table)
+    # a failure compares the pair and its maximal candidates, in order
+    assert _outcome(_arrow_by_candidates, L) == _outcome(arrow_by_candidates, L)
 
 
 def _m3():
@@ -229,14 +230,14 @@ class TestKernelAgreesWithOracle:
         L = _m3() if factor == "m3" else request.getfixturevalue(factor)
         if chain:
             L = direct_product(L, request.getfixturevalue(chain[0]))
-        res = _arrow_by_candidates(L)
-        assert not res and len(res.maximal) >= 2
+        with pytest.raises(NoArrow) as info:
+            _arrow_by_candidates(L)
+        assert len(info.value.witness) >= 2 + 2  # the pair and two maxima
         _assert_kernel_agrees(L)
 
     def test_boolean_lattice_of_256_elements(self):
         L = upset_heyting(Poset.antichain(8))
-        res = heyting_arrow(L.drop_arrow())
-        assert res and np.array_equal(res.table, L.arrow)
+        assert np.array_equal(generalized_heyting_arrow(L.drop_arrow()), L.arrow)
 
     @pytest.mark.parametrize("fixture", ["rect2", "t3", "rect2_bottom", "pf22"])
     def test_agrees_off_lattices(self, fixture, request):
@@ -251,9 +252,7 @@ class TestKernelAgreesWithOracle:
             _assert_kernel_agrees(sub)
         D, _, _ = greens(A)
         Q, _ = quotient(A, D)
-        lifted = generalized_heyting_arrow(Q)
-        oracle = arrow_by_candidates(Q)
-        assert lifted and oracle and np.array_equal(lifted.table, oracle.table)
+        assert np.array_equal(generalized_heyting_arrow(Q), arrow_by_candidates(Q))
         for sub in _upset_algebras(Q):
             _assert_kernel_agrees(sub)
 
@@ -265,7 +264,7 @@ def _upset_algebras(A):
     for u in range(A.n):
         members = [int(v) for v in np.flatnonzero(leq[u])]
         assert upset_at(A, u).tolist() == members
-        yield subalgebra(A, members, bottom=members.index(u))[0]
+        yield subalgebra(A, members, bottom=members.index(u))
 
 
 @st.composite
@@ -296,17 +295,7 @@ def test_relabeling_an_upset_lattice_commutes_with_the_kernel(data):
     )
     want = _arrow_by_candidates(L)
     got = _arrow_by_candidates(relabeled)
-    assert want and got
-    assert np.array_equal(got.table, perm[want.table[grid]])
-
-
-def _diff_outcome(solve, L):
-    try:
-        res = solve(L)
-    except AmbiguousDiff as exc:
-        return "ambiguous", str(exc), exc.witness
-    table = None if res.table is None else res.table.tolist()
-    return table, res.offending
+    assert np.array_equal(got, perm[want[grid]])
 
 
 def _diff_inputs():
@@ -322,11 +311,10 @@ def _diff_inputs():
 
 
 def test_dual_diff_agrees_with_the_scalar_loop():
-    outcomes = [_diff_outcome(dual_gb_diff, L) for L in _diff_inputs()]
-    assert outcomes == [_diff_outcome(heyting_oracle.dual_gb_diff, L) for L in _diff_inputs()]
-    kinds = [o[0] if o[0] == "ambiguous" else o[0] is not None for o in outcomes]
+    outcomes = [_outcome(dual_gb_diff, L) for L in _diff_inputs()]
+    assert outcomes == [_outcome(heyting_oracle.dual_gb_diff, L) for L in _diff_inputs()]
     # every branch is exercised: solved, unsolvable and ambiguous inputs
-    assert {True, False, "ambiguous"} <= set(kinds)
+    assert {"table", "NoArrow", "AmbiguousDiff"} <= {o[0] for o in outcomes}
 
 
 class TestAdjunctionFailure:
@@ -338,7 +326,7 @@ class TestAdjunctionFailure:
     def test_first_differing_pair_of_a_mutated_upset_lattice(self, data):
         L = upset_heyting(data.draw(_posets())).drop_arrow()
         leq = leq_matrix(L)
-        oracle = arrow_by_candidates(L).table
+        oracle = arrow_by_candidates(L)
         u = data.draw(st.integers(0, L.n - 1))
         members = np.flatnonzero(leq[u])
         assert adjunction_failure(L, members, oracle) is None
@@ -359,9 +347,9 @@ class TestAdjunctionFailure:
         meet = [[min(i, j, key=rank.__getitem__) for j in range(4)] for i in range(4)]
         join = [[max(i, j, key=rank.__getitem__) for j in range(4)] for i in range(4)]
         L = make_algebra(["m0", "m1", "bot", "top"], meet, join, top=3, bottom=2)
-        mutated = np.array(arrow_by_candidates(L).table)
+        mutated = np.array(arrow_by_candidates(L))
         mutated[1, 3] = 1  # m1→top is top
-        monkeypatch.setattr(heyting, "_arrow_by_candidates", lambda L: ArrowResult(mutated))
+        monkeypatch.setattr(heyting, "_arrow_by_candidates", lambda L: mutated)
         with pytest.raises(InconsistencyDetected) as info:
             generalized_heyting_arrow(L)
         # m0↑ is the first upset holding (m1, top), which sits at (1, 2) in it

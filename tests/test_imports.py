@@ -2,10 +2,14 @@
 that two modules need is public in one of them, or lives where it is used.
 Every name a module imports is referenced in it, no module imports
 ``dataclasses``, ``hashlib`` is only a fallback, the modules import one
-another without a cycle, and only ``identities`` binds the tables a formula
-reads."""
+another without a cycle, ``heyting`` imports only ``core`` and ``errors``,
+only ``identities`` binds the tables a formula reads, and no function has
+two module-level names."""
 
 import ast
+import importlib
+import inspect
+import types
 from pathlib import Path
 
 import pytest
@@ -311,3 +315,33 @@ def test_the_check_sees_a_side_channel(tmp_path):
         "line 4: run_identity passes pre",
         "line 5: calls bind",
     ]
+
+
+def test_heyting_imports_only_core_and_errors():
+    # at module level and inside functions: `model upsets` loads it for the
+    # adjunction alone, and the arrow constructions need nothing more
+    (heyting,) = (path for path in SOURCES if path.stem == "heyting")
+    assert _relative_imports(heyting) == {"core", "errors"}
+
+
+def _aliases(module) -> list[str]:
+    """The module-level names that bind a function object another name of
+    ``module`` binds too.  The bench tracer names a span after the last such
+    name, so an alias would take the function's metrics with it."""
+    names: dict[int, list[str]] = {}
+    for name, value in vars(module).items():
+        if inspect.isfunction(value):
+            names.setdefault(id(value), []).append(name)
+    return [" = ".join(group) for group in names.values() if len(group) > 1]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.stem != "__main__"], ids=lambda p: p.name)
+def test_no_function_has_two_module_level_names(path):
+    name = "skewbench" if path.stem == "__init__" else f"skewbench.{path.stem}"
+    assert _aliases(importlib.import_module(name)) == []
+
+
+def test_the_check_sees_an_alias():
+    bad = types.ModuleType("bad")
+    exec("from os.path import join, split\ndef f():\n    pass\ndef g():\n    pass\nh = f\nglue = join\n", vars(bad))
+    assert _aliases(bad) == ["join = glue", "f = h"]

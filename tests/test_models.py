@@ -10,7 +10,7 @@ from skewbench import (
     classify,
     derive_arrow,
     find_isomorphism,
-    heyting_arrow,
+    generalized_heyting_arrow,
     make_algebra,
     models,
     skew_heyting,
@@ -235,8 +235,7 @@ class TestUpsetHeyting:
     def test_matches_oracle_on_sample(self):
         for P in all_posets(4)[:6]:
             L = upset_heyting(P)
-            oracle = heyting_arrow(L.drop_arrow())
-            assert np.array_equal(oracle.table, L.arrow)
+            assert np.array_equal(generalized_heyting_arrow(L.drop_arrow()), L.arrow)
 
     def test_mismatched_arrow_names_the_first_differing_pair(self, monkeypatch):
         L = upset_heyting(Poset.antichain(2))
@@ -404,7 +403,6 @@ class TestFromSkewBoolean:
         # solving the dual-difference identities on the flipped lattice
         # recovers the classical difference x∖y = x∧¬y of the original
         ddiff = dual_gb_diff(vertical_dual(boolean4))
-        assert ddiff
         comp = {
             x: next(
                 w
@@ -415,10 +413,10 @@ class TestFromSkewBoolean:
         }
         for x in range(4):
             for y in range(4):
-                assert ddiff.table[x, y] == boolean4.meet[x, comp[y]]
+                assert ddiff[x, y] == boolean4.meet[x, comp[y]]
         # feeding it back as the skew Boolean difference flips the order and
         # reads the implication off entrywise: x→y = y∖x = ¬x meet y
-        back = from_skew_boolean(boolean4, ddiff.table)
+        back = from_skew_boolean(boolean4, ddiff)
         for x in range(4):
             for y in range(4):
                 assert back.arrow[x, y] == boolean4.meet[y, comp[x]]

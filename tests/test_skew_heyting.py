@@ -21,7 +21,6 @@ from skewbench import (
     dual_gb_diff,
     generalized_heyting_arrow,
     greens,
-    heyting_arrow,
     lattice_image,
     leq_matrix,
     make_algebra,
@@ -38,11 +37,12 @@ from skewbench.errors import (
     BadConstant,
     CoherenceFailure,
     InconsistencyDetected,
+    NoArrow,
     NoTop,
     NotCoStronglyDistributive,
     PreconditionFailed,
 )
-from skewbench.heyting import ArrowResult, adjunction_failure
+from skewbench.heyting import adjunction_failure
 from skewbench.models import (
     Poset,
     SurjectionModel,
@@ -191,11 +191,11 @@ class TestCoherence:
     )
     def test_a_mutated_kernel_fails_the_generalized_arrow_at_the_in_order_witness(self, build, monkeypatch):
         L = build()
-        table = heyting_arrow(L).table
+        table = generalized_heyting_arrow(L)
         for a, b, shift in itertools.product(range(L.n), range(L.n), range(1, L.n)):
             mutated = np.array(table)
             mutated[a, b] = (mutated[a, b] + shift) % L.n
-            monkeypatch.setattr(heyting, "_arrow_by_candidates", lambda L: ArrowResult(mutated))
+            monkeypatch.setattr(heyting, "_arrow_by_candidates", lambda L: mutated)
             with pytest.raises(InconsistencyDetected) as info:
                 generalized_heyting_arrow(L)
             # a lattice admits one arrow, so every mutation fails somewhere
@@ -215,17 +215,18 @@ class TestUpset:
         members = upset_at(pf22, u)
         assert members.tolist() == np.flatnonzero(leq_matrix(pf22)[u]).tolist()
         assert pf22.index("{}") in members
-        sub, local = subalgebra(pf22, members, bottom=members.tolist().index(u))
-        assert sub.bottom == local[u]
-        assert sub.top == local[pf22.index("{}")]
+        sub = subalgebra(pf22, members, bottom=members.tolist().index(u))
+        # local index i is the i-th least member
+        assert sub.names == pf22.name_tuple(members)
+        assert members[sub.bottom] == u
+        assert members[sub.top] == pf22.index("{}")
 
     def test_upset_arrow_is_heyting(self, pf22):
         u = pf22.index("{p:0,q:0}")
         members = upset_at(pf22, u)
-        sub, _ = subalgebra(pf22.drop_arrow(), members, bottom=members.tolist().index(u))
-        oracle = heyting_arrow(sub)
+        sub = subalgebra(pf22.drop_arrow(), members, bottom=members.tolist().index(u))
         derived = derive_arrow(pf22.drop_arrow())
-        assert oracle and np.array_equal(members[oracle.table], derived[np.ix_(members, members)])
+        assert np.array_equal(members[generalized_heyting_arrow(sub)], derived[np.ix_(members, members)])
 
 
 class TestShAxioms:
@@ -234,7 +235,7 @@ class TestShAxioms:
         assert rep.all_hold()
 
     def test_chain2_reduces_to_heyting(self, chain2):
-        arrow = heyting_arrow(chain2).table
+        arrow = generalized_heyting_arrow(chain2)
         rep = check_sh_axioms(chain2.with_arrow(arrow))
         assert rep.all_hold()
 
@@ -275,7 +276,7 @@ class TestSha:
         assert pre[p0, p1]
 
     def test_chain2(self, chain2):
-        arrow = heyting_arrow(chain2).table
+        arrow = generalized_heyting_arrow(chain2)
         assert check_sha(chain2.with_arrow(arrow))
 
 
@@ -284,7 +285,7 @@ class TestImpOr:
         assert check_imp_or(pf22)
 
     def test_chain2(self, chain2):
-        arrow = heyting_arrow(chain2).table
+        arrow = generalized_heyting_arrow(chain2)
         assert check_imp_or(chain2.with_arrow(arrow))
 
     def test_section_algebra_over_two_chain(self):
@@ -303,6 +304,35 @@ class TestLifting:
     def test_chain2(self, chain2):
         assert check_lifting(chain2.drop_arrow())
 
+    def test_a_quotient_without_an_arrow_is_an_inconsistency(self, pf22, monkeypatch):
+        def no_arrow(L):
+            raise NoArrow("no arrow", witness=(0, 1, 2, 3))
+
+        monkeypatch.setattr(heyting, "_arrow_by_candidates", no_arrow)
+        with pytest.raises(InconsistencyDetected) as info:
+            check_lifting(pf22.drop_arrow())
+        assert str(info.value) == "lifting biconditional fails: derived=True, quotient arrow=False"
+        assert info.value.witness == ()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_a_failing_witness_is_a_real_violation(self, data):
+        # a one-cell mutation of S/D's arrow on a family member fails, since
+        # every cell of S/D lies in the upset of some D-class
+        A = data.draw(st.sampled_from(LIFTING_FAMILY))()
+        Q, project = lattice_image(A)
+        p, q = (data.draw(st.integers(0, Q.n - 1)) for _ in range(2))
+        mutated = np.array(generalized_heyting_arrow(Q))
+        mutated[p, q] = (mutated[p, q] + data.draw(st.integers(1, Q.n - 1))) % Q.n
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(skew_heyting, "generalized_heyting_arrow", lambda Q: mutated)
+            res = check_lifting(A)
+        assert not res.holds
+        u, a, b = res.witness
+        up = leq_matrix(A)[u]
+        assert up[a] and up[b]
+        assert project[derive_arrow(A)[a, b]] != mutated[project[a], project[b]]
+
 
 class TestArrowCongruences:
     def test_pf22(self, pf22):
@@ -315,7 +345,7 @@ class TestArrowCongruences:
             assert derive_arrow(Q).shape == (Q.n, Q.n)
 
     def test_chain2(self, chain2):
-        arrow = heyting_arrow(chain2).table
+        arrow = generalized_heyting_arrow(chain2)
         assert check_arrow_congruences(chain2.with_arrow(arrow))
 
 
@@ -358,6 +388,7 @@ class TestSpecialCases:
         rep = special_case_arrows(chain3.with_arrow(derive_arrow(chain3)))
         assert rep["case2-skew-chain"].verdict == "holds"
         assert rep["case3-dual-boolean-diff"].verdict == "skipped"
+        assert rep["case3-dual-boolean-diff"].detail == "dual difference unsolvable at pair (0, 1)"
 
     @pytest.mark.parametrize("fixture", ["t3", "chain2"])
     def test_a_one_cell_wrong_arrow_is_named_by_both_cases(self, fixture, request):
@@ -388,11 +419,12 @@ class TestSpecialCases:
         rep = special_case_arrows(A.with_arrow(arrow))
         # each closed form, built here from its statement
         forms = {"case2-skew-chain": np.where(preceq_matrix(A), A.top, np.arange(A.n)[None, :])}
-        diff = dual_gb_diff(A)
-        if diff:
-            forms["case3-dual-boolean-diff"] = diff.table.T
-        else:
-            assert rep["case3-dual-boolean-diff"].verdict == "skipped"
+        try:
+            forms["case3-dual-boolean-diff"] = dual_gb_diff(A).T
+        except NoArrow as exc:
+            entry = rep["case3-dual-boolean-diff"]
+            assert entry.verdict == "skipped"
+            assert entry.detail == f"dual difference unsolvable at pair ({exc.witness[0]}, {exc.witness[1]})"
         for name, expected in forms.items():
             entry = rep[name]
             differ = np.argwhere(arrow != expected)
@@ -407,6 +439,22 @@ class TestSpecialCases:
 @functools.cache
 def _chain_sections(fibers: tuple[int, ...]):
     return poset_sections_algebra(SurjectionModel.from_fiber_sizes(Poset.chain(len(fibers)), fibers))
+
+
+@functools.cache
+def _v_sections():
+    # p < r > q
+    V = Poset(("p", "q", "r"), [[1, 0, 1], [0, 1, 1], [0, 0, 1]])
+    return poset_sections_algebra(SurjectionModel.from_fiber_sizes(V, (1, 2, 1)))
+
+
+# S/D a Boolean lattice of 2 to 16 elements, a chain, or neither
+LIFTING_FAMILY = (
+    *(functools.partial(partial_function_algebra, nx, ny) for nx, ny in ((1, 1), (2, 2), (3, 1), (4, 1))),
+    functools.partial(_chain_sections, (2, 1)),
+    functools.partial(_chain_sections, (1, 2, 1)),
+    _v_sections,
+)
 
 
 def test_d_congruence_at_partition_level(pf22):
@@ -552,7 +600,7 @@ class TestAgreesWithUpsetOracle:
         for a, b, shift in itertools.product(range(m), range(m), range(1, m)):
             mutated = np.array(q_table)
             mutated[a, b] = (mutated[a, b] + shift) % m
-            monkeypatch.setattr(skew_heyting, "generalized_heyting_arrow", lambda Q: ArrowResult(mutated))
+            monkeypatch.setattr(skew_heyting, "generalized_heyting_arrow", lambda Q: mutated)
             got = _lifting_outcome(A)
             assert got == lifting(A, mutated)
             # every cell of S/D lies in the upset of some D-class
